@@ -85,7 +85,6 @@ from .scenario import Scenario, parse_scenario, scenario_from_dict
 from .runner import (
     RunResult,
     check_truncation_convergence,
-    emit_plotdata,
     run,
     run_landscape,
     sweep,

@@ -31,6 +31,23 @@ EXIT_NUMERICAL = 3
 EXIT_CONVERGENCE = 4
 
 
+def _at_least(kind, minimum, strict=False):
+    """argparse type: a `kind` value >= minimum (> minimum when strict)."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not (value > minimum if strict else value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {minimum}, got {text}")
+        return value
+    return parse
+
+
+_THREADS_HELP = "accepted for existing command lines; has no effect"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionrabi",
@@ -39,11 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("f1", help="evaluate the nonlinear coupling f1, table it, or find zeros")
-    p.add_argument("--eta", type=float, help="Lamb-Dicke parameter")
-    p.add_argument("--n", type=int, help="single Fock index to evaluate")
+    p.add_argument("--eta", type=_at_least(float, 0), help="Lamb-Dicke parameter")
+    p.add_argument("--n", type=_at_least(int, 0), help="single Fock index to evaluate")
     p.add_argument("--table", action="store_true", help="emit CSV table (columns n,f1)")
-    p.add_argument("--n-max", type=int, default=60, help="table extent (default 60)")
-    p.add_argument("--find-zero", type=int, metavar="N",
+    p.add_argument("--n-max", type=_at_least(int, 0), default=60,
+                   help="table extent (default 60)")
+    p.add_argument("--find-zero", type=_at_least(int, 1), metavar="N",
                    help="find the smallest eta with f1(N, eta)=0")
     p.add_argument("--bracket", type=float, nargs=2, default=(1e-3, 1.0),
                    help="eta search bracket for --find-zero (default 1e-3 1.0)")
@@ -52,19 +70,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="run a scenario file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", help=f"output directory (default ${'{'}IONRABI_OUTDIR{'}'} or ./runs)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--check-convergence", action="store_true",
                    help="rerun at n_max+20 and require observable changes < 1e-6")
 
     p = sub.add_parser("fockprep", help="dissipative Fock-state preparation")
-    p.add_argument("--target", type=int, required=True, metavar="N")
-    p.add_argument("--eta", type=float, help="override the auto blockade eta")
-    p.add_argument("--nbar", type=float, default=1.0, help="initial thermal occupation")
-    p.add_argument("--g-khz", type=float, default=45.24,
+    p.add_argument("--target", type=_at_least(int, 1), required=True, metavar="N")
+    p.add_argument("--eta", type=_at_least(float, 0), help="override the auto blockade eta")
+    p.add_argument("--nbar", type=_at_least(float, 0), default=1.0,
+                   help="initial thermal occupation")
+    p.add_argument("--g-khz", type=_at_least(float, 0, strict=True), default=45.24,
                    help="coupling g in 2*pi*kHz (default 45.24)")
-    p.add_argument("--gamma-ratio", type=float, default=2.0)
-    p.add_argument("--duration", type=float, default=100.0, help="cycles of 2*pi/g")
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--gamma-ratio", type=_at_least(float, 0), default=2.0)
+    p.add_argument("--duration", type=_at_least(float, 0), default=100.0,
+                   help="cycles of 2*pi/g")
+    p.add_argument("--points", type=_at_least(int, 1), default=201)
     p.add_argument("--out")
 
     p = sub.add_parser("landscape", help="log10|f1| heat-map table over (n, eta)")
@@ -74,14 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-min", type=float)
     p.add_argument("--eta-max", type=float)
     p.add_argument("--grid", type=int, help="number of eta points")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="run a scenario template over parameter axes")
     p.add_argument("--template", required=True)
     p.add_argument("--axis", action="append", required=True,
                    help="key.path=start:stop:count or key.path=[v1,v2,...] (repeatable)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out")
 
     p = sub.add_parser("validate", help="truncation convergence + vibrational-RWA cross-check")
@@ -93,15 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plotdata_name(result_dir: str, kind: str) -> str:
-    return os.path.join(result_dir, f"plot_{kind}.dat")
-
-
 def _cmd_f1(args) -> int:
     from .fock import barrier_eta, f1_diagonal, f1_scalar
 
     if args.find_zero is not None:
-        eta = barrier_eta(args.find_zero, tuple(args.bracket))
+        lo, hi = args.bracket
+        if not 0 < lo < hi:
+            raise SchemaError(f"--bracket: need 0 < lo < hi, got {lo} {hi}")
+        eta = barrier_eta(args.find_zero, (lo, hi))
         print(f"barrier_eta({args.find_zero}) = {eta:.12f}")
         print(f"f1({args.find_zero}, eta) = {f1_scalar(args.find_zero, eta):.3e}")
         return EXIT_OK
@@ -131,8 +150,7 @@ def _cmd_evolve(args) -> int:
     from .scenario import parse_scenario
 
     scenario = parse_scenario(args.scenario)
-    result = run(scenario, out_dir=args.out, threads=args.threads,
-                 check_convergence=args.check_convergence)
+    result = run(scenario, out_dir=args.out, check_convergence=args.check_convergence)
     print(f"{result.name}: wrote {result.csv_path} ({result.wall_time_s:.2f}s, "
           f"convergence {result.convergence})")
     return EXIT_OK
@@ -177,51 +195,27 @@ def _cmd_fockprep(args) -> int:
     return EXIT_OK
 
 
-def _parse_landscape_config(path):
-    from .errors import SchemaError
-
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a mapping")
-    allowed = {"schema_version", "name", "landscape"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"{path}: unknown key(s) {sorted(unknown)}")
-    if doc.get("schema_version") != 1:
-        raise SchemaError(f"{path}: schema_version must be 1")
-    section = doc.get("landscape")
-    if not isinstance(section, dict):
-        raise SchemaError(f"{path}: missing landscape section")
-    keys = {"n_min", "n_max", "eta_min", "eta_max", "eta_points"}
-    unknown = set(section) - keys
-    if unknown:
-        raise SchemaError(f"{path}.landscape: unknown key(s) {sorted(unknown)}")
-    missing = {"n_max", "eta_min", "eta_max", "eta_points"} - set(section)
-    if missing:
-        raise SchemaError(f"{path}.landscape: missing key(s) {sorted(missing)}")
-    return (doc.get("name", "landscape"), section.get("n_min", 0), section["n_max"],
-            section["eta_min"], section["eta_max"], section["eta_points"])
-
-
 def _cmd_landscape(args) -> int:
     from .runner import output_dir, run_landscape
+    from .scenario import landscape_from_dict, parse_landscape
 
     if args.config:
-        name, n_min, n_max, eta_min, eta_max, grid = _parse_landscape_config(args.config)
+        name, grid = parse_landscape(args.config)
     else:
         if args.n_max is None or args.eta_min is None or args.eta_max is None or args.grid is None:
             print("landscape: need --n-max --eta-min --eta-max --grid (or --config)",
                   file=sys.stderr)
             return EXIT_SCHEMA
-        name, n_min, n_max = "landscape", args.n_min, args.n_max
-        eta_min, eta_max, grid = args.eta_min, args.eta_max, args.grid
+        name = "landscape"
+        grid = landscape_from_dict({"n_min": args.n_min, "n_max": args.n_max,
+                                    "eta_min": args.eta_min, "eta_max": args.eta_max,
+                                    "eta_points": args.grid}, "landscape flags")
     base = os.path.join(output_dir(args.out), name)
     os.makedirs(base, exist_ok=True)
     out_path = os.path.join(base, "landscape.csv")
-    n_values = np.arange(n_min, n_max + 1)
-    eta_values = np.linspace(eta_min, eta_max, grid)
-    run_landscape(n_values, eta_values, out_path, threads=args.threads)
+    n_values = np.arange(grid["n_min"], grid["n_max"] + 1)
+    eta_values = np.linspace(grid["eta_min"], grid["eta_max"], grid["eta_points"])
+    run_landscape(n_values, eta_values, out_path)
     print(f"wrote {out_path} ({len(n_values)} x {len(eta_values)})")
     return EXIT_OK
 
@@ -232,17 +226,27 @@ def _parse_axis(text: str):
     path, spec = text.split("=", 1)
     spec = spec.strip()
     if spec.startswith("["):
-        values = yaml.safe_load(spec)
+        # read as YAML, as the field would be in a scenario file: 0 stays an int
+        try:
+            values = yaml.safe_load(spec)
+        except yaml.YAMLError as exc:
+            raise SchemaError(f"axis {text!r}: expected a list such as [0, 1]") from exc
         if not isinstance(values, list) or not values:
             raise SchemaError(f"axis {text!r}: expected a non-empty list")
-        return path.strip(), [float(v) for v in values]
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"axis {text!r}: expected numbers, got {v!r}")
+        return path.strip(), values
     parts = spec.split(":")
     if len(parts) != 3:
         raise SchemaError(f"axis {text!r}: expected start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise SchemaError(f"axis {text!r}: {exc}") from exc
     if count < 1:
         raise SchemaError(f"axis {text!r}: count must be >= 1")
-    return path.strip(), list(np.linspace(start, stop, count))
+    return path.strip(), [float(v) for v in np.linspace(start, stop, count)]
 
 
 def _cmd_sweep(args) -> int:
@@ -251,7 +255,7 @@ def _cmd_sweep(args) -> int:
 
     template = parse_scenario(args.template)
     axes = [_parse_axis(a) for a in args.axis]
-    results = sweep(template, axes, out_dir=args.out, threads=args.threads)
+    results = sweep(template, axes, out_dir=args.out)
     total = 1
     for _, values in axes:
         total *= len(values)
@@ -262,16 +266,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from .dynamics import rwa_crosscheck
     from .models import DEFAULT_NU, ModelSpec, sideband_detunings
-    from .runner import check_truncation_convergence, output_dir
+    from .runner import CONVERGENCE_BUMP, check_truncation_convergence, output_dir
     from .scenario import parse_scenario
 
     scenario = parse_scenario(args.scenario)
     spec = scenario.model_spec()
     report = {"scenario": scenario.name}
 
-    converged, delta, n_max = check_truncation_convergence(scenario)
+    converged, delta, n_max, _ = check_truncation_convergence(scenario)
     report["truncation"] = {"n_max": n_max, "max_delta": delta, "converged": converged}
-    print(f"truncation convergence (n_max {n_max} -> {n_max + 20}): "
+    print(f"truncation convergence (n_max {n_max} -> {n_max + CONVERGENCE_BUMP}): "
           f"max delta {delta:.3e} -> {'pass' if converged else 'FAIL'}")
 
     crosscheck_state = "skipped"

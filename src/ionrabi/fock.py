@@ -196,13 +196,34 @@ def f1_series(n: int, eta: float) -> float:
     return math.exp(-0.5 * eta * eta) * (sh + sl)
 
 
-def _laguerre1_dd(n: int, xh: float, xl: float):
-    """L_n^{(1)}(x) in double-double via the three-term upward recurrence."""
-    if n == 0:
-        return 1.0, 0.0
-    lm_h, lm_l = 1.0, 0.0                      # L_0
-    lc_h, lc_l = dd_add(2.0, 0.0, -xh, -xl)    # L_1 = 2 - x
-    for k in range(1, n):
+def f1_scalar(n: int, eta: float) -> float:
+    """f1(n, eta): row n of f1_diagonal; agrees with f1_series to full
+    double precision (tested invariant)."""
+    return float(f1_diagonal(n, eta)[n])
+
+
+def f1_diagonal(n_max: int, eta) -> np.ndarray:
+    """f1(0..n_max, eta) from exp(-eta^2/2) L_n^{(1)}(eta^2) / (n+1).
+
+    eta is a float or a 1-d array; the result has shape
+    (n_max + 1,) + shape(eta).  L_n^{(1)} comes from the three-term upward
+    recurrence in double-double, run elementwise over all eta at once; it
+    avoids factorial overflow up to n ~ 200.
+    """
+    x = np.asarray(eta, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"eta must be a float or a 1-d array, got shape {x.shape}")
+    _validate_f1_args(n_max, x.min() if x.size else 0.0)
+    if x.ndim == 0:
+        x = float(x)  # python floats run the scalar recurrence faster than 0-d arrays
+    xh, xl = two_prod(x, x)
+    # math.exp, not np.exp: the two differ in the last bit for some eta
+    pref = np.array([math.exp(v) for v in np.ravel(-0.5 * x * x)]).reshape(np.shape(x))
+    out = np.empty((n_max + 1,) + np.shape(x))
+    out[0] = 1.0
+    lm_h, lm_l = 0.0, 0.0  # L_{-1}
+    lc_h, lc_l = 1.0, 0.0  # L_0
+    for k in range(n_max):
         # (k+1) L_{k+1} = (2k+2-x) L_k - (k+1) L_{k-1}
         ah, al = dd_add(float(2 * k + 2), 0.0, -xh, -xl)
         ah, al = dd_mul(ah, al, lc_h, lc_l)
@@ -210,44 +231,9 @@ def _laguerre1_dd(n: int, xh: float, xl: float):
         nh, nl = dd_add(ah, al, -bh, -bl)
         nh, nl = dd_div_scalar(nh, nl, float(k + 1))
         lm_h, lm_l, lc_h, lc_l = lc_h, lc_l, nh, nl
-    return lc_h, lc_l
-
-
-def f1_scalar(n: int, eta: float) -> float:
-    """f1 from the closed form exp(-eta^2/2) L_n^{(1)}(eta^2) / (n+1).
-
-    The Laguerre recurrence avoids factorial overflow up to n ~ 200 and
-    agrees with f1_series to full double precision (tested invariant).
-    """
-    _validate_f1_args(n, eta)
-    xh, xl = two_prod(float(eta), float(eta))
-    lh, ll = _laguerre1_dd(n, xh, xl)
-    vh, vl = dd_div_scalar(lh, ll, float(n + 1))
-    return math.exp(-0.5 * eta * eta) * (vh + vl)
-
-
-def f1_diagonal(n_max: int, eta: float) -> np.ndarray:
-    """f1(0..n_max) in one recurrence pass (closed-form route)."""
-    _validate_f1_args(n_max, eta)
-    xh, xl = two_prod(float(eta), float(eta))
-    pref = math.exp(-0.5 * eta * eta)
-    out = np.empty(n_max + 1)
-    out[0] = pref
-    if n_max == 0:
-        return out
-    lm_h, lm_l = 1.0, 0.0
-    lc_h, lc_l = dd_add(2.0, 0.0, -xh, -xl)
-    vh, vl = dd_div_scalar(lc_h, lc_l, 2.0)
-    out[1] = pref * (vh + vl)
-    for k in range(1, n_max):
-        ah, al = dd_add(float(2 * k + 2), 0.0, -xh, -xl)
-        ah, al = dd_mul(ah, al, lc_h, lc_l)
-        bh, bl = dd_mul(lm_h, lm_l, float(k + 1), 0.0)
-        nh, nl = dd_add(ah, al, -bh, -bl)
-        nh, nl = dd_div_scalar(nh, nl, float(k + 1))
-        lm_h, lm_l, lc_h, lc_l = lc_h, lc_l, nh, nl
         vh, vl = dd_div_scalar(lc_h, lc_l, float(k + 2))
-        out[k + 1] = pref * (vh + vl)
+        out[k + 1] = vh + vl
+    out *= pref
     return out
 
 
@@ -277,7 +263,8 @@ def f1_operator(space: HilbertSpace, eta: float) -> Operator:
 def barrier_eta(n: int, bracket: tuple[float, float] = (1e-3, 1.0)) -> float:
     """Smallest eta in the bracket with f1(n, eta) = 0 (the blockade value).
 
-    Scans eta on a 1e-3 grid to bracket the first sign change, then bisects.
+    Scans eta on a 1e-3 grid, 1000 points per f1_diagonal call, to bracket
+    the first sign change, then bisects through f1_scalar.
     Zeros of f1 in eta are simple and well separated below eta = 1.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -286,23 +273,25 @@ def barrier_eta(n: int, bracket: tuple[float, float] = (1e-3, 1.0)) -> float:
     if not 0 < lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
     step = 1e-3
-    e_prev, f_prev = lo, f1_scalar(n, lo)
-    e = lo
-    found = None
-    while e < hi:
-        e = min(e + step, hi)
-        f = f1_scalar(n, e)
-        if f == 0.0:
-            return e
-        if f_prev * f < 0:
-            found = (e_prev, f_prev, e, f)
+    start = lo
+    while True:
+        # up to 1000 steps of e_k = min(e_{k-1} + step, hi), summed in order
+        # so that the grid points do not depend on the chunking
+        grid = np.minimum(np.add.accumulate(np.r_[start, np.full(1000, step)]), hi)
+        grid = grid[:np.searchsorted(grid, hi) + 1]
+        f = f1_diagonal(n, grid)[n]
+        hit = np.nonzero((f[1:] == 0.0) | (f[:-1] * f[1:] < 0))[0]
+        if hit.size:
             break
-        e_prev, f_prev = e, f
-    if found is None:
-        raise NoSignChange(
-            f"f1({n}, eta) does not change sign on eta in [{lo}, {hi}] (scanned step {step})"
-        )
-    a, fa, b, fb = found
+        if grid[-1] == hi:
+            raise NoSignChange(
+                f"f1({n}, eta) does not change sign on eta in [{lo}, {hi}] (scanned step {step})"
+            )
+        start = grid[-1]
+    k = int(hit[0]) + 1
+    if f[k] == 0.0:
+        return float(grid[k])
+    a, fa, b, fb = float(grid[k - 1]), float(f[k - 1]), float(grid[k]), float(f[k])
     for _ in range(200):
         m = 0.5 * (a + b)
         if m == a or m == b:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .dynamics import (
     thermal_state,
 )
 from .errors import NoBarrier
-from .fock import HilbertSpace, barrier_eta, f1_diagonal, f1_scalar, qubit_ops
+from .fock import HilbertSpace, barrier_eta, f1_diagonal, qubit_ops
 from .models import (
     ModelSpec,
     ValidityWarning,
@@ -299,27 +298,16 @@ def run_collapse_revival(model: str, alpha: complex, g: float, eta: float = 0.5,
 # f1 landscape
 # ---------------------------------------------------------------------------
 
-def f1_landscape(n_values, eta_values, threads: int = 1) -> np.ndarray:
+def f1_landscape(n_values, eta_values) -> np.ndarray:
     """log10|f1(n, eta)| on the grid, floored at -16 to avoid -inf.
 
-    Shape (len(n_values), len(eta_values)).  Columns are independent and may
-    be computed concurrently; the output is deterministic either way.
+    Shape (len(n_values), len(eta_values)), from one f1_diagonal call over
+    all eta.
     """
     n_values = np.asarray(n_values, dtype=int)
     eta_values = np.asarray(eta_values, dtype=float)
     if n_values.size == 0 or eta_values.size == 0:
         raise ValueError("landscape grids must be non-empty")
-    out = np.empty((n_values.size, eta_values.size))
-
-    def column(j):
-        col = f1_diagonal(int(n_values.max()), float(eta_values[j]))[n_values]
-        with np.errstate(divide="ignore"):
-            out[:, j] = np.maximum(np.log10(np.abs(col)), LANDSCAPE_FLOOR)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(column, range(eta_values.size)))
-    else:
-        for j in range(eta_values.size):
-            column(j)
-    return out
+    f1 = f1_diagonal(int(n_values.max()), eta_values)[n_values]
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.log10(np.abs(f1)), LANDSCAPE_FLOOR)

@@ -1,10 +1,8 @@
-"""Scenario execution: deterministic CSV/JSON outputs, parameter sweeps, and
-plot-data emission.
+"""Scenario execution: deterministic CSV/JSON outputs and parameter sweeps.
 
-Determinism contract: all integrators are fixed-step, nothing uses RNG, and
-values are serialized with 17 significant digits, so rerunning a scenario on
-the same platform (same BLAS) reproduces the committed files byte for byte,
-independent of the sweep parallelism.
+Determinism contract: fixed steps, no RNG.  A rerun reproduces the
+committed goldens within 1e-12, not byte for byte: values are written with
+17 significant digits, and the last of them can differ between runs.
 """
 from __future__ import annotations
 
@@ -13,7 +11,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass
 
@@ -44,12 +41,14 @@ __all__ = [
     "check_truncation_convergence",
     "write_trajectory_csv",
     "write_landscape_csv",
-    "emit_plotdata",
     "output_dir",
     "OUTDIR_ENV",
 ]
 
 OUTDIR_ENV = "IONRABI_OUTDIR"
+# --check-convergence and validate rerun at n_max + CONVERGENCE_BUMP and
+# require every recorded observable to move by less than CONVERGENCE_TOL.
+CONVERGENCE_BUMP = 20
 CONVERGENCE_TOL = 1e-6
 _FMT = "%.17e"
 
@@ -192,34 +191,26 @@ def write_metadata(path, scenario, n_max, traj):
         fh.write("\n")
 
 
-def run(scenario: Scenario, out_dir=None, threads: int = 1,
-        check_convergence: bool = False) -> RunResult:
+def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> RunResult:
     """Execute one scenario and write trajectory.csv + metadata.json.
 
-    A single trajectory is inherently sequential; `threads` lets the optional
-    truncation-convergence companion run execute alongside the base run.
+    With check_convergence, the run goes through check_truncation_convergence
+    and raises ConvergenceFailure when the truncation is not adequate.
     """
     base = os.path.join(output_dir(out_dir), scenario.name)
     os.makedirs(base, exist_ok=True)
     started = time.perf_counter()
-    n_max = auto_n_max(scenario)
-    if check_convergence and threads > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut = pool.submit(simulate_scenario, scenario, n_max + 20)
-            traj, _ = simulate_scenario(scenario, n_max)
-            bumped, _ = fut.result()
-    else:
-        traj, _ = simulate_scenario(scenario, n_max)
-        bumped = simulate_scenario(scenario, n_max + 20)[0] if check_convergence else None
     verdict = "skipped"
-    if bumped is not None:
-        delta = _trajectory_delta(traj, bumped)
-        if delta >= CONVERGENCE_TOL:
+    if check_convergence:
+        converged, delta, n_max, traj = check_truncation_convergence(scenario)
+        if not converged:
             raise ConvergenceFailure(
                 f"{scenario.name}: observables changed by {delta:.3e} >= "
-                f"{CONVERGENCE_TOL} when n_max {n_max} -> {n_max + 20}"
+                f"{CONVERGENCE_TOL} when n_max {n_max} -> {n_max + CONVERGENCE_BUMP}"
             )
         verdict = "pass"
+    else:
+        traj, n_max = simulate_scenario(scenario)
     csv_path = os.path.join(base, "trajectory.csv")
     meta_path = os.path.join(base, "metadata.json")
     write_trajectory_csv(csv_path, traj, scenario.outputs["observables"])
@@ -244,14 +235,15 @@ def _trajectory_delta(a, b) -> float:
     return delta
 
 
-def check_truncation_convergence(scenario: Scenario, bump: int = 20,
-                                 tol: float = CONVERGENCE_TOL):
-    """(converged, max_delta, n_max): rerun at n_max+bump and compare."""
+def check_truncation_convergence(scenario: Scenario):
+    """(converged, max_delta, n_max, trajectory): run at the auto truncation
+    n_max and at n_max + CONVERGENCE_BUMP and compare; trajectory is the run
+    at n_max."""
     n_max = auto_n_max(scenario)
     traj, _ = simulate_scenario(scenario, n_max)
-    bumped, _ = simulate_scenario(scenario, n_max + bump)
+    bumped, _ = simulate_scenario(scenario, n_max + CONVERGENCE_BUMP)
     delta = _trajectory_delta(traj, bumped)
-    return delta < tol, delta, n_max
+    return delta < CONVERGENCE_TOL, delta, n_max, traj
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +265,13 @@ def _point_tag(axes_values: dict) -> str:
     return ",".join(parts)
 
 
-def sweep(template: Scenario, axes: list, out_dir=None, threads: int = 1) -> list:
+def sweep(template: Scenario, axes: list, out_dir=None) -> list:
     """Run the template over the cartesian grid of (key_path, values) axes.
 
-    Writes each point into its own directory plus an index.json mapping grid
-    points to result paths; failed points are preserved in the index with
-    their error.  Outputs are independent of `threads`.
+    Each value is set as given, so an integer field such as initial.n needs
+    integer values.  Writes each point into its own directory plus an
+    index.json mapping grid points to result paths; failed points are
+    preserved in the index with their error.
     """
     grid = [{}]
     for path, values in axes:
@@ -286,29 +279,23 @@ def sweep(template: Scenario, axes: list, out_dir=None, threads: int = 1) -> lis
     base = os.path.join(output_dir(out_dir), template.name)
     os.makedirs(base, exist_ok=True)
 
-    def one(point):
-        doc = deepcopy(template.to_dict())
-        for path, value in point.items():
-            _set_key_path(doc, path, float(value))
-        tag = _point_tag(point)
-        doc["name"] = f"{template.name}/{tag}"
-        sc = scenario_from_dict(doc, source=f"sweep:{tag}")
-        return run(sc, out_dir=out_dir)
-
     results = []
     index = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [(point, pool.submit(one, point)) for point in grid]
-        for point, fut in futures:
-            entry = {"point": point}
-            try:
-                res = fut.result()
-                entry.update(status="ok", name=res.name, csv=res.csv_path,
-                             metadata=res.metadata_path)
-                results.append(res)
-            except Exception as exc:  # preserved in the failure manifest
-                entry.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-            index.append(entry)
+    for point in grid:
+        entry = {"point": point}
+        try:
+            doc = deepcopy(template.to_dict())
+            for path, value in point.items():
+                _set_key_path(doc, path, value)
+            tag = _point_tag(point)
+            doc["name"] = f"{template.name}/{tag}"
+            res = run(scenario_from_dict(doc, source=f"sweep:{tag}"), out_dir=out_dir)
+            entry.update(status="ok", name=res.name, csv=res.csv_path,
+                         metadata=res.metadata_path)
+            results.append(res)
+        except Exception as exc:  # preserved in the failure manifest
+            entry.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        index.append(entry)
     with open(os.path.join(base, "index.json"), "w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -316,7 +303,7 @@ def sweep(template: Scenario, axes: list, out_dir=None, threads: int = 1) -> lis
 
 
 # ---------------------------------------------------------------------------
-# landscape + plot data
+# landscape
 # ---------------------------------------------------------------------------
 
 def write_landscape_csv(path, n_values, eta_values, matrix):
@@ -328,54 +315,7 @@ def write_landscape_csv(path, n_values, eta_values, matrix):
             writer.writerow([str(int(n))] + [_FMT % v for v in matrix[i]])
 
 
-def run_landscape(n_values, eta_values, out_path, threads: int = 1):
-    matrix = f1_landscape(n_values, eta_values, threads=threads)
+def run_landscape(n_values, eta_values, out_path):
+    matrix = f1_landscape(n_values, eta_values)
     write_landscape_csv(out_path, n_values, eta_values, matrix)
     return matrix
-
-
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    return rows[0], rows[1:]
-
-
-def emit_plotdata(csv_path, kind: str, out_path, columns=None):
-    """Re-emit result CSVs as gnuplot-ready whitespace data files.
-
-    kinds: 'timeseries' (t + scalar columns), 'bars' (final phonon
-    distribution), 'heatmap' (landscape matrix, gnuplot nonuniform format).
-    Original digit strings are passed through untouched.
-    """
-    header, rows = _read_csv(csv_path)
-    if kind == "timeseries":
-        wanted = columns or [c for c in header if c != "t" and not c.startswith("P_")]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise ValueError(f"{csv_path}: missing column(s) {missing}")
-        idx = [header.index("t")] + [header.index(c) for c in wanted]
-        with open(out_path, "w") as fh:
-            fh.write("# t " + " ".join(wanted) + "\n")
-            for row in rows:
-                fh.write(" ".join(row[i] for i in idx) + "\n")
-    elif kind == "bars":
-        pcols = [(int(c[2:]), i) for i, c in enumerate(header) if c.startswith("P_")]
-        if not pcols:
-            raise ValueError(f"{csv_path}: no phonon columns P_n present")
-        last = rows[-1]
-        with open(out_path, "w") as fh:
-            fh.write("# n P_n\n")
-            for n, i in sorted(pcols):
-                fh.write(f"{n} {last[i]}\n")
-    elif kind == "heatmap":
-        if header[0] != "n":
-            raise ValueError(f"{csv_path}: not a landscape CSV (first column must be 'n')")
-        with open(out_path, "w") as fh:
-            fh.write(f"{len(header) - 1} " + " ".join(header[1:]) + "\n")
-            for row in rows:
-                fh.write(" ".join(row) + "\n")
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    return out_path

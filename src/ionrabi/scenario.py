@@ -7,20 +7,24 @@ Conventions (matching the trapped-ion literature):
   - phases are radians, eta and alpha are dimensionless;
   - times.t_end and outputs.snapshot_times are in cycles of 2*pi/g.
 
+Landscape configs (`ionrabi landscape --config`) share the header fields
+and hold one `landscape` section instead of model/initial/times.
+
 Unknown keys are rejected everywhere (strict mode) and errors carry the
 offending key path.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import yaml
 
 from .errors import SchemaError
 from .models import MODEL_KINDS, ModelSpec
 
-__all__ = ["Scenario", "parse_scenario", "scenario_from_dict", "KHZ", "SCHEMA_VERSION"]
+__all__ = ["Scenario", "parse_scenario", "scenario_from_dict", "landscape_from_dict",
+           "parse_landscape", "KHZ", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 KHZ = 2.0 * math.pi * 1e3  # config value 1.0 == 2*pi kHz, in rad/s
@@ -61,6 +65,27 @@ def _need_number(value, path: str) -> float:
 def _need_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _need_min(value, minimum, path: str, need=_need_number):
+    """`need(value)`, required to be >= minimum."""
+    value = need(value, path)
+    if not value >= minimum:
+        _fail(path, f"must be >= {minimum}")
+    return value
+
+
+def _need_version(value, path: str) -> int:
+    version = _need_int(value, path)
+    if version != SCHEMA_VERSION:
+        _fail(path, f"unsupported version {version}; this build reads version {SCHEMA_VERSION}")
+    return version
+
+
+def _need_name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, "expected a non-empty string")
     return value
 
 
@@ -127,13 +152,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
                       "outputs", "lindblad", "truncation"},
                 {"schema_version", "name", "model", "initial", "times"}, source)
 
-    version = _need_int(doc["schema_version"], f"{source}.schema_version")
-    if version != SCHEMA_VERSION:
-        _fail(f"{source}.schema_version",
-              f"unsupported version {version}; this build reads version {SCHEMA_VERSION}")
-
-    if not isinstance(doc["name"], str) or not doc["name"]:
-        _fail(f"{source}.name", "expected a non-empty string")
+    version = _need_version(doc["schema_version"], f"{source}.schema_version")
+    _need_name(doc["name"], f"{source}.name")
 
     model = _need_mapping(doc["model"], f"{source}.model")
     kind = model.get("kind")
@@ -154,17 +174,11 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     _check_keys(initial, {"kind", param, "qubit"}, {"kind", param}, f"{source}.initial")
     clean_initial = {"kind": ikind}
     if ikind == "fock":
-        n = _need_int(initial["n"], f"{source}.initial.n")
-        if n < 0:
-            _fail(f"{source}.initial.n", "must be >= 0")
-        clean_initial["n"] = n
+        clean_initial["n"] = _need_min(initial["n"], 0, f"{source}.initial.n", _need_int)
     elif ikind == "coherent":
         clean_initial["alpha"] = _need_number(initial["alpha"], f"{source}.initial.alpha")
     else:
-        nbar = _need_number(initial["nbar"], f"{source}.initial.nbar")
-        if nbar < 0:
-            _fail(f"{source}.initial.nbar", "must be >= 0")
-        clean_initial["nbar"] = nbar
+        clean_initial["nbar"] = _need_min(initial["nbar"], 0, f"{source}.initial.nbar")
     qubit = initial.get("qubit", "down")
     if qubit not in ("down", "up"):
         _fail(f"{source}.initial.qubit", f"expected down|up, got {qubit!r}")
@@ -175,9 +189,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     t_end = _need_number(times["t_end"], f"{source}.times.t_end")
     if t_end <= 0:
         _fail(f"{source}.times.t_end", "must be > 0")
-    n_points = _need_int(times["n_points"], f"{source}.times.n_points")
-    if n_points < 2:
-        _fail(f"{source}.times.n_points", "must be >= 2")
+    n_points = _need_min(times["n_points"], 2, f"{source}.times.n_points", _need_int)
     clean_times = {"t_end": t_end, "n_points": n_points}
 
     outputs = doc.get("outputs", {})
@@ -202,9 +214,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     if lindblad is not None:
         lindblad = _need_mapping(lindblad, f"{source}.lindblad")
         _check_keys(lindblad, {"gamma_ratio"}, {"gamma_ratio"}, f"{source}.lindblad")
-        ratio = _need_number(lindblad["gamma_ratio"], f"{source}.lindblad.gamma_ratio")
-        if ratio < 0:
-            _fail(f"{source}.lindblad.gamma_ratio", "must be >= 0")
+        ratio = _need_min(lindblad["gamma_ratio"], 0, f"{source}.lindblad.gamma_ratio")
         if kind == "TwoTone":
             _fail(f"{source}.lindblad", "dissipative evolution of the time-dependent "
                   "two-tone drive is not supported")
@@ -212,9 +222,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
     truncation = doc.get("truncation")
     if truncation is not None:
-        truncation = _need_int(truncation, f"{source}.truncation")
-        if truncation < 1:
-            _fail(f"{source}.truncation", "must be >= 1")
+        truncation = _need_min(truncation, 1, f"{source}.truncation", _need_int)
 
     scenario = Scenario(
         name=doc["name"],
@@ -230,8 +238,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     return scenario
 
 
-def parse_scenario(path) -> Scenario:
-    """Read and validate a scenario file."""
+def _load_yaml(path):
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
@@ -241,9 +248,41 @@ def parse_scenario(path) -> Scenario:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
     if doc is None:
         raise SchemaError(f"{path}: empty scenario file")
+    return doc
+
+
+def parse_scenario(path) -> Scenario:
+    """Read and validate a scenario file."""
+    doc = _load_yaml(path)
     try:
         return scenario_from_dict(doc, source=str(path))
     except (ValueError, TypeError) as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def landscape_from_dict(section: dict, source: str) -> dict:
+    """Validated landscape grid: n_min (default 0), n_max, eta_min, eta_max,
+    eta_points."""
+    section = _need_mapping(section, source)
+    _check_keys(section, {"n_min", "n_max", "eta_min", "eta_max", "eta_points"},
+                {"n_max", "eta_min", "eta_max", "eta_points"}, source)
+    n_min = _need_min(section.get("n_min", 0), 0, f"{source}.n_min", _need_int)
+    n_max = _need_min(section["n_max"], n_min, f"{source}.n_max", _need_int)
+    eta_min = _need_min(section["eta_min"], 0, f"{source}.eta_min")
+    eta_max = _need_min(section["eta_max"], 0, f"{source}.eta_max")
+    eta_points = _need_min(section["eta_points"], 1, f"{source}.eta_points", _need_int)
+    return {"n_min": n_min, "n_max": n_max, "eta_min": eta_min, "eta_max": eta_max,
+            "eta_points": eta_points}
+
+
+def parse_landscape(path) -> tuple[str, dict]:
+    """Read and validate a landscape config file: (name, landscape grid)."""
+    source = str(path)
+    doc = _need_mapping(_load_yaml(path), source)
+    _check_keys(doc, {"schema_version", "name", "landscape"},
+                {"schema_version", "landscape"}, source)
+    _need_version(doc["schema_version"], f"{source}.schema_version")
+    name = _need_name(doc.get("name", "landscape"), f"{source}.name")
+    return name, landscape_from_dict(doc["landscape"], f"{source}.landscape")

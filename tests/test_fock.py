@@ -202,6 +202,17 @@ class TestF1:
         for n in (0, 7, 17, 40):
             assert vals[n] == f1_scalar(n, 0.4518)
 
+    def test_diagonal_over_eta_array_matches_per_eta(self):
+        etas = np.array([0.0, 0.1, 0.4518, barrier_eta(7), 1.0])
+        table = f1_diagonal(60, etas)
+        assert table.shape == (61, etas.size)
+        for j, eta in enumerate(etas):
+            assert np.array_equal(table[:, j], f1_diagonal(60, float(eta)))
+        with pytest.raises(ValueError):
+            f1_diagonal(5, np.array([0.2, -0.1]))
+        with pytest.raises(ValueError):
+            f1_diagonal(5, np.ones((2, 2)))
+
     def test_coupling_cache(self):
         nc = NonlinearCoupling(eta=0.5, n_max=20)
         assert nc(0) == f1_scalar(0, 0.5)
@@ -242,6 +253,16 @@ class TestBarrierEta:
     ])
     def test_paper_values(self, n, expected, tol):
         assert abs(barrier_eta(n) - expected) < tol
+
+    @pytest.mark.parametrize("n,root", [
+        (3, 0.9673790505919011),
+        (7, 0.6789876433374873),
+        (10, 0.578384540184774),
+        (17, 0.45178436070687833),
+        (60, 0.24530992206146368),
+    ])
+    def test_pinned_roots(self, n, root):
+        assert barrier_eta(n) == root
 
     @pytest.mark.parametrize("n", [7, 17])
     def test_root_quality_and_sign_flip(self, n):

@@ -182,19 +182,13 @@ class TestLandscape:
         assert mat[7, 0] == -16.0
 
     def test_pointwise_matches_scalar(self):
-        ns = np.array([0, 5, 14, 40])
-        etas = np.array([0.2, 0.5, 0.9])
+        ns = np.array([0, 5, 7, 14, 40])
+        etas = np.array([0.0, 0.2, 0.5, barrier_eta(7), 0.9])
         mat = f1_landscape(ns, etas)
         for i, n in enumerate(ns):
             for j, eta in enumerate(etas):
-                expected = max(math.log10(abs(f1_scalar(int(n), float(eta)))), -16.0)
-                assert mat[i, j] == pytest.approx(expected, abs=1e-14)
-
-    def test_threads_deterministic(self):
-        ns = np.arange(40)
-        etas = np.linspace(0.05, 1.0, 24)
-        assert np.array_equal(f1_landscape(ns, etas, threads=1),
-                              f1_landscape(ns, etas, threads=8))
+                expected = max(np.log10(abs(f1_scalar(int(n), float(eta)))), -16.0)
+                assert mat[i, j] == expected
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
