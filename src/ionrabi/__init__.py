@@ -86,6 +86,5 @@ from .runner import (
     RunResult,
     check_truncation_convergence,
     run,
-    run_landscape,
     sweep,
 )

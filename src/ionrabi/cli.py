@@ -7,7 +7,6 @@ failure, 4 convergence failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -32,12 +31,14 @@ EXIT_CONVERGENCE = 4
 
 
 def _at_least(kind, minimum, strict=False):
-    """argparse type: a `kind` value >= minimum (> minimum when strict)."""
+    """argparse type: a finite `kind` value >= minimum (> minimum when strict)."""
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__}, got {text}")
         if not (value > minimum if strict else value >= minimum):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {minimum}, got {text}")
@@ -82,9 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-khz", type=_at_least(float, 0, strict=True), default=45.24,
                    help="coupling g in 2*pi*kHz (default 45.24)")
     p.add_argument("--gamma-ratio", type=_at_least(float, 0), default=2.0)
-    p.add_argument("--duration", type=_at_least(float, 0), default=100.0,
+    p.add_argument("--duration", type=_at_least(float, 0, strict=True), default=100.0,
                    help="cycles of 2*pi/g")
-    p.add_argument("--points", type=_at_least(int, 1), default=201)
+    p.add_argument("--points", type=_at_least(int, 2), default=201)
     p.add_argument("--out")
 
     p = sub.add_parser("landscape", help="log10|f1| heat-map table over (n, eta)")
@@ -106,9 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="truncation convergence + vibrational-RWA cross-check")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--t-cycles", type=float, default=3.0,
+    p.add_argument("--t-cycles", type=_at_least(float, 0, strict=True), default=3.0,
                    help="cross-check span in cycles of 2*pi/g (default 3)")
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--tolerance", type=_at_least(float, 0, strict=True), default=0.01)
     p.add_argument("--out")
     return parser
 
@@ -158,7 +159,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_fockprep(args) -> int:
     from .protocols import FockPrepPlan, run_fock_prep
-    from .runner import output_dir, write_trajectory_csv
+    from .runner import output_dir, write_json, write_trajectory_csv
     from .scenario import KHZ
 
     plan = FockPrepPlan(
@@ -171,8 +172,7 @@ def _cmd_fockprep(args) -> int:
         n_points=args.points,
     )
     result = run_fock_prep(plan)
-    base = os.path.join(output_dir(args.out), f"fockprep-n{args.target}")
-    os.makedirs(base, exist_ok=True)
+    base = output_dir(args.out, f"fockprep-n{args.target}")
     csv_path = os.path.join(base, "trajectory.csv")
     write_trajectory_csv(csv_path, result.trajectory,
                          ["sigma_z", "fidelity", "n_mean", "phonons"])
@@ -187,16 +187,15 @@ def _cmd_fockprep(args) -> int:
         "duration_cycles": plan.duration,
         "trace_drift": result.trajectory.meta["trace_drift"],
     }
-    with open(os.path.join(base, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(base, "report.json"), report)
     print(f"fockprep target {args.target}: eta={result.eta_used:.6f} "
           f"P_target={result.p_target:.6f} -> {csv_path}")
     return EXIT_OK
 
 
 def _cmd_landscape(args) -> int:
-    from .runner import output_dir, run_landscape
+    from .protocols import f1_landscape
+    from .runner import output_dir, write_landscape_csv
     from .scenario import landscape_from_dict, parse_landscape
 
     if args.config:
@@ -210,17 +209,17 @@ def _cmd_landscape(args) -> int:
         grid = landscape_from_dict({"n_min": args.n_min, "n_max": args.n_max,
                                     "eta_min": args.eta_min, "eta_max": args.eta_max,
                                     "eta_points": args.grid}, "landscape flags")
-    base = os.path.join(output_dir(args.out), name)
-    os.makedirs(base, exist_ok=True)
-    out_path = os.path.join(base, "landscape.csv")
+    out_path = os.path.join(output_dir(args.out, name), "landscape.csv")
     n_values = np.arange(grid["n_min"], grid["n_max"] + 1)
     eta_values = np.linspace(grid["eta_min"], grid["eta_max"], grid["eta_points"])
-    run_landscape(n_values, eta_values, out_path)
+    write_landscape_csv(out_path, n_values, eta_values, f1_landscape(n_values, eta_values))
     print(f"wrote {out_path} ({len(n_values)} x {len(eta_values)})")
     return EXIT_OK
 
 
 def _parse_axis(text: str):
+    from .scenario import YamlLoader
+
     if "=" not in text:
         raise SchemaError(f"axis {text!r} must look like key.path=start:stop:count")
     path, spec = text.split("=", 1)
@@ -228,14 +227,14 @@ def _parse_axis(text: str):
     if spec.startswith("["):
         # read as YAML, as the field would be in a scenario file: 0 stays an int
         try:
-            values = yaml.safe_load(spec)
+            values = yaml.load(spec, Loader=YamlLoader)
         except yaml.YAMLError as exc:
             raise SchemaError(f"axis {text!r}: expected a list such as [0, 1]") from exc
         if not isinstance(values, list) or not values:
             raise SchemaError(f"axis {text!r}: expected a non-empty list")
         for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaError(f"axis {text!r}: expected numbers, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise SchemaError(f"axis {text!r}: expected finite numbers, got {v!r}")
         return path.strip(), values
     parts = spec.split(":")
     if len(parts) != 3:
@@ -246,6 +245,8 @@ def _parse_axis(text: str):
         raise SchemaError(f"axis {text!r}: {exc}") from exc
     if count < 1:
         raise SchemaError(f"axis {text!r}: count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SchemaError(f"axis {text!r}: start and stop must be finite")
     return path.strip(), [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -266,7 +267,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from .dynamics import rwa_crosscheck
     from .models import DEFAULT_NU, ModelSpec, sideband_detunings
-    from .runner import CONVERGENCE_BUMP, check_truncation_convergence, output_dir
+    from .runner import CONVERGENCE_BUMP, check_truncation_convergence, output_dir, write_json
     from .scenario import parse_scenario
 
     scenario = parse_scenario(args.scenario)
@@ -303,11 +304,7 @@ def _cmd_validate(args) -> int:
         print(f"rwa cross-check over {args.t_cycles} cycles: max deviation "
               f"{rep.max_deviation:.4f} (tolerance {rep.tolerance}) -> {crosscheck_state}")
 
-    base = os.path.join(output_dir(args.out), scenario.name)
-    os.makedirs(base, exist_ok=True)
-    with open(os.path.join(base, "validation.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(output_dir(args.out, scenario.name), "validation.json"), report)
     if not converged:
         return EXIT_CONVERGENCE
     if not rwa_ok:

@@ -11,25 +11,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    LindbladSpec,
     QuantumState,
     Trajectory,
     coherent_required_n_max,
     coherent_state,
     evolve_unitary,
-    evolve_lindblad,
-    thermal_state,
 )
 from .errors import NoBarrier
-from .fock import HilbertSpace, barrier_eta, f1_diagonal, qubit_ops
+from .fock import HilbertSpace, barrier_eta, f1_diagonal
 from .models import (
     ModelSpec,
     ValidityWarning,
     build_hamiltonian,
     build_jc,
-    build_nonlinear_anti_jc,
     build_nonlinear_jc,
 )
+from .runner import simulate_scenario
+from .scenario import KHZ, SCHEMA_VERSION, scenario_from_dict
 
 __all__ = [
     "FockPrepPlan",
@@ -57,6 +55,7 @@ class FockPrepPlan:
 
     eta defaults to the blockade value barrier_eta(target_n); gamma_ratio is
     Gamma/g = 2 and the duration 100 cycles of 2*pi/g unless overridden.
+    g is in rad/s and is converted to the scenario's 2*pi*kHz.
     """
 
     target_n: int
@@ -71,10 +70,6 @@ class FockPrepPlan:
     def __post_init__(self):
         if self.target_n < 1:
             raise ValueError("target_n must be >= 1")
-        if self.g <= 0:
-            raise ValueError("g must be > 0")
-        if self.gamma_ratio < 0:
-            raise ValueError("gamma_ratio must be >= 0")
 
 
 @dataclass
@@ -88,29 +83,29 @@ class FockPrepResult:
 
 
 def run_fock_prep(plan: FockPrepPlan) -> FockPrepResult:
-    """Evolve thermal (x) |down> under H_naJC(eta) with qubit decay Gamma."""
+    """Evolve thermal (x) |down> under H_naJC(eta) with qubit decay Gamma, as a
+    scenario run by simulate_scenario."""
     n_max = plan.n_max if plan.n_max is not None else max(2 * plan.target_n, 40)
     if n_max < 2 * plan.target_n:
         raise ValueError(f"truncation n_max={n_max} < 2*target_n={2 * plan.target_n}")
-    space = HilbertSpace(n_max)
     eta = plan.eta if plan.eta is not None else barrier_eta(plan.target_n)
-
-    rho0 = thermal_state(space, plan.initial_nbar, "down")
-    from .dynamics import phonon_distribution
-    tail = float(phonon_distribution(rho0)[plan.target_n + 1:].sum())
-    if tail > 1e-3:
+    scenario = scenario_from_dict({
+        "schema_version": SCHEMA_VERSION,
+        "name": f"fockprep-n{plan.target_n}",
+        "model": {"kind": "NonlinearAntiJC", "g": plan.g / KHZ, "eta": eta},
+        "initial": {"kind": "thermal", "nbar": plan.initial_nbar, "qubit": "down"},
+        "times": {"t_end": plan.duration, "n_points": plan.n_points},
+        "lindblad": {"gamma_ratio": plan.gamma_ratio},
+        "truncation": n_max,
+    }, source="fockprep")
+    traj, _ = simulate_scenario(scenario)
+    above = traj.phonons[:, plan.target_n + 1:].sum(axis=1)
+    if above[0] > 1e-3:
         warnings.warn(
-            f"initial population {tail:.2e} above target n={plan.target_n}; the "
+            f"initial population {above[0]:.2e} above target n={plan.target_n}; the "
             "ladder cannot bring it back below the blockade",
             ValidityWarning,
         )
-
-    H = build_nonlinear_anti_jc(space, plan.g, eta)
-    _, _, sm, _ = qubit_ops(space)
-    lb = LindbladSpec([(plan.gamma_ratio * plan.g, sm)])
-    times = np.linspace(0.0, plan.duration * 2.0 * math.pi / plan.g, plan.n_points)
-    traj = evolve_lindblad(H, lb, rho0, times, g=plan.g)
-    above = traj.phonons[:, plan.target_n + 1:].sum(axis=1)
     return FockPrepResult(
         trajectory=traj,
         final_phonons=traj.phonons[-1].copy(),

@@ -30,7 +30,6 @@ from .dynamics import (
 from .errors import ConvergenceFailure
 from .fock import HilbertSpace, f1_diagonal, qubit_ops
 from .models import TwoToneGenerator, build_hamiltonian, default_n_max
-from .protocols import f1_landscape
 from .scenario import Scenario, scenario_from_dict
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
     "check_truncation_convergence",
     "write_trajectory_csv",
     "write_landscape_csv",
+    "write_json",
     "output_dir",
     "OUTDIR_ENV",
 ]
@@ -53,9 +53,19 @@ CONVERGENCE_TOL = 1e-6
 _FMT = "%.17e"
 
 
-def output_dir(explicit=None) -> str:
-    """Resolve the output directory: explicit flag, else $IONRABI_OUTDIR, else ./runs."""
-    return str(explicit or os.environ.get(OUTDIR_ENV) or "runs")
+def output_dir(explicit, name) -> str:
+    """The directory `name` below the explicit flag, else $IONRABI_OUTDIR, else
+    ./runs; created if missing."""
+    path = os.path.join(explicit or os.environ.get(OUTDIR_ENV) or "runs", name)
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
+def write_json(path, obj):
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -170,8 +180,8 @@ def write_trajectory_csv(path, traj, observables):
             writer.writerow([_FMT % col[i] for _, col in columns])
 
 
-def _metadata(scenario: Scenario, n_max: int, traj) -> dict:
-    return {
+def write_metadata(path, scenario: Scenario, n_max: int, traj):
+    write_json(path, {
         "scenario": scenario.to_dict(),
         "n_max": n_max,
         "dim_total": 2 * (n_max + 1),
@@ -182,13 +192,7 @@ def _metadata(scenario: Scenario, n_max: int, traj) -> dict:
         "package_version": __version__,
         "determinism": "fixed-step integrators, no RNG; byte-identical reruns "
                        "on the same platform and BLAS configuration",
-    }
-
-
-def write_metadata(path, scenario, n_max, traj):
-    with open(path, "w") as fh:
-        json.dump(_metadata(scenario, n_max, traj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> RunResult:
@@ -197,8 +201,7 @@ def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> Ru
     With check_convergence, the run goes through check_truncation_convergence
     and raises ConvergenceFailure when the truncation is not adequate.
     """
-    base = os.path.join(output_dir(out_dir), scenario.name)
-    os.makedirs(base, exist_ok=True)
+    base = output_dir(out_dir, scenario.name)
     started = time.perf_counter()
     verdict = "skipped"
     if check_convergence:
@@ -276,8 +279,7 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
     grid = [{}]
     for path, values in axes:
         grid = [dict(point, **{path: v}) for point in grid for v in values]
-    base = os.path.join(output_dir(out_dir), template.name)
-    os.makedirs(base, exist_ok=True)
+    base = output_dir(out_dir, template.name)
 
     results = []
     index = []
@@ -296,9 +298,7 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
         except Exception as exc:  # preserved in the failure manifest
             entry.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         index.append(entry)
-    with open(os.path.join(base, "index.json"), "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(base, "index.json"), index)
     return results
 
 
@@ -313,9 +313,3 @@ def write_landscape_csv(path, n_values, eta_values, matrix):
         writer.writerow(["n"] + ["%.17g" % e for e in eta_values])
         for i, n in enumerate(n_values):
             writer.writerow([str(int(n))] + [_FMT % v for v in matrix[i]])
-
-
-def run_landscape(n_values, eta_values, out_path):
-    matrix = f1_landscape(n_values, eta_values)
-    write_landscape_csv(out_path, n_values, eta_values, matrix)
-    return matrix

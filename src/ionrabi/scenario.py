@@ -16,6 +16,7 @@ offending key path.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -46,6 +47,17 @@ _MODEL_FIELDS = {
 _FREQ_FIELDS = ("g", "Omega", "nu", "delta_r", "delta_b", "omega_R", "omega0_R")
 
 
+class YamlLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e1 and 1e-3, which
+    YAML 1.1 takes as strings.  The global SafeLoader is left unchanged."""
+
+
+YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
+
+
 def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
@@ -59,6 +71,8 @@ def _need_mapping(value, path: str) -> dict:
 def _need_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -241,7 +255,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 def _load_yaml(path):
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=YamlLoader)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read: {exc}") from exc
     except yaml.YAMLError as exc:

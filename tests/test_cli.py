@@ -1,11 +1,14 @@
 """Command-line exit codes (0 ok, 2 schema, 3 numerical, 4 convergence) and sweeps."""
+import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 import yaml
 
 from ionrabi.cli import main
+from ionrabi.models import ValidityWarning
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -23,14 +26,20 @@ def _write(path, doc):
     return str(path)
 
 
-@pytest.fixture
-def landscape_config(tmp_path):
-    doc = yaml.safe_load((SCENARIOS / "fig1.scenario").read_text())
-    doc["landscape"]["n_max"] = "ten"
-    return _write(tmp_path / "bad.scenario", doc)
-
-
 FIG4 = str(SCENARIOS / "fig4.scenario")
+
+
+@pytest.fixture
+def bad_files(tmp_path):
+    """Bad input files, by the placeholder that stands for them in an argv."""
+    landscape = yaml.safe_load((SCENARIOS / "fig1.scenario").read_text())
+    landscape["landscape"]["n_max"] = "ten"
+    fig4 = yaml.safe_load(Path(FIG4).read_text())
+    nan_g = dict(fig4, model=dict(fig4["model"], g=math.nan))
+    inf_t = dict(fig4, times=dict(fig4["times"], t_end=math.inf))
+    return {"CONFIG": _write(tmp_path / "bad.scenario", landscape),
+            "NAN_G": _write(tmp_path / "nan-g.scenario", nan_g),
+            "INF_T": _write(tmp_path / "inf-t.scenario", inf_t)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -44,12 +53,28 @@ FIG4 = str(SCENARIOS / "fig4.scenario")
     ["fockprep", "--target", "0"],
     ["sweep", "--template", FIG4, "--axis", "initial.n=[true]"],
     ["sweep", "--template", FIG4, "--axis", "initial.n=[one]"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=[.inf]"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=0:inf:2"],
+    ["evolve", "--scenario", "NAN_G"],
+    ["evolve", "--scenario", "INF_T"],
+    ["fockprep", "--target", "3", "--duration", "inf", "--points", "3"],
+    ["fockprep", "--target", "3", "--g-khz", "inf"],
+    ["fockprep", "--target", "3", "--nbar", "inf"],
+    ["f1", "--eta", "inf", "--n", "3"],
+    ["validate", "--scenario", FIG4, "--t-cycles", "-1"],
+    ["validate", "--scenario", FIG4, "--tolerance", "-1"],
+    ["fockprep", "--target", "3", "--duration", "0"],
+    ["fockprep", "--target", "3", "--points", "1"],
 ], ids=["config-n_max-string", "eta-min-negative", "grid-zero", "f1-eta-negative",
         "f1-n-negative", "find-zero-0", "bracket-reversed",
-        "fockprep-target-0", "axis-bool", "axis-string"])
-def test_bad_values_exit_2(argv, landscape_config, tmp_path, monkeypatch, capsys):
+        "fockprep-target-0", "axis-bool", "axis-string", "axis-inf", "axis-range-inf",
+        "scenario-g-nan",
+        "scenario-t_end-inf", "fockprep-duration-inf", "fockprep-g-inf", "fockprep-nbar-inf",
+        "f1-eta-inf", "validate-t-cycles-negative", "validate-tolerance-negative",
+        "fockprep-duration-0", "fockprep-points-1"])
+def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # anything written by mistake lands in ./runs here
-    assert exit_code([landscape_config if a == "CONFIG" else a for a in argv]) == 2
+    assert exit_code([bad_files.get(a, a) for a in argv]) == 2
     assert "error" in capsys.readouterr().err.strip().splitlines()[-1]
 
 
@@ -57,6 +82,60 @@ def test_landscape_flags_write_table(tmp_path):
     assert exit_code(["landscape", "--n-max", "10", "--eta-min", "0.1", "--eta-max", "1",
                       "--grid", "5", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "landscape" / "landscape.csv").read_text().count("\n") == 12
+
+
+def test_landscape_writes_below_outdir_env(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("IONRABI_OUTDIR", str(tmp_path / "env"))
+    assert exit_code(["landscape", "--n-max", "3", "--eta-min", "0.1", "--eta-max", "1",
+                      "--grid", "2"]) == 0
+    assert (tmp_path / "env" / "landscape" / "landscape.csv").is_file()
+    assert not (tmp_path / "runs").exists()
+
+
+# Reference output of fockprep --target 3 --duration 2 --points 5 (RK4, so
+# compared at 1e-10): columns t, sigma_z, fidelity, n_mean, P_0 ... P_4
+FOCKPREP_3 = [
+    [0.0, -1.0, 0.33333333333363646, 0.9999999999813554, 0.5000000000002274,
+     0.2500000000001137, 0.12500000000005684, 0.06250000000002844, 0.03125000000001421],
+    [0.5, -0.7517270615142408, 0.16578741502425207, 1.7621087169817549, 0.055626906473017226,
+     0.42922480629538873, 0.3542631550506464, 0.09838513218137458, 0.027215357217145932],
+    [1.0, -0.8604996723695765, 0.1151680036266012, 2.300993346288929, 4.029316179920189e-05,
+     0.13667042170149737, 0.5908971325853276, 0.2098921525518027, 0.022302451887913168],
+    [1.5000000000000002, -0.918056299613179, 0.09437653113680353, 2.6080988531824625,
+     8.462012911797427e-05, 0.022581159463103524, 0.537168577948273, 0.3776656424599325,
+     0.018218708223248923],
+    [2.0, -0.9433977317696933, 0.08345191870156066, 2.8083131621547084, 2.9367136443909473e-06,
+     0.003133109021260985, 0.4023399873003381, 0.5320239669651834, 0.014880240150439997],
+]
+
+
+def test_fockprep_outputs(tmp_path):
+    with pytest.warns(ValidityWarning, match="above target"):
+        assert exit_code(["fockprep", "--target", "3", "--duration", "2", "--points", "5",
+                          "--out", str(tmp_path)]) == 0
+    base = tmp_path / "fockprep-n3"
+    report = json.loads((base / "report.json").read_text())
+    assert report["target_n"] == 3
+    assert report["duration_cycles"] == 2.0
+    for key, value in (("p_target_final", 0.5320239669651834),
+                       ("initial_above_target", 0.06249999999957368),
+                       ("max_above_target", 0.06249999999957374)):
+        assert report[key] == pytest.approx(value, abs=1e-10)
+    rows = list(csv.reader((base / "trajectory.csv").open()))
+    assert rows[0] == ["t", "sigma_z", "fidelity", "n_mean"] + [f"P_{n}" for n in range(41)]
+    assert len(rows) == 1 + len(FOCKPREP_3)
+    for row, expected in zip(rows[1:], FOCKPREP_3):
+        assert [float(v) for v in row[:9]] == pytest.approx(expected, abs=1e-10)
+
+
+def test_validate_writes_report(tmp_path):
+    assert exit_code(["validate", "--scenario", str(SCENARIOS / "fig6.scenario"),
+                      "--t-cycles", "0.1", "--out", str(tmp_path)]) == 0
+    report = json.loads(
+        (tmp_path / "fig6-nqrm-motional-filter" / "validation.json").read_text())
+    assert report["truncation"]["converged"] is True
+    assert report["rwa_crosscheck"]["valid"] is True
 
 
 def test_no_sign_change_exits_3():
@@ -81,6 +160,14 @@ def test_sweep_integer_axis_runs_every_point(tmp_path):
     assert [entry["point"]["initial.n"] for entry in index] == [0, 1]
     for n in (0, 1):
         assert (base / f"initial_n={n},model_eta=0.67898" / "trajectory.csv").is_file()
+
+
+def test_sweep_exponent_axis_is_a_number(tmp_path):
+    assert exit_code(["sweep", "--template", FIG4, "--axis", "model.eta=[1e-3]",
+                      "--out", str(tmp_path)]) == 0
+    index = json.loads((tmp_path / "fig4-nqrm-barrier-fock" / "index.json").read_text())
+    assert [(entry["status"], entry["point"]) for entry in index] == [
+        ("ok", {"model.eta": 0.001})]
 
 
 def test_sweep_failed_point_is_kept_in_index(tmp_path):

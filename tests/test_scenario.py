@@ -61,6 +61,12 @@ class TestUnits:
         assert sc.model_spec().g == pytest.approx(45.24 * 2 * math.pi * 1e3)
         assert KHZ == pytest.approx(2 * math.pi * 1e3)
 
+    def test_exponent_without_dot_is_a_number(self, tmp_path):
+        # YAML 1.1 reads 1e1 as a string; scenario files follow YAML 1.2 here
+        path = tmp_path / "exp.scenario"
+        path.write_text(yaml.safe_dump(_minimal()).replace("45.24", "1e1"))
+        assert parse_scenario(path).model["g"] == 10.0
+
 
 class TestValidation:
     def test_empty_file(self, tmp_path):
