@@ -3,9 +3,16 @@
 Evolution strategies:
   - time-independent H: one hermitian eigendecomposition, then pure phase
     application per requested time (exact up to linear algebra);
-  - time-dependent H and Lindblad: fixed-step classical RK4 with the step
-    bounds documented on each function.  Fixed steps keep golden outputs
-    deterministic and reproducible.
+  - time-dependent H: fixed-step classical RK4 on the state vector;
+  - Lindblad: fixed-step classical RK4 on the elements of rho the generator
+    can reach from rho0.  The set is the closure of rho0's support under the
+    exact nonzero patterns of H rho, rho H, C rho C^dag, C^dag C rho and
+    rho C^dag C; no element is dropped on a threshold, and every element
+    outside it is exactly 0 for all time (e.g. 4 n_max + 1 of the
+    (2 n_max + 2)^2 elements for the anti-JC with qubit decay from a thermal
+    |down>, the weak U(1) symmetry of that generator).  The generator is a
+    sparse COO map on that set, built once per call.
+Fixed steps keep golden outputs deterministic and reproducible.
 
 Trace/norm/positivity are monitored, not silently repaired: drifts beyond
 tolerance raise StepTooLarge / PositivityLoss so step-size bugs surface.
@@ -366,30 +373,74 @@ def evolve_unitary_td(h_of_t, psi0: QuantumState, times, dt_max: float | None = 
                             "norm_drift": drift})
 
 
-def _lindblad_rhs_general(H, terms, rho):
-    out = -1j * (H @ rho - rho @ H)
-    for rate, C, Cd, CdC in terms:
-        out += rate * (C @ rho @ Cd - 0.5 * (CdC @ rho + rho @ CdC))
-    return out
+def _column_pairs(key, cols, n):
+    """Pair every entry p of `key` with each operator nonzero e in column key[p].
+
+    `cols` lists the column of each nonzero, sorted; returns index arrays (p, e).
+    """
+    count = np.bincount(cols, minlength=n)
+    start = np.cumsum(count) - count
+    reps = count[key]
+    p = np.repeat(np.arange(len(key)), reps)
+    first = np.cumsum(reps) - reps
+    e = np.arange(len(p)) - np.repeat(first - start[key], reps)
+    return p, e
 
 
-def _make_qubit_decay_rhs(H, rate, d):
-    """L(sigma-) without matrix products: sigma- only shuffles qubit blocks."""
-    def rhs(rho):
-        out = -1j * (H @ rho - rho @ H)
-        ree = rho[d:, d:]
-        out[:d, :d] += rate * ree
-        out[d:, d:] -= rate * ree
-        out[d:, :d] -= 0.5 * rate * rho[d:, :d]
-        out[:d, d:] -= 0.5 * rate * rho[:d, d:]
-        return out
-    return rhs
+def _nonzeros_by_column(M):
+    """(rows, cols, values) of the nonzeros of M, sorted by column."""
+    cols, rows = np.nonzero(M.T)
+    return rows, cols, M[rows, cols]
 
 
-def _is_sigma_minus(mat: np.ndarray, d: int) -> bool:
-    expected = np.zeros_like(mat)
-    expected[:d, d:] = np.eye(d)
-    return np.array_equal(mat, expected)
+def _reachable(rho0, A, jumps) -> np.ndarray:
+    """Row-major flat indices of the elements of rho that can ever be nonzero.
+
+    Closure of the support of rho0 under the exact nonzero patterns of
+    A rho, rho A^dag and C rho C^dag, by boolean matmuls; nothing is dropped
+    on a threshold.  The support is symmetrized first, so the set is closed
+    under transposition (rho A^dag's pattern is the transpose of A rho's)
+    and the per-step hermitization stays on it.
+    """
+    pa = A != 0
+    pcs = [C != 0 for _, C in jumps]
+    m = rho0 != 0
+    m = m | m.T
+    while True:
+        left = pa @ m
+        grown = m | left | left.T
+        for pc in pcs:
+            grown |= pc @ m @ pc.T
+        if np.array_equal(grown, m):
+            return np.flatnonzero(m)
+        m = grown
+
+
+def _lindblad_coo(A, jumps, flat, d_total):
+    """COO (targets, sources, values) of drho/dt = A rho + rho A^dag + sum rate C rho C^dag
+    on the reachable elements `flat`, as positions in `flat`, sorted by target.
+
+    Only reachable sources are paired, and by closure every target is reachable.
+    """
+    rows, cols = np.divmod(flat, d_total)
+    ar, ac, av = _nonzeros_by_column(A)
+    # A rho: source (k, j) -> target (i, j) for A[i, k] != 0
+    p, e = _column_pairs(rows, ac, d_total)
+    tgt, src, val = [ar[e] * d_total + cols[p]], [p], [av[e]]
+    # rho A^dag: source (i, k) -> target (i, j) for A[j, k] != 0
+    p, e = _column_pairs(cols, ac, d_total)
+    tgt.append(rows[p] * d_total + ar[e]); src.append(p); val.append(av[e].conj())
+    for rate, C in jumps:
+        cr, cc, cv = _nonzeros_by_column(C)
+        # C rho C^dag: source (k, l) -> target (i, j) for C[i, k], C[j, l] != 0
+        p, e1 = _column_pairs(rows, cc, d_total)
+        q, e2 = _column_pairs(cols[p], cc, d_total)
+        p, e1 = p[q], e1[q]
+        tgt.append(cr[e1] * d_total + cr[e2]); src.append(p)
+        val.append(rate * cv[e1] * cv[e2].conj())
+    tgt = np.searchsorted(flat, np.concatenate(tgt))
+    order = np.argsort(tgt, kind="stable")
+    return tgt[order], np.concatenate(src)[order], np.concatenate(val)[order]
 
 
 def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, times,
@@ -397,16 +448,28 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
                     snapshot_indices=None) -> Trajectory:
     """Fixed-step RK4 for drho/dt = -i[H,rho] + sum Gamma (C rho C^dag - {C^dag C, rho}/2).
 
-    The step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05.  rho is
-    re-hermitized each step; trace drift > 1e-6 raises StepTooLarge and a
-    record-time eigenvalue < -1e-6 raises PositivityLoss (positivity is
-    monitored, never projected back).
+    Only the elements of rho that the generator can reach from rho0 are
+    stepped: the closure of rho0's support under the exact nonzero patterns
+    of H, C and C^dag C (`_reachable`).  Every other element is exactly 0
+    for all time, and no element is dropped on a threshold.  The generator
+    is a COO map on that set, built once per call; channels with rate 0 are
+    left out.  Collapse operators must live on rho0's space (SpaceMismatch).
+
+    The step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05.  Every step
+    re-hermitizes rho (a transpose permutation on the set) and raises
+    StepTooLarge on a trace drift > 1e-6.  At each record time rho is
+    scattered back into a full matrix; a non-finite entry or an eigenvalue
+    < -1e-6 raises PositivityLoss (positivity is monitored, never projected
+    back), and snapshots hold the full matrix.
     """
     rho0 = rho0.to_density()
     if H.space.n_max != rho0.space.n_max:
         raise SpaceMismatch("H and rho0 live on different spaces")
+    for _, op in lindblad.terms:
+        if op.space.n_max != rho0.space.n_max:
+            raise SpaceMismatch("collapse operator and rho0 live on different spaces")
     times = _check_times(times)
-    d = H.space.dim_boson
+    D = H.space.dim_total
     norm_H = float(np.linalg.norm(H.mat, 2))
     budget = norm_H + sum(rate * np.linalg.norm(op.mat, 2) ** 2
                           for rate, op in lindblad.terms)
@@ -414,41 +477,52 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     # explicit dt_max is trusted (and monitored); the default obeys the bound
     dt_eff = bound if dt_max is None else dt_max
 
-    active = [(rate, op) for rate, op in lindblad.terms if rate > 0]
-    if len(active) == 1 and _is_sigma_minus(active[0][1].mat, d):
-        rhs = _make_qubit_decay_rhs(H.mat, active[0][0], d)
-    else:
-        terms = [(rate, op.mat, op.mat.conj().T, op.mat.conj().T @ op.mat)
-                 for rate, op in active]
-        rhs = lambda rho: _lindblad_rhs_general(H.mat, terms, rho)
+    # drho/dt = A rho + rho A^dag + sum rate C rho C^dag, A = -iH - sum rate C^dag C / 2
+    jumps = [(rate, op.mat) for rate, op in lindblad.terms if rate > 0]
+    A = -1j * H.mat
+    for rate, C in jumps:
+        A = A - 0.5 * rate * (C.conj().T @ C)
+    flat = _reachable(rho0.data, A, jumps)
+    rows, cols = np.divmod(flat, D)
+    tgt, src, val = _lindblad_coo(A, jumps, flat, D)
+    targets, starts = np.unique(tgt, return_index=True)
+    transpose = np.searchsorted(flat, cols * D + rows)
+    diagonal = np.flatnonzero(rows == cols)
+
+    def rhs(x):
+        out = np.zeros_like(x)
+        out[targets] = np.add.reduceat(val * x[src], starts)
+        return out
 
     rec = _Recorder(H.space, rho0, len(times), snapshot_indices)
-    rho = rho0.data.copy()
+    x = rho0.data.ravel()[flat]
     t = times[0]
     max_trace_drift = 0.0
     n_steps = 0
-    rec.record(0, rho)
+    rec.record(0, rho0.data)
     for i in range(1, len(times)):
         span = times[i] - t
         steps = max(1, math.ceil(span / dt_eff)) if span > 0 else 0
         dt = span / steps if steps else 0.0
         for _ in range(steps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + (0.5 * dt) * k1)
-            k3 = rhs(rho + (0.5 * dt) * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
+            k1 = rhs(x)
+            k2 = rhs(x + (0.5 * dt) * k1)
+            k3 = rhs(x + (0.5 * dt) * k2)
+            k4 = rhs(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = 0.5 * (x + x[transpose].conj())
             n_steps += 1
-            tr_drift = abs(np.trace(rho).real - 1.0)
+            tr_drift = abs(x[diagonal].real.sum() - 1.0)
             max_trace_drift = max(max_trace_drift, tr_drift)
             if not (tr_drift <= 1e-6):
                 raise StepTooLarge(
                     f"trace drifted by {tr_drift:.3e} > 1e-6 (dt={dt:.3e}); reduce dt_max"
                 )
         t = times[i]
-        if not np.all(np.isfinite(rho.view(float))):
+        if not np.all(np.isfinite(x.view(float))):
             raise PositivityLoss(f"density matrix diverged before t={t}; reduce dt_max")
+        rho = np.zeros((D, D), dtype=complex)
+        rho.ravel()[flat] = x
         min_eig = float(np.linalg.eigvalsh(rho)[0])
         if not (min_eig >= -1e-6):
             raise PositivityLoss(f"min eigenvalue {min_eig:.3e} < -1e-6 at t={t}")

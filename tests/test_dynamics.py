@@ -9,6 +9,7 @@ from ionrabi import (
     ModelSpec,
     Operator,
     QuantumState,
+    annihilation_op,
     barrier_eta,
     build_jc,
     build_nonlinear_anti_jc,
@@ -26,6 +27,7 @@ from ionrabi import (
     rwa_crosscheck,
     thermal_state,
 )
+from ionrabi.dynamics import _reachable
 from ionrabi.errors import (
     PositivityLoss,
     SpaceMismatch,
@@ -270,18 +272,98 @@ class TestEvolveLindblad:
         with pytest.raises(ValueError):
             LindbladSpec([(-0.1, sm)])
 
-    def test_general_channel_matches_fast_path(self, space):
-        # qubit decay through the generic dissipator (rate split over two
-        # identical terms defeats the sigma-minus fast path)
+    def test_split_rate_matches_single_channel(self, space):
+        # qubit decay at rate gamma equals two identical channels at gamma/2
         g, gamma = 1.0, 0.7
         H = build_jc(space, g)
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 1, "up").to_density()
         times = np.linspace(0, 3, 7)
-        fast = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0, times)
-        slow = evolve_lindblad(H, LindbladSpec([(gamma / 2, sm), (gamma / 2, sm)]),
-                               rho0, times)
-        assert np.abs(fast.sigma_z - slow.sigma_z).max() < 1e-9
+        single = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0, times)
+        split = evolve_lindblad(H, LindbladSpec([(gamma / 2, sm), (gamma / 2, sm)]),
+                                rho0, times)
+        assert np.abs(single.sigma_z - split.sigma_z).max() < 1e-9
+
+    @pytest.mark.parametrize("op", ["sigma_minus", "a"])
+    def test_collapse_operator_space_checked(self, space, op):
+        other = HilbertSpace(space.n_max + 3)
+        C = qubit_ops(other)[2] if op == "sigma_minus" else annihilation_op(other)
+        with pytest.raises(SpaceMismatch):
+            evolve_lindblad(build_jc(space, 1.0), LindbladSpec([(0.5, C)]),
+                            thermal_state(space, 0.2, "down"), np.linspace(0, 1, 3))
+
+
+def _dense_reference(H, terms, rho0, times, dt_max):
+    """The dense right-hand side on all of rho, with the same RK4 steps as
+    evolve_lindblad: the reference for the reduced route."""
+    ops = [(rate, C.mat, C.mat.conj().T, C.mat.conj().T @ C.mat) for rate, C in terms]
+
+    def rhs(rho):
+        out = -1j * (H.mat @ rho - rho @ H.mat)
+        for rate, C, Cd, CdC in ops:
+            out += rate * (C @ rho @ Cd - 0.5 * (CdC @ rho + rho @ CdC))
+        return out
+
+    rho = rho0.to_density().data
+    states = [rho]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        steps = max(1, math.ceil((t1 - t0) / dt_max))
+        dt = (t1 - t0) / steps
+        for _ in range(steps):
+            k1 = rhs(rho)
+            k2 = rhs(rho + (0.5 * dt) * k1)
+            k3 = rhs(rho + (0.5 * dt) * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+        states.append(rho)
+    return states
+
+
+class TestReducedLindblad:
+    def _check_against_dense(self, H, terms, rho0, times):
+        traj = evolve_lindblad(H, LindbladSpec(terms), rho0, times,
+                               snapshot_indices=range(len(times)))
+        ref = _dense_reference(H, terms, rho0, times, traj.meta["dt"])
+        worst = max(np.abs(traj.snapshots[i] - ref[i]).max() for i in range(len(times)))
+        assert worst <= 1e-12
+
+    def test_anti_jc_decay_matches_dense(self, space):
+        # thermal start: only the anti-JC ladder |down,n> <-> |up,n+1> is reached
+        H = build_nonlinear_anti_jc(space, 1.0, 0.5)
+        sm = qubit_ops(space)[2]
+        self._check_against_dense(H, [(2.0, sm)], thermal_state(space, 0.2, "down"),
+                                  np.linspace(0, 3, 7))
+
+    def test_qrm_two_channels_match_dense(self, space):
+        # coherent start under the QRM with two channels: nothing reduces
+        H = build_qrm(space, 1.0, 1.0, 0.4)
+        terms = [(0.6, qubit_ops(space)[2]), (0.3, annihilation_op(space))]
+        rho0 = coherent_state(space, 0.8, "down")
+        D = space.dim_total
+        A = -1j * H.mat - 0.5 * sum(rate * C.mat.conj().T @ C.mat for rate, C in terms)
+        assert len(_reachable(rho0.to_density().data, A,
+                              [(rate, C.mat) for rate, C in terms])) == D * D
+        self._check_against_dense(H, terms, rho0, np.linspace(0, 2, 5))
+
+    def test_anti_jc_thermal_reaches_4n_plus_1(self):
+        sp = HilbertSpace(40)
+        g, gamma = 1.0, 2.0
+        H = build_nonlinear_anti_jc(sp, g, 0.4518)
+        sm = qubit_ops(sp)[2]
+        rho0 = thermal_state(sp, 1.0, "down")
+        A = -1j * H.mat - 0.5 * gamma * sm.mat.conj().T @ sm.mat
+        flat = _reachable(rho0.data, A, [(gamma, sm.mat)])
+        assert len(flat) == 4 * sp.n_max + 1 == 161
+        traj = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0,
+                               np.linspace(0, 0.5, 2), snapshot_indices=[1])
+        rho = traj.snapshots[1]
+        off_set = np.ones(rho.size, dtype=bool)
+        off_set[flat] = False
+        assert np.all(rho.ravel()[off_set] == 0)
+        assert np.count_nonzero(rho) == 161
+        # re-hermitized every step, so exactly hermitian
+        assert np.array_equal(rho, rho.conj().T)
 
 
 class TestObservables:
