@@ -1,10 +1,14 @@
 """ionrabi: trapped-ion spin-boson simulator beyond the Lamb-Dicke regime.
 
-Builds linear/nonlinear Jaynes-Cummings, anti-Jaynes-Cummings and quantum
-Rabi Hamiltonians on a truncated qubit+phonon space, evolves pure states and
-density matrices (unitary and Lindblad), and drives the blockade/filter and
-dissipative Fock-state-preparation protocols enabled by the zeros of the
-nonlinear sideband function f1.
+Builds the Jaynes-Cummings, anti-Jaynes-Cummings and quantum Rabi
+Hamiltonians and their nonlinear forms on a truncated qubit+phonon space
+with one builder, build_hamiltonian (a linear model is its nonlinear form at
+eta = 0, where f1 is exactly 1).  Evolves pure states and density matrices:
+eigh for a time-independent H, RK4 on an apply(t, psi) callable with a
+dt_max for a time-dependent one (the two-tone drive, TwoToneGenerator), and
+Lindblad RK4.  Drives the blockade/filter and dissipative
+Fock-state-preparation protocols enabled by the zeros of the nonlinear
+sideband function f1.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +26,6 @@ from .errors import (
 )
 from .fock import (
     HilbertSpace,
-    NonlinearCoupling,
     Operator,
     annihilation_op,
     barrier_eta,
@@ -42,14 +45,7 @@ from .models import (
     ModelSpec,
     TwoToneGenerator,
     ValidityWarning,
-    build_anti_jc,
     build_hamiltonian,
-    build_jc,
-    build_nonlinear_anti_jc,
-    build_nonlinear_jc,
-    build_nonlinear_qrm,
-    build_qrm,
-    build_two_tone,
     default_n_max,
     sideband_detunings,
     simulated_frequencies,

@@ -283,13 +283,13 @@ def _cmd_validate(args) -> int:
     rwa_ok = True
     if spec.kind == "TwoTone":
         tt = spec
-    elif spec.kind in ("QRM", "NonlinearQRM") and spec.eta > 0:
+    elif spec.kind == "NonlinearQRM" and spec.eta > 0:
         delta_r, delta_b = sideband_detunings(spec.omega0_R, spec.omega_R)
         tt = ModelSpec(kind="TwoTone", eta=spec.eta, Omega=2.0 * spec.g / spec.eta,
                        nu=DEFAULT_NU, delta_r=delta_r, delta_b=delta_b)
     else:
         tt = None
-        print("rwa cross-check: skipped (needs a nonlinear QRM-family or TwoTone model)")
+        print("rwa cross-check: skipped (needs a NonlinearQRM with eta > 0 or a TwoTone model)")
     if tt is not None:
         T = args.t_cycles * 2.0 * math.pi / tt.g
         rep = rwa_crosscheck(tt, T=T, tolerance=args.tolerance)

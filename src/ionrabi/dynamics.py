@@ -3,7 +3,8 @@
 Evolution strategies:
   - time-independent H: one hermitian eigendecomposition, then pure phase
     application per requested time (exact up to linear algebra);
-  - time-dependent H: fixed-step classical RK4 on the state vector;
+  - time-dependent H: fixed-step classical RK4 on the state vector, driven
+    by a plain apply(t, psi) = H(t) @ psi callable and a required dt_max;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
     can reach from rho0.  The set is the closure of rho0's support under the
     exact nonzero patterns of H rho, rho H, C rho C^dag, C^dag C rho and
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import PositivityLoss, SpaceMismatch, StepTooLarge, TruncationTooSmall
 from .fock import HilbertSpace, Operator, hermiticity_defect
-from .models import ModelSpec, TwoToneGenerator, build_nonlinear_qrm, default_n_max
+from .models import ModelSpec, TwoToneGenerator, build_hamiltonian, default_n_max
 
 __all__ = [
     "QuantumState",
@@ -36,6 +37,7 @@ __all__ = [
     "coherent_state",
     "thermal_state",
     "coherent_required_n_max",
+    "thermal_required_n_max",
     "evolve_unitary",
     "evolve_unitary_td",
     "evolve_lindblad",
@@ -129,6 +131,13 @@ def coherent_required_n_max(alpha: complex, tail: float = 1e-10) -> int:
     return n
 
 
+def thermal_required_n_max(nbar: float) -> int:
+    """Truncation bound for a thermal state of nbar > 0: its mass beyond n_max
+    is ratio^(n_max+1) with ratio = nbar/(nbar+1), below 1e-10 from here on."""
+    ratio = nbar / (nbar + 1.0)
+    return math.ceil(math.log(1e-10) / math.log(ratio)) + 1
+
+
 def coherent_state(space: HilbertSpace, alpha: complex, qubit="down") -> QuantumState:
     """Coherent state |alpha> (x) |qubit>, renormalized after truncation.
 
@@ -167,11 +176,10 @@ def thermal_state(space: HilbertSpace, nbar: float, qubit="down") -> QuantumStat
         ratio = nbar / (nbar + 1.0)
         tail = ratio ** (space.n_max + 1)
         if tail > 1e-10:
-            required = math.ceil(math.log(1e-10) / math.log(ratio)) + 1
             raise TruncationTooSmall(
                 f"thermal state nbar={nbar} keeps tail mass {tail:.3e} > 1e-10 "
                 f"beyond n_max={space.n_max}",
-                required_n_max=required,
+                required_n_max=thermal_required_n_max(nbar),
             )
         weights = np.exp(k * math.log(ratio)) / (nbar + 1.0)
     weights = weights / weights.sum()
@@ -308,37 +316,18 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
                       meta={"method": "eigh", "n_times": len(times)})
 
 
-def _as_apply(h_of_t):
-    """Normalize a time-dependent Hamiltonian into an apply(t, psi) callable."""
-    if hasattr(h_of_t, "apply"):
-        return h_of_t.apply
-    def apply(t, psi):
-        H = h_of_t(t)
-        if isinstance(H, Operator):
-            H = H.mat
-        return H @ psi
-    return apply
-
-
-def evolve_unitary_td(h_of_t, psi0: QuantumState, times, dt_max: float | None = None,
+def evolve_unitary_td(apply, psi0: QuantumState, times, dt_max: float,
                       g: float | None = None, snapshot_indices=None) -> Trajectory:
-    """Fixed-step RK4 for i d psi/dt = H(t) psi.
+    """Fixed-step RK4 for i d psi/dt = H(t) psi, with apply(t, psi) = H(t) @ psi.
 
-    h_of_t is either callable t -> matrix/Operator or an object with
-    apply(t, psi) (e.g. TwoToneGenerator).  dt_max defaults to
-    2*pi/(200*nu) when h_of_t carries a two-tone spec; the accumulated
-    per-step norm drift is monitored and > 1e-6 raises StepTooLarge.
+    Each interval between record times takes the fewest equal steps of at
+    most dt_max (TwoToneGenerator.dt_max for the two-tone drive); the
+    accumulated per-step norm drift is monitored and > 1e-6 raises
+    StepTooLarge.
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary_td requires a pure initial state")
     times = _check_times(times)
-    if dt_max is None:
-        spec = getattr(h_of_t, "spec", None)
-        if spec is not None and getattr(spec, "nu", None):
-            dt_max = 2.0 * math.pi / (200.0 * spec.nu)
-        else:
-            raise ValueError("dt_max is required unless h_of_t carries a TwoTone spec")
-    apply = _as_apply(h_of_t)
     rec = _Recorder(psi0.space, psi0, len(times), snapshot_indices)
     psi = psi0.data.copy()
     drift = 0.0
@@ -609,10 +598,11 @@ def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState | None = None,
     times = np.linspace(0.0, T, n_records)
 
     gen = TwoToneGenerator(spec, space)
-    traj_full = evolve_unitary_td(gen, psi0, times, g=spec.g,
+    traj_full = evolve_unitary_td(gen.apply, psi0, times, gen.dt_max, g=spec.g,
                                   snapshot_indices=range(n_records))
 
-    H_sim = build_nonlinear_qrm(space, spec.g, spec.eta, omega_R, omega0_R)
+    H_sim = build_hamiltonian(ModelSpec(kind="NonlinearQRM", eta=spec.eta, g=spec.g,
+                                        omega_R=omega_R, omega0_R=omega0_R), space)
     traj_sim = evolve_unitary(H_sim, psi0, times, g=spec.g,
                               snapshot_indices=range(n_records))
 

@@ -16,7 +16,7 @@ the zero index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import NoSignChange, SpaceMismatch
 __all__ = [
     "HilbertSpace",
     "Operator",
-    "NonlinearCoupling",
     "annihilation_op",
     "creation_op",
     "number_op",
@@ -100,9 +99,6 @@ class Operator:
         self.space = space
         self.mat = mat
         self.hermitian = hermitian
-
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.mat.conj().T, hermitian=self.hermitian)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_space(self.space, other.space)
@@ -235,23 +231,6 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
         out[k + 1] = vh + vl
     out *= pref
     return out
-
-
-@dataclass(frozen=True)
-class NonlinearCoupling:
-    """Cached f1(0..n_max) table for a fixed Lamb-Dicke parameter."""
-
-    eta: float
-    n_max: int
-    values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        object.__setattr__(self, "values", f1_diagonal(self.n_max, self.eta))
-
-    def __call__(self, n: int) -> float:
-        return float(self.values[n])
 
 
 def f1_operator(space: HilbertSpace, eta: float) -> Operator:

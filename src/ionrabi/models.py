@@ -1,6 +1,11 @@
-"""Hamiltonian builders: linear/nonlinear Jaynes-Cummings and anti-JC models,
-the (nonlinear) quantum Rabi model, and the lab-frame two-tone drive that
-simulates the latter.
+"""Hamiltonians: the JC, anti-JC and quantum Rabi models with their nonlinear
+(f1-dressed) forms, and the lab-frame two-tone drive that simulates the
+nonlinear quantum Rabi model.
+
+build_hamiltonian builds every time-independent kind.  A linear kind is its
+nonlinear form at eta = 0, where f1 is exactly 1, so JC/AntiJC/QRM take no
+eta.  The two-tone drive is time-dependent: TwoToneGenerator supplies
+apply(t, psi) and the RK4 step bound dt_max for evolve_unitary_td.
 
 Sign convention: the exchange coupling is represented literally as
 i g (sigma+ B - sigma- B^dag); no sigma_x-style rephasing is substituted,
@@ -32,14 +37,7 @@ __all__ = [
     "ModelSpec",
     "simulated_frequencies",
     "sideband_detunings",
-    "build_jc",
-    "build_anti_jc",
-    "build_nonlinear_jc",
-    "build_nonlinear_anti_jc",
-    "build_qrm",
-    "build_nonlinear_qrm",
     "build_hamiltonian",
-    "build_two_tone",
     "TwoToneGenerator",
     "default_n_max",
     "DEFAULT_NU",
@@ -57,6 +55,7 @@ MODEL_KINDS = (
 
 _JC_FAMILY = ("JC", "AntiJC", "NonlinearJC", "NonlinearAntiJC")
 _QRM_FAMILY = ("QRM", "NonlinearQRM")
+_LINEAR_KINDS = ("JC", "AntiJC", "QRM")
 _NONLINEAR_KINDS = ("NonlinearJC", "NonlinearAntiJC", "NonlinearQRM", "TwoTone")
 
 # Default trap frequency for two-tone cross-checks: 2*pi * 5 MHz, so that the
@@ -93,6 +92,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
+        if self.kind in _LINEAR_KINDS and self.eta > 0:
+            raise ValueError(f"{self.kind} is the eta = 0 limit; use Nonlinear{self.kind}")
         if self.kind in _NONLINEAR_KINDS and self.kind != "TwoTone" and self.eta == 0.0:
             # eta = 0 is the exact linear limit; allowed, but flag the intent
             warnings.warn(f"{self.kind} with eta=0 is the linear model", ValidityWarning)
@@ -156,90 +157,37 @@ def sideband_detunings(omega0_R: float, omega_R: float) -> tuple[float, float]:
 # builders
 # ---------------------------------------------------------------------------
 
-def _exchange(space: HilbertSpace, g: float, block: np.ndarray) -> np.ndarray:
-    """i g (sigma+ (x) B - sigma- (x) B^dag) in qubit-major block layout."""
-    d = space.dim_boson
-    H = np.zeros((2 * d, 2 * d), dtype=complex)
-    H[d:, :d] = 1j * g * block
-    H[:d, d:] = (1j * g * block).conj().T
-    return H
-
-
-def build_jc(space: HilbertSpace, g: float) -> Operator:
-    """H_JC = i g (sigma+ a - sigma- a^dag); couples |down,n> <-> |up,n-1>."""
-    return Operator(space, _exchange(space, g, _boson_a(space.n_max)), hermitian=True)
-
-
-def build_anti_jc(space: HilbertSpace, g: float) -> Operator:
-    """H_aJC = i g (sigma+ a^dag - sigma- a); couples |down,n> <-> |up,n+1>."""
-    a = _boson_a(space.n_max)
-    return Operator(space, _exchange(space, g, a.conj().T), hermitian=True)
-
-
-def build_nonlinear_jc(space: HilbertSpace, g: float, eta: float) -> Operator:
-    """H_nJC = i g (sigma+ f1 a - sigma- a^dag f1), rate g sqrt(n)|f1(n-1)|."""
-    a = _boson_a(space.n_max)
-    f1 = f1_diagonal(space.n_max, eta)
-    return Operator(space, _exchange(space, g, f1[:, None] * a), hermitian=True)
-
-
-def build_nonlinear_anti_jc(space: HilbertSpace, g: float, eta: float) -> Operator:
-    """H_naJC = i g (sigma+ a^dag f1 - sigma- f1 a), rate g sqrt(n+1)|f1(n)|."""
-    a = _boson_a(space.n_max)
-    f1 = f1_diagonal(space.n_max, eta)
-    return Operator(space, _exchange(space, g, a.conj().T * f1[None, :]), hermitian=True)
-
-
-def _rabi(space: HilbertSpace, g: float, omega_R: float, omega0_R: float,
-          coupling: np.ndarray) -> np.ndarray:
-    d = space.dim_boson
-    nb = np.arange(d)
-    H = np.zeros((2 * d, 2 * d), dtype=complex)
-    H[:d, :d] = np.diag(omega_R * nb - omega0_R / 2.0)
-    H[d:, d:] = np.diag(omega_R * nb + omega0_R / 2.0)
-    # i g (sigma+ - sigma-) (x) coupling, with coupling hermitian
-    H[d:, :d] += 1j * g * coupling
-    H[:d, d:] += -1j * g * coupling
-    return H
-
-
-def build_qrm(space: HilbertSpace, g: float, omega_R: float, omega0_R: float) -> Operator:
-    """H_QRM = omega0_R/2 sigma_z + omega_R a^dag a + i g (sigma+ - sigma-)(a + a^dag)."""
-    a = _boson_a(space.n_max)
-    return Operator(space, _rabi(space, g, omega_R, omega0_R, (a + a.conj().T).real.astype(complex)),
-                    hermitian=True)
-
-
-def build_nonlinear_qrm(space: HilbertSpace, g: float, eta: float,
-                        omega_R: float, omega0_R: float) -> Operator:
-    """H_nQRM = omega0_R/2 sigma_z + omega_R a^dag a
-               + i g (sigma+ - sigma-)(f1 a + a^dag f1).
-
-    f1 a + a^dag f1 is hermitian (f1 real diagonal); at a barrier index n*
-    with f1(n*) = 0 the n <= n* and n > n* sectors decouple exactly.
-    """
-    a = _boson_a(space.n_max)
-    f1 = f1_diagonal(space.n_max, eta)
-    fa = f1[:, None] * a
-    return Operator(space, _rabi(space, g, omega_R, omega0_R, fa + fa.conj().T),
-                    hermitian=True)
-
-
 def build_hamiltonian(spec: ModelSpec, space: HilbertSpace) -> Operator:
-    """Dispatch on spec.kind for the time-independent models."""
-    if spec.kind == "JC":
-        return build_jc(space, spec.g)
-    if spec.kind == "AntiJC":
-        return build_anti_jc(space, spec.g)
-    if spec.kind == "NonlinearJC":
-        return build_nonlinear_jc(space, spec.g, spec.eta)
-    if spec.kind == "NonlinearAntiJC":
-        return build_nonlinear_anti_jc(space, spec.g, spec.eta)
-    if spec.kind == "QRM":
-        return build_qrm(space, spec.g, spec.omega_R, spec.omega0_R)
-    if spec.kind == "NonlinearQRM":
-        return build_nonlinear_qrm(space, spec.g, spec.eta, spec.omega_R, spec.omega0_R)
-    raise ValueError(f"{spec.kind} is time-dependent; use TwoToneGenerator/build_two_tone")
+    """The time-independent H of spec.kind; the linear kinds are eta = 0, where
+    f1 is exactly 1.
+
+    JC family: i g (sigma+ B - sigma- B^dag) with B = f1 a (JC: couples
+    |down,n> <-> |up,n-1> at rate g sqrt(n) |f1(n-1)|) or B = a^dag f1
+    (anti-JC: |down,n> <-> |up,n+1> at rate g sqrt(n+1) |f1(n)|).
+    Rabi family: omega0_R/2 sigma_z + omega_R a^dag a
+    + i g (sigma+ - sigma-)(f1 a + a^dag f1); f1 a + a^dag f1 is hermitian,
+    and at a barrier index n* with f1(n*) = 0 the n <= n* and n > n* sectors
+    decouple exactly.
+    """
+    if spec.kind == "TwoTone":
+        raise ValueError("TwoTone is time-dependent; use TwoToneGenerator")
+    d = space.dim_boson
+    f1 = f1_diagonal(space.n_max, spec.eta)
+    a = _boson_a(space.n_max)
+    fa = f1[:, None] * a
+    H = np.zeros((2 * d, 2 * d), dtype=complex)
+    if spec.kind in _QRM_FAMILY:
+        nb = np.arange(d)
+        H[:d, :d] = np.diag(spec.omega_R * nb - spec.omega0_R / 2.0)
+        H[d:, d:] = np.diag(spec.omega_R * nb + spec.omega0_R / 2.0)
+        coupling = fa + fa.conj().T
+        H[d:, :d] += 1j * spec.g * coupling
+        H[:d, d:] += -1j * spec.g * coupling
+    else:
+        block = fa if spec.kind in ("JC", "NonlinearJC") else a.conj().T * f1
+        H[d:, :d] = 1j * spec.g * block
+        H[:d, d:] = (1j * spec.g * block).conj().T
+    return Operator(space, H, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +225,8 @@ class TwoToneGenerator:
         self.nb = np.arange(space.dim_boson)
         self._full_r = spec.delta_r - spec.nu
         self._full_b = spec.delta_b + spec.nu
+        # RK4 step bound for evolve_unitary_td: 200 steps per trap period
+        self.dt_max = 2.0 * math.pi / (200.0 * spec.nu)
 
     def tone_coeff(self, t: float) -> complex:
         s = self.spec
@@ -303,11 +253,6 @@ class TwoToneGenerator:
         out[d:] = c * (ph * (self.d0 @ (ph.conj() * psi[:d])))
         out[:d] = np.conj(c) * (ph * (self.d0_dag @ (ph.conj() * psi[d:])))
         return out
-
-
-def build_two_tone(spec: ModelSpec, space: HilbertSpace, t: float) -> Operator:
-    """Checked snapshot of the two-tone Hamiltonian at time t."""
-    return Operator(space, TwoToneGenerator(spec, space).matrix(t), hermitian=True)
 
 
 def default_n_max(g: float | None = None, omega_R: float | None = None,

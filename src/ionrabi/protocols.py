@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,13 +19,7 @@ from .dynamics import (
 )
 from .errors import NoBarrier
 from .fock import HilbertSpace, barrier_eta, f1_diagonal
-from .models import (
-    ModelSpec,
-    ValidityWarning,
-    build_hamiltonian,
-    build_jc,
-    build_nonlinear_jc,
-)
+from .models import ModelSpec, ValidityWarning, build_hamiltonian
 from .runner import simulate_scenario
 from .scenario import KHZ, SCHEMA_VERSION, scenario_from_dict
 
@@ -168,9 +162,7 @@ def run_filter_analysis(spec: ModelSpec, initial: QuantumState, T: float,
         raise ValueError("run_filter_analysis expects a NonlinearQRM spec")
     space = initial.space
     n_star, eta_ref = refine_barrier(spec.eta, space.n_max)
-    refined = ModelSpec(kind=spec.kind, eta=eta_ref, g=spec.g,
-                        omega_R=spec.omega_R, omega0_R=spec.omega0_R)
-    H = build_hamiltonian(refined, space)
+    H = build_hamiltonian(replace(spec, eta=eta_ref), space)
     times = np.linspace(0.0, T, n_points)
     traj = evolve_unitary(H, initial, times, g=spec.g)
     above = traj.phonons[:, n_star + 1:].sum(axis=1)
@@ -250,7 +242,8 @@ def run_collapse_revival(model: str, alpha: complex, g: float, eta: float = 0.5,
         period = math.pi / (g * max(math.sqrt(nbar), 1.0))
         n_points = max(2, int(math.ceil(T / (period / 8.0))) + 1)
 
-    H = build_jc(space, g) if model == "JC" else build_nonlinear_jc(space, g, eta)
+    spec = ModelSpec(kind=model, g=g, eta=eta if model == "NonlinearJC" else 0.0)
+    H = build_hamiltonian(spec, space)
     psi0 = coherent_state(space, alpha, "down")
     times = np.linspace(0.0, T, n_points)
     traj = evolve_unitary(H, psi0, times, g=g)
@@ -282,7 +275,7 @@ def run_collapse_revival(model: str, alpha: complex, g: float, eta: float = 0.5,
         revival_amplitude=a_r,
         revival_ratio=ratio,
         sliding_max_ratio=sliding,
-        meta={"model": model, "alpha": alpha, "eta": eta if model == "NonlinearJC" else 0.0,
+        meta={"model": model, "alpha": alpha, "eta": spec.eta,
               "T": T, "n_points": n_points, "n_max": n_max,
               "collapse_window_rel": _COLLAPSE_WIN, "revival_window_rel": _REVIVAL_WIN,
               "duration_factor": NONLINEAR_DURATION_FACTOR if model == "NonlinearJC" else 1.0},

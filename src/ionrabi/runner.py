@@ -25,6 +25,7 @@ from .dynamics import (
     evolve_unitary,
     evolve_unitary_td,
     fock_state,
+    thermal_required_n_max,
     thermal_state,
 )
 from .errors import ConvergenceFailure
@@ -102,8 +103,7 @@ def _state_n_requirement(scenario: Scenario) -> tuple[int, float]:
     nbar = init["nbar"]
     if nbar == 0:
         return 1, 0.0
-    ratio = nbar / (nbar + 1.0)
-    return math.ceil(math.log(1e-10) / math.log(ratio)) + 1, math.sqrt(nbar)
+    return thermal_required_n_max(nbar), math.sqrt(nbar)
 
 
 def _barrier_index(eta: float, scan_to: int = 200) -> int | None:
@@ -153,7 +153,8 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
                                snapshot_indices=snap_idx)
     elif spec.kind == "TwoTone":
         gen = TwoToneGenerator(spec, space)
-        traj = evolve_unitary_td(gen, state0, times, g=g, snapshot_indices=snap_idx)
+        traj = evolve_unitary_td(gen.apply, state0, times, gen.dt_max, g=g,
+                                 snapshot_indices=snap_idx)
     else:
         H = build_hamiltonian(spec, space)
         traj = evolve_unitary(H, state0, times, g=g, snapshot_indices=snap_idx)

@@ -11,9 +11,7 @@ from ionrabi import (
     QuantumState,
     annihilation_op,
     barrier_eta,
-    build_jc,
-    build_nonlinear_anti_jc,
-    build_qrm,
+    build_hamiltonian,
     coherent_state,
     evolve_lindblad,
     evolve_unitary,
@@ -25,15 +23,21 @@ from ionrabi import (
     phonon_distribution,
     qubit_ops,
     rwa_crosscheck,
+    scenario_from_dict,
     thermal_state,
 )
-from ionrabi.dynamics import _reachable
+from ionrabi.dynamics import _reachable, thermal_required_n_max
 from ionrabi.errors import (
     PositivityLoss,
     SpaceMismatch,
     StepTooLarge,
     TruncationTooSmall,
 )
+from ionrabi.runner import _state_n_requirement
+
+
+def _build(space, kind, **kw):
+    return build_hamiltonian(ModelSpec(kind=kind, **kw), space)
 
 
 class TestFockState:
@@ -109,6 +113,23 @@ class TestThermalState:
         rho = thermal_state(HilbertSpace(40), 1.0, "down")
         assert rho.min_eigenvalue() >= -1e-12
 
+    @pytest.mark.parametrize("nbar", [0.5, 3.0, 10.0])
+    def test_required_n_max_is_one_bound(self, nbar):
+        # thermal_state's rejection and the runner's auto truncation share
+        # thermal_required_n_max, and the state fits at that truncation
+        required = thermal_required_n_max(nbar)
+        with pytest.raises(TruncationTooSmall) as err:
+            thermal_state(HilbertSpace(1), nbar)
+        assert err.value.required_n_max == required
+        scenario = scenario_from_dict({
+            "schema_version": 1, "name": "thermal",
+            "model": {"kind": "JC", "g": 1.0},
+            "initial": {"kind": "thermal", "nbar": nbar, "qubit": "down"},
+            "times": {"t_end": 1.0, "n_points": 2},
+        })
+        assert _state_n_requirement(scenario)[0] == required
+        thermal_state(HilbertSpace(required), nbar)
+
 
 class TestEvolveUnitary:
     def test_zero_hamiltonian(self, space):
@@ -120,7 +141,7 @@ class TestEvolveUnitary:
 
     def test_jc_rabi_oscillation(self, space):
         g = 1.0
-        H = build_jc(space, g)
+        H = _build(space, "JC", g=g)
         psi = fock_state(space, 1, "down")
         times = np.linspace(0, 4.0, 41)
         traj = evolve_unitary(H, psi, times)
@@ -129,7 +150,7 @@ class TestEvolveUnitary:
     def test_qrm_dsc_revival(self):
         sp = HilbertSpace(70)
         w = 1.0
-        H = build_qrm(sp, 2.0, w, 0.0)
+        H = _build(sp, "QRM", g=2.0, omega_R=w, omega0_R=0.0)
         psi = coherent_state(sp, 1.0, "down")
         times = np.array([0.0, math.pi / w, 2 * math.pi / w])
         traj = evolve_unitary(H, psi, times)
@@ -144,7 +165,7 @@ class TestEvolveUnitary:
             evolve_unitary(H, fock_state(space, 0), np.linspace(0, 1, 3))
 
     def test_norm_preserved(self, space):
-        H = build_jc(space, 1.0)
+        H = _build(space, "JC", g=1.0)
         psi = fock_state(space, 3, "down")
         traj = evolve_unitary(H, psi, np.linspace(0, 20, 101),
                               snapshot_indices=range(101))
@@ -153,7 +174,7 @@ class TestEvolveUnitary:
 
     def test_energy_conserved(self):
         sp = HilbertSpace(40)
-        H = build_qrm(sp, 1.0, 1.0, 0.4)
+        H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
         psi = coherent_state(sp, 1.0, "down")
         traj = evolve_unitary(H, psi, np.linspace(0, 10, 21),
                               snapshot_indices=range(21))
@@ -163,7 +184,7 @@ class TestEvolveUnitary:
         assert max(abs(e - e0) for e in energies) < 1e-9 * max(1.0, abs(e0))
 
     def test_cycles_conversion(self, space):
-        H = build_jc(space, 2.0)
+        H = _build(space, "JC", g=2.0)
         traj = evolve_unitary(H, fock_state(space, 0), [0.0, math.pi], g=2.0)
         assert traj.cycles[1] == pytest.approx(1.0)
 
@@ -171,38 +192,38 @@ class TestEvolveUnitary:
 class TestEvolveUnitaryTd:
     def test_constant_matches_eigendecomposition(self, space):
         g = 1.0
-        H = build_jc(space, g)
+        H = _build(space, "JC", g=g)
         psi = fock_state(space, 1, "down")
         times = np.linspace(0, 10.0 / g, 21)
         ref = evolve_unitary(H, psi, times, snapshot_indices=range(21))
-        traj = evolve_unitary_td(lambda t: H.mat, psi, times, dt_max=2e-3,
+        traj = evolve_unitary_td(lambda t, v: H.mat @ v, psi, times, dt_max=2e-3,
                                  snapshot_indices=range(21))
         for i in range(21):
             assert np.abs(traj.snapshots[i] - ref.snapshots[i]).max() < 1e-8
 
     def test_zero_drive_is_identity(self, space):
-        zero = np.zeros((space.dim_total,) * 2, dtype=complex)
         psi = fock_state(space, 5, "up")
-        traj = evolve_unitary_td(lambda t: zero, psi, np.linspace(0, 3, 7), dt_max=0.1)
+        traj = evolve_unitary_td(lambda t, v: np.zeros_like(v), psi, np.linspace(0, 3, 7),
+                                 dt_max=0.1)
         assert np.allclose(traj.fidelity, 1.0)
 
     def test_step_too_large(self, space):
-        H = build_jc(space, 1.0)
+        H = _build(space, "JC", g=1.0)
         psi = fock_state(space, 8, "down")
         with pytest.raises(StepTooLarge):
-            evolve_unitary_td(lambda t: H.mat, psi, np.linspace(0, 50, 3), dt_max=2.0)
+            evolve_unitary_td(lambda t, v: H.mat @ v, psi, np.linspace(0, 50, 3), dt_max=2.0)
 
     def test_requires_dt_max_without_spec(self, space):
-        H = build_jc(space, 1.0)
-        with pytest.raises(ValueError, match="dt_max"):
-            evolve_unitary_td(lambda t: H.mat, fock_state(space, 0),
+        H = _build(space, "JC", g=1.0)
+        with pytest.raises(TypeError, match="dt_max"):
+            evolve_unitary_td(lambda t, v: H.mat @ v, fock_state(space, 0),
                               np.linspace(0, 1, 3))
 
 
 class TestEvolveLindblad:
     def test_closed_system_limit(self, space):
         g = 1.0
-        H = build_jc(space, g)
+        H = _build(space, "JC", g=g)
         psi = fock_state(space, 1, "down")
         times = np.linspace(0, 5, 11)
         ref = evolve_unitary(H, psi, times)
@@ -222,7 +243,7 @@ class TestEvolveLindblad:
         assert np.abs(traj.sigma_z - (-1.0 + 2.0 * np.exp(-gamma * times))).max() < 1e-9
 
     def test_trace_preserved(self, space):
-        H = build_nonlinear_anti_jc(space, 1.0, 0.5)
+        H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.5)
         _, _, sm, _ = qubit_ops(space)
         rho0 = thermal_state(space, 0.2, "down")
         traj = evolve_lindblad(H, LindbladSpec([(2.0, sm)]), rho0,
@@ -230,7 +251,7 @@ class TestEvolveLindblad:
         assert traj.meta["trace_drift"] < 1e-8
 
     def test_state_stays_hermitian_positive(self, space):
-        H = build_nonlinear_anti_jc(space, 1.0, 0.6)
+        H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.6)
         _, _, sm, _ = qubit_ops(space)
         traj = evolve_lindblad(H, LindbladSpec([(2.0, sm)]),
                                thermal_state(space, 0.2, "down"),
@@ -245,7 +266,7 @@ class TestEvolveLindblad:
         sp = HilbertSpace(40)
         g = 1.0
         eta = barrier_eta(17)
-        H = build_nonlinear_anti_jc(sp, g, eta).mat
+        H = _build(sp, "NonlinearAntiJC", g=g, eta=eta).mat
         d = sp.dim_boson
         rho = np.zeros((sp.dim_total,) * 2, dtype=complex)
         rho[17, 17] = 1.0
@@ -275,7 +296,7 @@ class TestEvolveLindblad:
     def test_split_rate_matches_single_channel(self, space):
         # qubit decay at rate gamma equals two identical channels at gamma/2
         g, gamma = 1.0, 0.7
-        H = build_jc(space, g)
+        H = _build(space, "JC", g=g)
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 1, "up").to_density()
         times = np.linspace(0, 3, 7)
@@ -289,7 +310,7 @@ class TestEvolveLindblad:
         other = HilbertSpace(space.n_max + 3)
         C = qubit_ops(other)[2] if op == "sigma_minus" else annihilation_op(other)
         with pytest.raises(SpaceMismatch):
-            evolve_lindblad(build_jc(space, 1.0), LindbladSpec([(0.5, C)]),
+            evolve_lindblad(_build(space, "JC", g=1.0), LindbladSpec([(0.5, C)]),
                             thermal_state(space, 0.2, "down"), np.linspace(0, 1, 3))
 
 
@@ -330,14 +351,14 @@ class TestReducedLindblad:
 
     def test_anti_jc_decay_matches_dense(self, space):
         # thermal start: only the anti-JC ladder |down,n> <-> |up,n+1> is reached
-        H = build_nonlinear_anti_jc(space, 1.0, 0.5)
+        H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.5)
         sm = qubit_ops(space)[2]
         self._check_against_dense(H, [(2.0, sm)], thermal_state(space, 0.2, "down"),
                                   np.linspace(0, 3, 7))
 
     def test_qrm_two_channels_match_dense(self, space):
         # coherent start under the QRM with two channels: nothing reduces
-        H = build_qrm(space, 1.0, 1.0, 0.4)
+        H = _build(space, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
         terms = [(0.6, qubit_ops(space)[2]), (0.3, annihilation_op(space))]
         rho0 = coherent_state(space, 0.8, "down")
         D = space.dim_total
@@ -349,7 +370,7 @@ class TestReducedLindblad:
     def test_anti_jc_thermal_reaches_4n_plus_1(self):
         sp = HilbertSpace(40)
         g, gamma = 1.0, 2.0
-        H = build_nonlinear_anti_jc(sp, g, 0.4518)
+        H = _build(sp, "NonlinearAntiJC", g=g, eta=0.4518)
         sm = qubit_ops(sp)[2]
         rho0 = thermal_state(sp, 1.0, "down")
         A = -1j * H.mat - 0.5 * gamma * sm.mat.conj().T @ sm.mat

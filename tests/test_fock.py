@@ -7,7 +7,6 @@ from scipy.special import eval_genlaguerre
 
 from ionrabi import (
     HilbertSpace,
-    NonlinearCoupling,
     Operator,
     annihilation_op,
     barrier_eta,
@@ -213,18 +212,13 @@ class TestF1:
         with pytest.raises(ValueError):
             f1_diagonal(5, np.ones((2, 2)))
 
-    def test_coupling_cache(self):
-        nc = NonlinearCoupling(eta=0.5, n_max=20)
-        assert nc(0) == f1_scalar(0, 0.5)
-        assert nc(14) == f1_scalar(14, 0.5)
-        with pytest.raises(ValueError):
-            NonlinearCoupling(eta=-0.5, n_max=20)
-
 
 class TestF1Operator:
     def test_zero_eta_identity(self, space):
+        # build_hamiltonian's linear kinds rely on f1 being exactly 1 at eta = 0
+        assert np.all(f1_diagonal(200, 0.0) == 1.0)
         op = f1_operator(space, 0.0)
-        assert np.allclose(op.mat, np.eye(space.dim_total))
+        assert np.array_equal(op.mat, np.eye(space.dim_total))
 
     def test_paper_zero_at_n10(self):
         sp = HilbertSpace(20)

@@ -6,20 +6,18 @@ import pytest
 from ionrabi import (
     HilbertSpace,
     ModelSpec,
+    Operator,
     TwoToneGenerator,
     ValidityWarning,
+    annihilation_op,
     barrier_eta,
-    build_anti_jc,
     build_hamiltonian,
-    build_jc,
-    build_nonlinear_anti_jc,
-    build_nonlinear_jc,
-    build_nonlinear_qrm,
-    build_qrm,
-    build_two_tone,
+    creation_op,
     f1_scalar,
     fock_state,
+    number_op,
     parity_op,
+    qubit_ops,
     simulated_frequencies,
     sideband_detunings,
 )
@@ -28,21 +26,30 @@ from ionrabi.fock import displacement_boson, hermiticity_defect
 KHZ = 2 * math.pi * 1e3
 
 
+def _build(space, kind, **kw):
+    return build_hamiltonian(ModelSpec(kind=kind, **kw), space)
+
+
+def _two_tone(spec, space, t):
+    """Checked snapshot of the two-tone Hamiltonian at time t."""
+    return Operator(space, TwoToneGenerator(spec, space).matrix(t), hermitian=True)
+
+
 class TestJC:
     def test_matrix_element(self, space):
         g = 0.7
-        H = build_jc(space, g).mat
+        H = _build(space, "JC", g=g).mat
         assert H[space.index(1, 0), space.index(0, 1)] == pytest.approx(1j * g)
 
     def test_dark_ground_state(self, space):
-        H = build_jc(space, 1.0)
+        H = _build(space, "JC", g=1.0)
         psi = fock_state(space, 0, "down")
         assert np.abs(H.mat @ psi.data).max() == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_block_eigenvalues(self, space, n):
         g = 1.3
-        H = build_jc(space, g).mat
+        H = _build(space, "JC", g=g).mat
         idx = [space.index(0, n), space.index(1, n - 1)]
         ev = np.linalg.eigvalsh(H[np.ix_(idx, idx)])
         assert np.allclose(ev, [-g * math.sqrt(n), g * math.sqrt(n)])
@@ -51,19 +58,19 @@ class TestJC:
 class TestAntiJC:
     def test_matrix_element(self, space):
         g = 0.7
-        H = build_anti_jc(space, g).mat
+        H = _build(space, "AntiJC", g=g).mat
         assert H[space.index(1, 1), space.index(0, 0)] == pytest.approx(1j * g)
 
     def test_truncation_edge_dark_column(self, space):
         # |down, n_max> has no partner |up, n_max+1> after truncation
-        H = build_anti_jc(space, 1.0)
+        H = _build(space, "AntiJC", g=1.0)
         psi = fock_state(space, space.n_max, "down")
         assert np.abs(H.mat @ psi.data).max() == 0.0
 
     @pytest.mark.parametrize("n", [0, 3, 7])
     def test_block_eigenvalues(self, space, n):
         g = 0.9
-        H = build_anti_jc(space, g).mat
+        H = _build(space, "AntiJC", g=g).mat
         idx = [space.index(0, n), space.index(1, n + 1)]
         ev = np.linalg.eigvalsh(H[np.ix_(idx, idx)])
         assert np.allclose(ev, [-g * math.sqrt(n + 1), g * math.sqrt(n + 1)])
@@ -71,25 +78,25 @@ class TestAntiJC:
 
 class TestNonlinearJC:
     def test_ld_limit_equals_linear(self, space):
-        H_lin = build_jc(space, 1.0).mat
-        H_nl = build_nonlinear_jc(space, 1.0, 1e-5).mat
+        H_lin = _build(space, "JC", g=1.0).mat
+        H_nl = _build(space, "NonlinearJC", g=1.0, eta=1e-5).mat
         assert np.abs(H_nl - H_lin).max() < 1e-6 * np.abs(H_lin).max()
 
     def test_blockade_coupling_vanishes(self):
         sp = HilbertSpace(25)
         g = 1.0
-        H = build_nonlinear_jc(sp, g, 0.4518).mat
+        H = _build(sp, "NonlinearJC", g=g, eta=0.4518).mat
         assert abs(H[sp.index(1, 17), sp.index(0, 18)]) < 1e-3 * g
 
     def test_ground_coupling_closed_form(self, space):
         g, eta = 1.0, 0.5
-        H = build_nonlinear_jc(space, g, eta).mat
+        H = _build(space, "NonlinearJC", g=g, eta=eta).mat
         expected = g * math.exp(-0.125)
         assert abs(H[space.index(1, 0), space.index(0, 1)]) == pytest.approx(expected)
 
     def test_coupling_magnitudes(self, space):
         g, eta = 0.8, 0.3
-        H = build_nonlinear_jc(space, g, eta).mat
+        H = _build(space, "NonlinearJC", g=g, eta=eta).mat
         for n in range(1, space.n_max + 1):
             elem = H[space.index(1, n - 1), space.index(0, n)]
             assert abs(elem) == pytest.approx(g * math.sqrt(n) * abs(f1_scalar(n - 1, eta)))
@@ -99,18 +106,18 @@ class TestNonlinearAntiJC:
     def test_blockade(self):
         sp = HilbertSpace(25)
         g = 1.0
-        H = build_nonlinear_anti_jc(sp, g, 0.4518).mat
+        H = _build(sp, "NonlinearAntiJC", g=g, eta=0.4518).mat
         assert abs(H[sp.index(1, 18), sp.index(0, 17)]) < 1e-3 * g
 
     def test_ld_limit(self, space):
-        H_lin = build_anti_jc(space, 1.0).mat
-        H_nl = build_nonlinear_anti_jc(space, 1.0, 1e-5).mat
+        H_lin = _build(space, "AntiJC", g=1.0).mat
+        H_nl = _build(space, "NonlinearAntiJC", g=1.0, eta=1e-5).mat
         assert np.abs(H_nl - H_lin).max() < 1e-6 * np.abs(H_lin).max()
 
     def test_dark_state_at_blockade(self):
         sp = HilbertSpace(25)
         g = 1.0
-        H = build_nonlinear_anti_jc(sp, g, 0.4518)
+        H = _build(sp, "NonlinearAntiJC", g=g, eta=0.4518)
         psi = fock_state(sp, 17, "down")
         assert np.abs(H.mat @ psi.data).max() < 1e-3 * g
 
@@ -118,7 +125,7 @@ class TestNonlinearAntiJC:
 class TestQRM:
     def test_decoupled_spectrum(self, space):
         wR, w0R = 1.0, 0.35
-        H = build_qrm(space, 0.0, wR, w0R).mat
+        H = _build(space, "QRM", g=0.0, omega_R=wR, omega0_R=w0R).mat
         expected = np.sort(np.concatenate([wR * np.arange(space.dim_boson) - w0R / 2,
                                            wR * np.arange(space.dim_boson) + w0R / 2]))
         assert np.allclose(np.sort(np.linalg.eigvalsh(H)), expected, atol=1e-12)
@@ -128,12 +135,12 @@ class TestQRM:
         # spectrum omega*n - g^2/omega
         sp = HilbertSpace(80)
         w, g = 1.0, 0.3
-        ev = np.sort(np.linalg.eigvalsh(build_qrm(sp, g, w, 0.0).mat))
+        ev = np.sort(np.linalg.eigvalsh(_build(sp, "QRM", g=g, omega_R=w, omega0_R=0.0).mat))
         expected = np.repeat(w * np.arange(20) - g**2 / w, 2)
         assert np.allclose(ev[:40], expected, atol=1e-8)
 
     def test_structure_and_hermiticity(self, space):
-        H = build_qrm(space, 0.5, 1.0, 0.4).mat
+        H = _build(space, "QRM", g=0.5, omega_R=1.0, omega0_R=0.4).mat
         d = space.dim_boson
         assert np.all(np.abs(np.imag(np.diag(H))) == 0)
         assert np.all(np.real(H[d:, :d]) == 0)  # coupling block purely imaginary
@@ -145,19 +152,19 @@ class TestNonlinearQRM:
         eta = barrier_eta(7)
         sp = HilbertSpace(40)
         g, wR = 4.0, 1.0
-        H = build_nonlinear_qrm(sp, g, eta, wR, 0.0).mat
+        H = _build(sp, "NonlinearQRM", g=g, eta=eta, omega_R=wR, omega0_R=0.0).mat
         low = list(range(0, 8)) + list(range(sp.dim_boson, sp.dim_boson + 8))
         high = [i for i in range(sp.dim_total) if i not in low]
         assert np.abs(H[np.ix_(high, low)]).max() < 1e-12 * g
 
     def test_ld_limit_equals_qrm(self, space):
-        H_lin = build_qrm(space, 0.7, 1.0, 0.2).mat
-        H_nl = build_nonlinear_qrm(space, 0.7, 1e-5, 1.0, 0.2).mat
+        H_lin = _build(space, "QRM", g=0.7, omega_R=1.0, omega0_R=0.2).mat
+        H_nl = _build(space, "NonlinearQRM", g=0.7, eta=1e-5, omega_R=1.0, omega0_R=0.2).mat
         assert np.abs(H_nl - H_lin).max() < 1e-6 * np.abs(H_lin).max()
 
     def test_g_zero_spectrum(self, space):
         wR, w0R = 0.9, 0.3
-        H = build_nonlinear_qrm(space, 0.0, 0.6, wR, w0R).mat
+        H = _build(space, "NonlinearQRM", g=0.0, eta=0.6, omega_R=wR, omega0_R=w0R).mat
         expected = np.sort(np.concatenate([wR * np.arange(space.dim_boson) - w0R / 2,
                                            wR * np.arange(space.dim_boson) + w0R / 2]))
         assert np.allclose(np.sort(np.linalg.eigvalsh(H)), expected, atol=1e-12)
@@ -168,9 +175,9 @@ class TestParity:
     def test_rabi_models_commute_with_parity(self, eta):
         sp = HilbertSpace(30)
         if eta == 0.0:
-            H = build_qrm(sp, 1.1, 1.0, 0.7).mat
+            H = _build(sp, "QRM", g=1.1, omega_R=1.0, omega0_R=0.7).mat
         else:
-            H = build_nonlinear_qrm(sp, 1.1, eta, 1.0, 0.7).mat
+            H = _build(sp, "NonlinearQRM", g=1.1, eta=eta, omega_R=1.0, omega0_R=0.7).mat
         P = parity_op(sp).mat
         comm = H @ P - P @ H
         assert np.abs(comm).max() < 1e-12 * np.abs(H).max()
@@ -180,11 +187,11 @@ class TestLDConvergenceRate:
     def test_quadratic_in_eta(self):
         # || H_nl(eta) - H_lin || / || H_lin || <= C eta^2 on n <= 10
         sp = HilbertSpace(10)
-        H_lin = build_jc(sp, 1.0).mat
+        H_lin = _build(sp, "JC", g=1.0).mat
         scale = np.linalg.norm(H_lin)
         ratios = {}
         for eta in (0.05, 0.025):
-            diff = np.linalg.norm(build_nonlinear_jc(sp, 1.0, eta).mat - H_lin)
+            diff = np.linalg.norm(_build(sp, "NonlinearJC", g=1.0, eta=eta).mat - H_lin)
             ratios[eta] = diff / scale / eta**2
         assert ratios[0.05] < 15.0
         # quadratic scaling: the eta^2-normalized ratio is eta-independent
@@ -249,19 +256,24 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="TwoTone", eta=0.3, Omega=1.0, delta_r=0.1, delta_b=-0.1)
 
+    @pytest.mark.parametrize("kind", ["JC", "AntiJC", "QRM"])
+    def test_linear_kinds_reject_eta(self, kind):
+        with pytest.raises(ValueError, match="eta = 0"):
+            ModelSpec(kind=kind, g=1.0, eta=0.1)
+
 
 class TestTwoTone:
     def test_hermitian_at_all_times(self):
         sp = HilbertSpace(15)
         spec = _two_tone_spec()
         for t in (0.0, 0.123, 1.7):
-            H = build_two_tone(spec, sp, t)
+            H = _two_tone(spec, sp, t)
             assert hermiticity_defect(H.mat) < 1e-12
 
     def test_block_at_time_zero(self):
         sp = HilbertSpace(15)
         spec = _two_tone_spec()
-        H = build_two_tone(spec, sp, 0.0).mat
+        H = _two_tone(spec, sp, 0.0).mat
         d = sp.dim_boson
         expected = spec.Omega * displacement_boson(sp.n_max, 1j * spec.eta)
         assert np.abs(H[d:, :d] - expected).max() < 1e-12
@@ -272,7 +284,7 @@ class TestTwoTone:
         spec = _two_tone_spec(eta=1e-9)
         d = sp.dim_boson
         for t in (0.0, 0.003, 0.011):
-            H = build_two_tone(spec, sp, t).mat
+            H = _two_tone(spec, sp, t).mat
             expected = spec.Omega * abs(
                 math.cos(((spec.delta_r - spec.delta_b) / 2 - spec.nu) * t))
             assert abs(H[d + 3, 3]) == pytest.approx(expected, abs=1e-7)
@@ -302,13 +314,13 @@ class TestBuilderHermiticity:
     def test_all_builders(self):
         sp = HilbertSpace(20)
         mats = [
-            build_jc(sp, 1.0).mat,
-            build_anti_jc(sp, 1.0).mat,
-            build_nonlinear_jc(sp, 1.0, 0.5).mat,
-            build_nonlinear_anti_jc(sp, 1.0, 0.5).mat,
-            build_qrm(sp, 1.0, 0.5, 0.3).mat,
-            build_nonlinear_qrm(sp, 1.0, 0.5, 0.5, 0.3).mat,
-            build_two_tone(_two_tone_spec(), sp, 0.77).mat,
+            _build(sp, "JC", g=1.0).mat,
+            _build(sp, "AntiJC", g=1.0).mat,
+            _build(sp, "NonlinearJC", g=1.0, eta=0.5).mat,
+            _build(sp, "NonlinearAntiJC", g=1.0, eta=0.5).mat,
+            _build(sp, "QRM", g=1.0, omega_R=0.5, omega0_R=0.3).mat,
+            _build(sp, "NonlinearQRM", g=1.0, eta=0.5, omega_R=0.5, omega0_R=0.3).mat,
+            _two_tone(_two_tone_spec(), sp, 0.77).mat,
         ]
         for mat in mats:
             assert hermiticity_defect(mat) < 1e-12
@@ -316,13 +328,19 @@ class TestBuilderHermiticity:
 
 class TestDispatch:
     def test_kinds(self, space):
-        assert np.array_equal(
-            build_hamiltonian(ModelSpec(kind="JC", g=1.0), space).mat,
-            build_jc(space, 1.0).mat)
-        assert np.array_equal(
-            build_hamiltonian(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.1),
-                              space).mat,
-            build_qrm(space, 1.0, 0.5, 0.1).mat)
+        # against the same models built from the ladder and Pauli operators
+        a, ad, n = (op(space).mat for op in (annihilation_op, creation_op, number_op))
+        sz, sp, sm, _ = (op.mat for op in qubit_ops(space))
+        g, wR, w0R = 0.7, 0.5, 0.1
+        cases = [
+            ("JC", {}, 1j * g * (sp @ a - sm @ ad)),
+            ("AntiJC", {}, 1j * g * (sp @ ad - sm @ a)),
+            ("QRM", {"omega_R": wR, "omega0_R": w0R},
+             w0R / 2 * sz + wR * n + 1j * g * (sp - sm) @ (a + ad)),
+        ]
+        for kind, kw, expected in cases:
+            H = _build(space, kind, g=g, **kw).mat
+            assert np.abs(H - expected).max() < 1e-14
 
     def test_two_tone_rejected(self, space):
         with pytest.raises(ValueError, match="time-dependent"):

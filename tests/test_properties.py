@@ -1,5 +1,7 @@
 """Property tests over random parameters: f1, hermiticity, parity and the
 Lindblad trace."""
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,9 @@ from ionrabi import (
     LindbladSpec,
     ModelSpec,
     QuantumState,
+    TwoToneGenerator,
     annihilation_op,
-    build_anti_jc,
-    build_jc,
-    build_nonlinear_anti_jc,
-    build_nonlinear_jc,
-    build_nonlinear_qrm,
-    build_qrm,
-    build_two_tone,
+    build_hamiltonian,
     evolve_lindblad,
     f1_scalar,
     f1_series,
@@ -31,6 +28,17 @@ FEW = settings(max_examples=30, deadline=None)
 etas = st.floats(0.0, 1.0)
 couplings = st.floats(0.01, 10.0)
 frequencies = st.floats(-10.0, 10.0)
+KINDS = ("JC", "AntiJC", "NonlinearJC", "NonlinearAntiJC", "QRM", "NonlinearQRM")
+
+
+def _build(space, kind, g, eta=0.0, omega_R=0.0, omega0_R=0.0):
+    """build_hamiltonian for any time-independent kind; linear kinds drop eta."""
+    if not kind.startswith("Nonlinear"):
+        eta = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a nonlinear kind at eta = 0 warns
+        spec = ModelSpec(kind=kind, g=g, eta=eta, omega_R=omega_R, omega0_R=omega0_R)
+    return build_hamiltonian(spec, space)
 
 
 @FEW
@@ -41,13 +49,11 @@ def test_series_matches_recurrence(n, eta):
 
 
 @FEW
-@given(g=couplings, eta=etas, omega_R=frequencies, omega0_R=frequencies)
-def test_time_independent_models_are_hermitian(g, eta, omega_R, omega0_R):
-    for H in (build_jc(SPACE, g), build_anti_jc(SPACE, g),
-              build_nonlinear_jc(SPACE, g, eta), build_nonlinear_anti_jc(SPACE, g, eta),
-              build_qrm(SPACE, g, omega_R, omega0_R),
-              build_nonlinear_qrm(SPACE, g, eta, omega_R, omega0_R)):
-        assert hermiticity_defect(H.mat) < 1e-12
+@given(kind=st.sampled_from(KINDS), g=couplings, eta=etas, omega_R=frequencies,
+       omega0_R=frequencies)
+def test_time_independent_models_are_hermitian(kind, g, eta, omega_R, omega0_R):
+    H = _build(SPACE, kind, g, eta, omega_R, omega0_R)
+    assert hermiticity_defect(H.mat) < 1e-12
 
 
 @FEW
@@ -57,16 +63,16 @@ def test_two_tone_is_hermitian(eta, Omega, delta_r, delta_b, t):
     # |delta|/nu <= 0.05 and Omega/nu <= 0.1 keep the drive inside its validity range
     spec = ModelSpec(kind="TwoTone", eta=eta, Omega=Omega, nu=1000.0,
                      delta_r=delta_r, delta_b=delta_b)
-    assert hermiticity_defect(build_two_tone(spec, SPACE, t).mat) < 1e-12
+    assert hermiticity_defect(TwoToneGenerator(spec, SPACE).matrix(t)) < 1e-12
 
 
 @FEW
-@given(g=couplings, eta=etas, omega_R=frequencies, omega0_R=frequencies)
-def test_rabi_models_commute_with_parity(g, eta, omega_R, omega0_R):
+@given(kind=st.sampled_from(("QRM", "NonlinearQRM")), g=couplings, eta=etas,
+       omega_R=frequencies, omega0_R=frequencies)
+def test_rabi_models_commute_with_parity(kind, g, eta, omega_R, omega0_R):
     P = parity_op(SPACE).mat
-    for H in (build_qrm(SPACE, g, omega_R, omega0_R).mat,
-              build_nonlinear_qrm(SPACE, g, eta, omega_R, omega0_R).mat):
-        assert np.abs(H @ P - P @ H).max() <= 1e-12 * np.abs(H).max()
+    H = _build(SPACE, kind, g, eta, omega_R, omega0_R).mat
+    assert np.abs(H @ P - P @ H).max() <= 1e-12 * np.abs(H).max()
 
 
 @settings(max_examples=15, deadline=None)
@@ -82,7 +88,7 @@ def test_lindblad_preserves_trace(g, eta, gamma_ratio, phonon_loss, seed):
     terms = [(gamma_ratio * g, qubit_ops(space)[2])]
     if phonon_loss:
         terms.append((gamma_ratio * g, annihilation_op(space)))
-    traj = evolve_lindblad(build_nonlinear_anti_jc(space, g, eta), LindbladSpec(terms), rho0,
+    traj = evolve_lindblad(_build(space, "NonlinearAntiJC", g, eta), LindbladSpec(terms), rho0,
                            np.linspace(0.0, 2.0 / g, 5))
     assert traj.meta["trace_drift"] < 1e-10
     assert np.abs(traj.phonons.sum(axis=1) - 1.0).max() < 1e-10

@@ -112,10 +112,10 @@ class TestFilterAnalysis:
     def test_linear_control_leaks(self):
         # eta -> 0 control: without the blockade the DSC drive climbs far
         # beyond n = 10 (cf. the round trip of the linear model)
-        from ionrabi import build_qrm, evolve_unitary
+        from ionrabi import build_hamiltonian, evolve_unitary
         sp = HilbertSpace(60)
         g = 3.7
-        H = build_qrm(sp, g, 1.0, 0.0)
+        H = build_hamiltonian(ModelSpec(kind="QRM", g=g, omega_R=1.0, omega0_R=0.0), sp)
         psi = coherent_state(sp, 1.0, "down")
         traj = evolve_unitary(H, psi, np.linspace(0, 2 * 2 * math.pi / g, 81))
         above = traj.phonons[:, 11:].sum(axis=1)
