@@ -4,8 +4,9 @@ Builds the Jaynes-Cummings, anti-Jaynes-Cummings and quantum Rabi
 Hamiltonians and their nonlinear forms on a truncated qubit+phonon space
 with one builder, build_hamiltonian (a linear model is its nonlinear form at
 eta = 0, where f1 is exactly 1).  Evolves pure states and density matrices:
-eigh for a time-independent H, RK4 on an apply(t, psi) callable with a
-dt_max for a time-dependent one (the two-tone drive, TwoToneGenerator), and
+eigh for a time-independent H; for the two-tone drive (TwoToneGenerator),
+which is periodic in a rotating frame, RK4 over one period and powers of
+that period's propagator, with no renormalization (evolve_unitary_td); and
 Lindblad RK4.  Drives the blockade/filter and dissipative
 Fock-state-preparation protocols enabled by the zeros of the nonlinear
 sideband function f1.

@@ -292,7 +292,8 @@ def _cmd_validate(args) -> int:
         print("rwa cross-check: skipped (needs a NonlinearQRM with eta > 0 or a TwoTone model)")
     if tt is not None:
         T = args.t_cycles * 2.0 * math.pi / tt.g
-        rep = rwa_crosscheck(tt, T=T, tolerance=args.tolerance)
+        # at the truncation just checked, not the larger deep-strong-coupling default
+        rep = rwa_crosscheck(tt, T=T, tolerance=args.tolerance, n_max=n_max)
         rwa_ok = rep.valid
         crosscheck_state = "pass" if rep.valid else "fail"
         report["rwa_crosscheck"] = {
@@ -302,7 +303,8 @@ def _cmd_validate(args) -> int:
             "valid": rep.valid,
         }
         print(f"rwa cross-check over {args.t_cycles} cycles: max deviation "
-              f"{rep.max_deviation:.4f} (tolerance {rep.tolerance}) -> {crosscheck_state}")
+              f"{rep.max_deviation:.4f} (tolerance {rep.tolerance}) -> {crosscheck_state}; "
+              f"top-level population {rep.meta['top_population']:.3e} at n_max {n_max}")
 
     write_json(os.path.join(output_dir(args.out, scenario.name), "validation.json"), report)
     if not converged:

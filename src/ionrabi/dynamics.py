@@ -3,8 +3,13 @@
 Evolution strategies:
   - time-independent H: one hermitian eigendecomposition, then pure phase
     application per requested time (exact up to linear algebra);
-  - time-dependent H: fixed-step classical RK4 on the state vector, driven
-    by a plain apply(t, psi) = H(t) @ psi callable and a required dt_max;
+  - time-dependent H: a drive that repeats with period T' in a rotating
+    frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
+    Pass 1 steps the identity over one period with fixed-step RK4 to get
+    the one-period propagator M; the state at t0 + k T' + s is
+    e^{iKkT'} U(t0 + s) M^k psi0, so pass 2 steps the block of every
+    record's M^k psi0 through the sorted offsets s < T'.  Nothing is
+    renormalized; the summed norm drift and every record's norm are checked;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
     can reach from rho0.  The set is the closure of rho0's support under the
     exact nonzero patterns of H rho, rho H, C rho C^dag, C^dag C rho and
@@ -132,10 +137,10 @@ def coherent_required_n_max(alpha: complex, tail: float = 1e-10) -> int:
 
 
 def thermal_required_n_max(nbar: float) -> int:
-    """Truncation bound for a thermal state of nbar > 0: its mass beyond n_max
-    is ratio^(n_max+1) with ratio = nbar/(nbar+1), below 1e-10 from here on."""
+    """Smallest truncation for a thermal state of nbar > 0: its mass beyond
+    n_max is ratio^(n_max+1) with ratio = nbar/(nbar+1), at most 1e-10 from here on."""
     ratio = nbar / (nbar + 1.0)
-    return math.ceil(math.log(1e-10) / math.log(ratio)) + 1
+    return math.ceil(math.log(1e-10) / math.log(ratio)) - 1
 
 
 def coherent_state(space: HilbertSpace, alpha: complex, qubit="down") -> QuantumState:
@@ -316,50 +321,89 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
                       meta={"method": "eigh", "n_times": len(times)})
 
 
-def evolve_unitary_td(apply, psi0: QuantumState, times, dt_max: float,
-                      g: float | None = None, snapshot_indices=None) -> Trajectory:
-    """Fixed-step RK4 for i d psi/dt = H(t) psi, with apply(t, psi) = H(t) @ psi.
+def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
+                      snapshot_indices=None) -> Trajectory:
+    """psi(t) for i d psi/dt = H(t) psi, with H(t) periodic in a rotating frame.
 
-    Each interval between record times takes the fewest equal steps of at
-    most dt_max (TwoToneGenerator.dt_max for the two-tone drive); the
-    accumulated per-step norm drift is monitored and > 1e-6 raises
-    StepTooLarge.
+    `drive` supplies apply(t, X) = H(t) @ X for X of shape (D,) or (D, m), the
+    RK4 step bound dt_max, and a diagonal `frame` K and `period` T' such that
+    e^{-iKt} H(t) e^{iKt} + K repeats with period T' (TwoToneGenerator; a
+    constant H has K = 0 and any T').  With t0 = times[0], U(t) the
+    propagator from t0 and M = e^{-iKT'} U(t0 + T'), every record time
+    t = t0 + k T' + s with 0 <= s < T' has
+
+        psi(t) = e^{iKkT'} U(t0 + s) M^k psi0.
+
+    Pass 1 steps the D x D identity over one period to get U(t0 + T'); the
+    M^k psi0 are matvecs.  Pass 2 steps the block of every record's
+    M^k psi0 through the sorted offsets s, dropping each column at its own
+    offset.  Both passes are classical RK4 in the fewest equal steps of at
+    most dt_max between stops.  Nothing is renormalized: the per-step change
+    of the largest column norm is summed, pass 1's once for every period
+    used, and a sum > 1e-6 raises StepTooLarge, as does a record whose
+    ||psi||^2 is more than 1e-6 from 1 (the recorder's check).
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary_td requires a pure initial state")
     times = _check_times(times)
-    rec = _Recorder(psi0.space, psi0, len(times), snapshot_indices)
-    psi = psi0.data.copy()
-    drift = 0.0
+    t0, period, dt_max = times[0], drive.period, drive.dt_max
+    k = np.floor((times - t0) / period).astype(int)
+    k_max = int(k[-1])
+    s = np.maximum(times - t0 - k * period, 0.0)
     n_steps = 0
-    t = times[0]
-    rec.record(0, psi)
-    for i in range(1, len(times)):
-        span = times[i] - t
-        steps = max(1, math.ceil(span / dt_max)) if span > 0 else 0
+    drift = 0.0
+
+    def advance(X, t, t_end, weight):
+        nonlocal n_steps, drift
+        span = t_end - t
+        steps = math.ceil(span / dt_max) if span > 0 else 0
         dt = span / steps if steps else 0.0
-        for k in range(steps):
-            tk = t + k * dt
-            k1 = apply(tk, psi)
-            k2 = apply(tk + dt / 2, psi + (-0.5j * dt) * k1)
-            k3 = apply(tk + dt / 2, psi + (-0.5j * dt) * k2)
-            k4 = apply(tk + dt, psi + (-1j * dt) * k3)
-            psi = psi + (-1j * dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            norm = np.linalg.norm(psi)
-            drift += abs(norm - 1.0)
+        norms = np.linalg.norm(X, axis=0)
+        for j in range(steps):
+            tj = t + j * dt
+            k1 = drive.apply(tj, X)
+            k2 = drive.apply(tj + dt / 2, X + (-0.5j * dt) * k1)
+            k3 = drive.apply(tj + dt / 2, X + (-0.5j * dt) * k2)
+            k4 = drive.apply(tj + dt, X + (-1j * dt) * k3)
+            X = X + (-1j * dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            grown = np.linalg.norm(X, axis=0)
+            drift += weight * float(np.max(np.abs(grown - norms)))
+            norms = grown
+            n_steps += 1
             if not (drift <= 1e-6):
                 raise StepTooLarge(
-                    f"accumulated norm drift {drift:.3e} > 1e-6 at t={tk + dt} "
+                    f"accumulated norm drift {drift:.3e} > 1e-6 at t={tj + dt} "
                     f"(dt={dt:.3e}); reduce dt_max"
                 )
-            psi /= norm
-            n_steps += 1
-        t = times[i]
-        rec.record(i, psi)
+        return X
+
+    D = psi0.data.shape[0]
+    phi = np.empty((D, len(times)), dtype=complex)
+    phi_k = psi0.data
+    if k_max > 0:
+        U = advance(np.eye(D, dtype=complex), t0, t0 + period, weight=k_max)
+        M = np.exp(-1j * drive.frame * period)[:, None] * U
+    for kk in range(k_max + 1):
+        phi[:, k == kk] = phi_k[:, None]
+        if kk < k_max:
+            phi_k = M @ phi_k
+
+    order = np.argsort(s, kind="stable")
+    X = phi[:, order]
+    t = t0
+    for i in order:
+        X = advance(X, t, t0 + s[i], weight=1.0)
+        t = t0 + s[i]
+        phi[:, i] = X[:, 0]
+        X = X[:, 1:]
+
+    rec = _Recorder(psi0.space, psi0, len(times), snapshot_indices)
+    for i in range(len(times)):
+        rec.record(i, np.exp(1j * drive.frame * (k[i] * period)) * phi[:, i])
     return Trajectory(times, rec.sigma_z, rec.fidelity, rec.n_mean, rec.phonons,
                       g=g, snapshots=rec.snapshots,
-                      meta={"method": "rk4", "dt_max": dt_max, "n_steps": n_steps,
-                            "norm_drift": drift})
+                      meta={"method": "rk4_floquet", "dt_max": dt_max, "period": period,
+                            "n_steps": n_steps, "norm_drift": drift})
 
 
 def _column_pairs(key, cols, n):
@@ -584,6 +628,8 @@ def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState | None = None,
     is mapped by exp(+i H0 t) with H0 = (delta_b+delta_r)/4 sigma_z
     + (delta_b-delta_r)/2 a^dag a, which aligns the interaction picture of
     the drive with the Schroedinger picture of the simulated model.
+    meta["top_population"] is the largest population of the top Fock level
+    n_max in the two-tone run, a one-pass truncation signal.
     """
     if spec.kind != "TwoTone":
         raise ValueError("rwa_crosscheck requires a TwoTone ModelSpec")
@@ -597,8 +643,7 @@ def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState | None = None,
         T = 3.0 * 2.0 * math.pi / spec.g
     times = np.linspace(0.0, T, n_records)
 
-    gen = TwoToneGenerator(spec, space)
-    traj_full = evolve_unitary_td(gen.apply, psi0, times, gen.dt_max, g=spec.g,
+    traj_full = evolve_unitary_td(TwoToneGenerator(spec, space), psi0, times, g=spec.g,
                                   snapshot_indices=range(n_records))
 
     H_sim = build_hamiltonian(ModelSpec(kind="NonlinearQRM", eta=spec.eta, g=spec.g,
@@ -623,5 +668,6 @@ def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState | None = None,
         omega_over_nu=spec.Omega / spec.nu,
         n_records=n_records,
         meta={"T": T, "n_max": n_max, "omega0_R": omega0_R, "omega_R": omega_R,
-              "rk4_steps": traj_full.meta["n_steps"]},
+              "rk4_steps": traj_full.meta["n_steps"],
+              "top_population": float(traj_full.phonons[:, -1].max())},
     )

@@ -5,7 +5,8 @@ nonlinear quantum Rabi model.
 build_hamiltonian builds every time-independent kind.  A linear kind is its
 nonlinear form at eta = 0, where f1 is exactly 1, so JC/AntiJC/QRM take no
 eta.  The two-tone drive is time-dependent: TwoToneGenerator supplies
-apply(t, psi) and the RK4 step bound dt_max for evolve_unitary_td.
+apply(t, X), the RK4 step bound dt_max, and the rotating frame and period in
+which the drive repeats, for evolve_unitary_td.
 
 Sign convention: the exchange coupling is represented literally as
 i g (sigma+ B - sigma- B^dag); no sigma_x-style rephasing is substituted,
@@ -122,6 +123,9 @@ class ModelSpec:
             raise ValueError(
                 f"inconsistent coupling: g={self.g} but eta*Omega/2={g_implied}"
             )
+        if 2.0 * self.nu + self.delta_b - self.delta_r == 0.0:
+            raise ValueError("TwoTone requires 2 nu + delta_b - delta_r != 0: "
+                             "the drive has no period in its rotating frame")
         for name, delta in (("delta_r", self.delta_r), ("delta_b", self.delta_b)):
             if abs(delta) > 0.1 * self.nu:
                 warnings.warn(
@@ -213,6 +217,12 @@ class TwoToneGenerator:
     The displacement argument i eta e^{i nu t} has constant modulus, so
     D(t) = P(t) D(i eta) P(t)^dag with P(t) = diag(e^{i nu n t}); only the
     cached D(i eta) matrix and O(dim) phase vectors are needed per step.
+
+    The drive is periodic in a rotating frame.  With W(t) = diag(e^{i K t}),
+    K = nu n on the qubit-down block and nu n - (delta_r - nu) on the
+    qubit-up block (`frame`), W^dag H W + K has the coupling block
+    Omega/2 D(i eta) [e^{i phi_r} + e^{-i (2 nu + delta_b - delta_r) t + i phi_b}],
+    which repeats with `period` T' = 2 pi / |2 nu + delta_b - delta_r|.
     """
 
     def __init__(self, spec: ModelSpec, space: HilbertSpace):
@@ -225,8 +235,11 @@ class TwoToneGenerator:
         self.nb = np.arange(space.dim_boson)
         self._full_r = spec.delta_r - spec.nu
         self._full_b = spec.delta_b + spec.nu
-        # RK4 step bound for evolve_unitary_td: 200 steps per trap period
-        self.dt_max = 2.0 * math.pi / (200.0 * spec.nu)
+        self.frame = np.concatenate([spec.nu * self.nb, spec.nu * self.nb - self._full_r])
+        self.period = 2.0 * math.pi / abs(self._full_b - self._full_r)
+        # RK4 step bound: 400 steps per trap period.  evolve_unitary_td repeats
+        # the one-period propagator, and so its error, over every period.
+        self.dt_max = 2.0 * math.pi / (400.0 * spec.nu)
 
     def tone_coeff(self, t: float) -> complex:
         s = self.spec
@@ -244,14 +257,16 @@ class TwoToneGenerator:
         H[:d, d:] = block.conj().T
         return H
 
-    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        """H(t) @ psi without materializing H (hot path for RK4)."""
+    def apply(self, t: float, X: np.ndarray) -> np.ndarray:
+        """H(t) @ X for X of shape (dim,) or (dim, m), without materializing H."""
         d = self.space.dim_boson
         ph = np.exp(1j * self.spec.nu * t * self.nb)
+        if X.ndim == 2:
+            ph = ph[:, None]
         c = self.tone_coeff(t)
-        out = np.empty_like(psi)
-        out[d:] = c * (ph * (self.d0 @ (ph.conj() * psi[:d])))
-        out[:d] = np.conj(c) * (ph * (self.d0_dag @ (ph.conj() * psi[d:])))
+        out = np.empty_like(X)
+        out[d:] = c * (ph * (self.d0 @ (ph.conj() * X[:d])))
+        out[:d] = np.conj(c) * (ph * (self.d0_dag @ (ph.conj() * X[d:])))
         return out
 
 

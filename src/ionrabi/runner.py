@@ -152,8 +152,7 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
         traj = evolve_lindblad(H, lb, state0.to_density(), times, g=g,
                                snapshot_indices=snap_idx)
     elif spec.kind == "TwoTone":
-        gen = TwoToneGenerator(spec, space)
-        traj = evolve_unitary_td(gen.apply, state0, times, gen.dt_max, g=g,
+        traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times, g=g,
                                  snapshot_indices=snap_idx)
     else:
         H = build_hamiltonian(spec, space)

@@ -9,6 +9,7 @@ from ionrabi import (
     ModelSpec,
     Operator,
     QuantumState,
+    TwoToneGenerator,
     annihilation_op,
     barrier_eta,
     build_hamiltonian,
@@ -24,6 +25,7 @@ from ionrabi import (
     qubit_ops,
     rwa_crosscheck,
     scenario_from_dict,
+    sideband_detunings,
     thermal_state,
 )
 from ionrabi.dynamics import _reachable, thermal_required_n_max
@@ -33,6 +35,7 @@ from ionrabi.errors import (
     StepTooLarge,
     TruncationTooSmall,
 )
+from ionrabi.models import DEFAULT_NU
 from ionrabi.runner import _state_n_requirement
 
 
@@ -113,7 +116,7 @@ class TestThermalState:
         rho = thermal_state(HilbertSpace(40), 1.0, "down")
         assert rho.min_eigenvalue() >= -1e-12
 
-    @pytest.mark.parametrize("nbar", [0.5, 3.0, 10.0])
+    @pytest.mark.parametrize("nbar", [0.5, 1.0, 3.0, 10.0])
     def test_required_n_max_is_one_bound(self, nbar):
         # thermal_state's rejection and the runner's auto truncation share
         # thermal_required_n_max, and the state fits at that truncation
@@ -129,6 +132,9 @@ class TestThermalState:
         })
         assert _state_n_requirement(scenario)[0] == required
         thermal_state(HilbertSpace(required), nbar)
+        # and it is the smallest truncation that fits
+        with pytest.raises(TruncationTooSmall):
+            thermal_state(HilbertSpace(required - 1), nbar)
 
 
 class TestEvolveUnitary:
@@ -189,6 +195,52 @@ class TestEvolveUnitary:
         assert traj.cycles[1] == pytest.approx(1.0)
 
 
+class _ConstantDrive:
+    """H(t) = H.  With frame K = 0 every period is valid; 1.3 divides no
+    record spacing used here, so both M^k and pass 2 are exercised."""
+
+    def __init__(self, H, dt_max, period=1.3):
+        self.H = H
+        self.dt_max = dt_max
+        self.period = period
+        self.frame = np.zeros(H.shape[0])
+
+    def apply(self, t, X):
+        return self.H @ X
+
+
+def _rk4_reference(apply, psi0, times, dt_max):
+    """Step-by-step vector RK4 through every record time."""
+    psi, out = psi0.copy(), [psi0.copy()]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        steps = max(1, math.ceil((t1 - t0) / dt_max))
+        dt = (t1 - t0) / steps
+        for j in range(steps):
+            t = t0 + j * dt
+            k1 = apply(t, psi)
+            k2 = apply(t + dt / 2, psi - 0.5j * dt * k1)
+            k3 = apply(t + dt / 2, psi - 0.5j * dt * k2)
+            k4 = apply(t + dt, psi - 1j * dt * k3)
+            psi = psi - 1j * dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(psi.copy())
+    return np.array(out)
+
+
+def _fig6_two_tone(n_max, steps_per_trap_period, n_records):
+    """Snapshots of validate's two-tone drive for fig6 over one cycle."""
+    khz = 2 * math.pi * 1e3
+    g, eta, omega_R = 41.847 * khz, 0.57838, 11.31 * khz
+    delta_r, delta_b = sideband_detunings(0.0, omega_R)
+    spec = ModelSpec(kind="TwoTone", eta=eta, Omega=2 * g / eta, nu=DEFAULT_NU,
+                     delta_r=delta_r, delta_b=delta_b)
+    gen = TwoToneGenerator(spec, HilbertSpace(n_max))
+    gen.dt_max = 2 * math.pi / (steps_per_trap_period * spec.nu)
+    times = np.linspace(0.0, 2 * math.pi / g, n_records)
+    traj = evolve_unitary_td(gen, fock_state(gen.space, 0), times,
+                             snapshot_indices=range(n_records))
+    return np.array([traj.snapshots[i] for i in range(n_records)])
+
+
 class TestEvolveUnitaryTd:
     def test_constant_matches_eigendecomposition(self, space):
         g = 1.0
@@ -196,28 +248,66 @@ class TestEvolveUnitaryTd:
         psi = fock_state(space, 1, "down")
         times = np.linspace(0, 10.0 / g, 21)
         ref = evolve_unitary(H, psi, times, snapshot_indices=range(21))
-        traj = evolve_unitary_td(lambda t, v: H.mat @ v, psi, times, dt_max=2e-3,
+        traj = evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2e-3), psi, times,
                                  snapshot_indices=range(21))
         for i in range(21):
             assert np.abs(traj.snapshots[i] - ref.snapshots[i]).max() < 1e-8
 
     def test_zero_drive_is_identity(self, space):
         psi = fock_state(space, 5, "up")
-        traj = evolve_unitary_td(lambda t, v: np.zeros_like(v), psi, np.linspace(0, 3, 7),
-                                 dt_max=0.1)
+        drive = _ConstantDrive(np.zeros((space.dim_total,) * 2), dt_max=0.1)
+        traj = evolve_unitary_td(drive, psi, np.linspace(0, 3, 7))
         assert np.allclose(traj.fidelity, 1.0)
 
     def test_step_too_large(self, space):
         H = _build(space, "JC", g=1.0)
         psi = fock_state(space, 8, "down")
         with pytest.raises(StepTooLarge):
-            evolve_unitary_td(lambda t, v: H.mat @ v, psi, np.linspace(0, 50, 3), dt_max=2.0)
+            evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2.0), psi, np.linspace(0, 50, 3))
 
     def test_requires_dt_max_without_spec(self, space):
-        H = _build(space, "JC", g=1.0)
-        with pytest.raises(TypeError, match="dt_max"):
-            evolve_unitary_td(lambda t, v: H.mat @ v, fock_state(space, 0),
-                              np.linspace(0, 1, 3))
+        class NoStep:
+            period = 1.3
+            frame = np.zeros(space.dim_total)
+
+            def apply(self, t, X):
+                return X
+
+        with pytest.raises(AttributeError, match="dt_max"):
+            evolve_unitary_td(NoStep(), fock_state(space, 0), np.linspace(0, 1, 3))
+
+    def test_period_drift_counts_once_per_period(self, space):
+        # |down,0> is dark under the JC, so its own norm never moves; the
+        # identity's columns drift by about 5e-8 per period at this step,
+        # which 100 periods push past 1e-6
+        drive = _ConstantDrive(_build(space, "JC", g=1.0).mat, dt_max=0.02)
+        psi = fock_state(space, 0, "down")
+        assert evolve_unitary_td(drive, psi, [0.0, 2.0]).meta["norm_drift"] < 1e-7
+        with pytest.raises(StepTooLarge, match="accumulated norm drift"):
+            evolve_unitary_td(drive, psi, [0.0, 131.0])
+
+    def test_two_tone_matches_stepwise_rk4(self):
+        # about 13 drive periods in 11 records, none on a period boundary
+        spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=8.0, nu=80.0,
+                         delta_r=0.3, delta_b=-0.1, phi_r=0.3, phi_b=-0.8)
+        gen = TwoToneGenerator(spec, HilbertSpace(12))
+        psi = coherent_state(gen.space, 0.7, "down")
+        times = np.linspace(0.0, 0.5, 11)
+        traj = evolve_unitary_td(gen, psi, times, snapshot_indices=range(11))
+        assert traj.meta["n_steps"] < 0.5 / gen.dt_max / 4
+        ref = _rk4_reference(gen.apply, psi.data, times, gen.dt_max / 2)
+        got = np.array([traj.snapshots[i] for i in range(11)])
+        assert np.abs(got - ref).max() < 1e-10
+
+    def test_step_of_400_per_trap_period(self):
+        # validate's outputs are gated at 1e-10.  The error of M^k grows with
+        # the number of periods, so 200 steps per trap period miss the gate
+        # at fig6's one cycle; 400 meet it.
+        spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=8.0, nu=80.0)
+        assert TwoToneGenerator(spec, HilbertSpace(2)).dt_max == 2 * math.pi / (400 * 80.0)
+        ref = _fig6_two_tone(40, 800, 7)
+        assert np.abs(_fig6_two_tone(40, 400, 7) - ref).max() < 1e-10
+        assert np.abs(_fig6_two_tone(40, 200, 7) - ref).max() > 1e-10
 
 
 class TestEvolveLindblad:

@@ -219,9 +219,9 @@ class TestSimulatedFrequencies:
         assert simulated_frequencies(dr, db) == pytest.approx((0.2, 1.4))
 
 
-def _two_tone_spec(eta=0.3, Omega=2.0, nu=400.0, dr=0.25, db=-0.25):
+def _two_tone_spec(eta=0.3, Omega=2.0, nu=400.0, dr=0.25, db=-0.25, phi_r=0.0, phi_b=0.0):
     return ModelSpec(kind="TwoTone", eta=eta, Omega=Omega, nu=nu,
-                     delta_r=dr, delta_b=db)
+                     delta_r=dr, delta_b=db, phi_r=phi_r, phi_b=phi_b)
 
 
 class TestModelSpecValidation:
@@ -297,6 +297,34 @@ class TestTwoTone:
         psi /= np.linalg.norm(psi)
         for t in (0.0, 0.41, 2.3):
             assert np.abs(gen.apply(t, psi) - gen.matrix(t) @ psi).max() < 1e-12
+
+    def test_generator_apply_block(self, rng):
+        sp = HilbertSpace(15)
+        gen = TwoToneGenerator(_two_tone_spec(), sp)
+        X = rng.normal(size=(sp.dim_total, 3)) + 1j * rng.normal(size=(sp.dim_total, 3))
+        for t in (0.0, 0.41):
+            assert np.abs(gen.apply(t, X) - gen.matrix(t) @ X).max() < 1e-12
+
+    def test_frame_makes_drive_periodic(self):
+        # e^{-iKt} H(t) e^{iKt} repeats with the period; K's own shift is constant
+        sp = HilbertSpace(15)
+        # unequal detunings: with delta_b = -delta_r a wrong sign of the up-block
+        # shift delta_r - nu would still look periodic
+        gen = TwoToneGenerator(_two_tone_spec(dr=0.3, db=-0.1, phi_r=0.7, phi_b=-1.9), sp)
+        assert gen.period == pytest.approx(2 * math.pi / (2 * 400.0 - 0.1 - 0.3))
+
+        def rotated(t):
+            w = np.exp(-1j * gen.frame * t)
+            return w[:, None] * gen.matrix(t) * w.conj()[None, :]
+
+        for t in (0.0, 0.0037, 0.021):
+            assert np.abs(rotated(t + gen.period) - rotated(t)).max() < 1e-12
+            assert np.abs(rotated(t + 0.5 * gen.period) - rotated(t)).max() > 0.1
+
+    def test_requires_a_period(self):
+        # 2 nu + delta_b - delta_r = 0 leaves the rotating-frame drive constant
+        with pytest.raises(ValueError, match="period"):
+            ModelSpec(kind="TwoTone", eta=0.3, Omega=2.0, nu=1.0, delta_r=1.5, delta_b=-0.5)
 
     def test_phase_mask_matches_direct_displacement(self):
         sp = HilbertSpace(20)
