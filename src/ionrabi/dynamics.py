@@ -7,9 +7,12 @@ Evolution strategies:
     frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
     Pass 1 steps the identity over one period with fixed-step RK4 to get
     the one-period propagator M; the state at t0 + k T' + s is
-    e^{iKkT'} U(t0 + s) M^k psi0, so pass 2 steps the block of every
-    record's M^k psi0 through the sorted offsets s < T'.  Nothing is
-    renormalized; the summed norm drift and every record's norm are checked;
+    e^{iKkT'} U(t0 + s) M^k psi0, so pass 2 steps the seeds M^k psi0 (or
+    the identity, if there are more seeds than D) over the same grid in
+    [t0, t0 + T'), and each record takes one more vector step to its
+    offset s.  This pays off when the span holds many drive periods.
+    Nothing is renormalized; the summed norm drift and every record's norm
+    are checked;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
     can reach from rho0.  The set is the closure of rho0's support under the
     exact nonzero patterns of H rho, rho H, C rho C^dag, C^dag C rho and
@@ -171,7 +174,10 @@ def coherent_state(space: HilbertSpace, alpha: complex, qubit="down") -> Quantum
 
 
 def thermal_state(space: HilbertSpace, nbar: float, qubit="down") -> QuantumState:
-    """Thermal phonon density matrix P_k = nbar^k/(nbar+1)^{k+1} (x) |qubit><qubit|."""
+    """Thermal phonon density matrix P_k = nbar^k/(nbar+1)^{k+1} (x) |qubit><qubit|.
+
+    Rejects n_max below thermal_required_n_max(nbar) (TruncationTooSmall).
+    """
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
     k = np.arange(space.dim_boson)
@@ -179,12 +185,12 @@ def thermal_state(space: HilbertSpace, nbar: float, qubit="down") -> QuantumStat
         weights = (k == 0).astype(float)
     else:
         ratio = nbar / (nbar + 1.0)
-        tail = ratio ** (space.n_max + 1)
-        if tail > 1e-10:
+        required = thermal_required_n_max(nbar)
+        if space.n_max < required:
             raise TruncationTooSmall(
-                f"thermal state nbar={nbar} keeps tail mass {tail:.3e} > 1e-10 "
-                f"beyond n_max={space.n_max}",
-                required_n_max=thermal_required_n_max(nbar),
+                f"thermal state nbar={nbar} keeps tail mass "
+                f"{ratio ** (space.n_max + 1):.3e} > 1e-10 beyond n_max={space.n_max}",
+                required_n_max=required,
             )
         weights = np.exp(k * math.log(ratio)) / (nbar + 1.0)
     weights = weights / weights.sum()
@@ -334,75 +340,100 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
 
         psi(t) = e^{iKkT'} U(t0 + s) M^k psi0.
 
-    Pass 1 steps the D x D identity over one period to get U(t0 + T'); the
-    M^k psi0 are matvecs.  Pass 2 steps the block of every record's
-    M^k psi0 through the sorted offsets s, dropping each column at its own
-    offset.  Both passes are classical RK4 in the fewest equal steps of at
-    most dt_max between stops.  Nothing is renormalized: the per-step change
-    of the largest column norm is summed, pass 1's once for every period
-    used, and a sum > 1e-6 raises StepTooLarge, as does a record whose
-    ||psi||^2 is more than 1e-6 from 1 (the recorder's check).
+    Both passes step the grid t0 + j dt, dt = T' / ceil(T' / dt_max), with
+    classical RK4.  Pass 1 steps the D x D identity over one period to get
+    M; the M^k psi0 are matvecs, one seed per period that holds a record.
+    Pass 2 steps the block of seeds over the grid, dropping each seed after
+    its last record, or the identity when there are more seeds than D, so
+    it is never wider than D; each record is read off at the grid point
+    below its offset and takes one more vector step of at most dt.
+
+    Cost: each pass is ceil(T'/dt_max) steps of a block at most D wide, plus
+    one vector step per record, where stepping the span directly takes
+    ceil(T'/dt_max) vector steps for every period in it.  So the route pays
+    off when the span holds many more drive periods than a D-wide step costs
+    vector steps: about 6 at D = 82 and 32 at D = 152 for TwoToneGenerator
+    at one BLAS thread (fig6's drive has 238 periods per cycle).  A span of a
+    few periods runs slower than stepping it directly.
+
+    Nothing is renormalized: the per-step change of the largest column norm
+    is summed, pass 1's once for every period used, and a sum > 1e-6 raises
+    StepTooLarge, as does a record whose ||psi||^2 is more than 1e-6 from 1
+    (the recorder's check).
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary_td requires a pure initial state")
     times = _check_times(times)
-    t0, period, dt_max = times[0], drive.period, drive.dt_max
+    t0, period = times[0], drive.period
     k = np.floor((times - t0) / period).astype(int)
-    k_max = int(k[-1])
     s = np.maximum(times - t0 - k * period, 0.0)
+    n_grid = math.ceil(period / drive.dt_max)
+    dt = period / n_grid
+    cell = np.minimum((s / dt).astype(int), n_grid - 1)
     n_steps = 0
     drift = 0.0
 
-    def advance(X, t, t_end, weight):
+    def step(X, t, h, weight=1.0):
         nonlocal n_steps, drift
-        span = t_end - t
-        steps = math.ceil(span / dt_max) if span > 0 else 0
-        dt = span / steps if steps else 0.0
-        norms = np.linalg.norm(X, axis=0)
-        for j in range(steps):
-            tj = t + j * dt
-            k1 = drive.apply(tj, X)
-            k2 = drive.apply(tj + dt / 2, X + (-0.5j * dt) * k1)
-            k3 = drive.apply(tj + dt / 2, X + (-0.5j * dt) * k2)
-            k4 = drive.apply(tj + dt, X + (-1j * dt) * k3)
-            X = X + (-1j * dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            grown = np.linalg.norm(X, axis=0)
-            drift += weight * float(np.max(np.abs(grown - norms)))
-            norms = grown
-            n_steps += 1
-            if not (drift <= 1e-6):
-                raise StepTooLarge(
-                    f"accumulated norm drift {drift:.3e} > 1e-6 at t={tj + dt} "
-                    f"(dt={dt:.3e}); reduce dt_max"
-                )
-        return X
+        k1 = drive.apply(t, X)
+        k2 = drive.apply(t + h / 2, X + (-0.5j * h) * k1)
+        k3 = drive.apply(t + h / 2, X + (-0.5j * h) * k2)
+        k4 = drive.apply(t + h, X + (-1j * h) * k3)
+        Y = X + (-1j * h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        grown = np.linalg.norm(Y, axis=0) - np.linalg.norm(X, axis=0)
+        drift += weight * float(np.max(np.abs(grown)))
+        n_steps += 1
+        if not (drift <= 1e-6):
+            raise StepTooLarge(
+                f"accumulated norm drift {drift:.3e} > 1e-6 at t={t + h} "
+                f"(dt={h:.3e}); reduce dt_max"
+            )
+        return Y
 
     D = psi0.data.shape[0]
-    phi = np.empty((D, len(times)), dtype=complex)
-    phi_k = psi0.data
-    if k_max > 0:
-        U = advance(np.eye(D, dtype=complex), t0, t0 + period, weight=k_max)
-        M = np.exp(-1j * drive.frame * period)[:, None] * U
-    for kk in range(k_max + 1):
-        phi[:, k == kk] = phi_k[:, None]
-        if kk < k_max:
-            phi_k = M @ phi_k
-
     order = np.argsort(s, kind="stable")
-    X = phi[:, order]
-    t = t0
-    for i in order:
-        X = advance(X, t, t0 + s[i], weight=1.0)
-        t = t0 + s[i]
-        phi[:, i] = X[:, 0]
-        X = X[:, 1:]
+    # one seed M^k psi0 per period k that holds a record, in columns ordered by
+    # the sweep position of the seed's last record, latest first, so the seeds
+    # pass 2 still needs are always the leading `needed[r]` columns.  Only
+    # stable sorts: numpy's default sort pages in about 0.5 MB of SIMD code.
+    new_period = np.diff(k, prepend=-1) > 0    # times, so k, are sorted
+    periods = k[new_period]
+    col = np.cumsum(new_period) - 1
+    last = np.zeros(len(periods), dtype=int)
+    np.maximum.at(last, col[order], np.arange(len(times)))
+    by_last = np.argsort(-last, kind="stable")
+    slot = np.argsort(by_last, kind="stable")
+    col = slot[col]
+    needed = np.searchsorted(-last[by_last], -np.arange(len(times)), side="right")
+    if periods[-1] > 0:
+        U = np.eye(D, dtype=complex)
+        for j in range(n_grid):
+            U = step(U, t0 + j * dt, dt, weight=periods[-1])
+        M = np.exp(-1j * drive.frame * period)[:, None] * U
+    seeds = np.empty((D, len(periods)), dtype=complex)
+    phi, done = psi0.data, 0
+    for c, p in enumerate(periods):
+        for _ in range(p - done):
+            phi = M @ phi
+        seeds[:, slot[c]], done = phi, p
 
+    wide = len(periods) > D
+    X = np.eye(D, dtype=complex) if wide else seeds
+    j = 0
     rec = _Recorder(psi0.space, psi0, len(times), snapshot_indices)
-    for i in range(len(times)):
-        rec.record(i, np.exp(1j * drive.frame * (k[i] * period)) * phi[:, i])
+    for r, i in enumerate(order):
+        if not wide:
+            X = X[:, :needed[r]]
+        while j < cell[i]:
+            X = step(X, t0 + j * dt, dt)
+            j += 1
+        psi = X @ seeds[:, col[i]] if wide else X[:, col[i]]
+        if s[i] > j * dt:
+            psi = step(psi, t0 + j * dt, s[i] - j * dt)
+        rec.record(i, np.exp(1j * drive.frame * (k[i] * period)) * psi)
     return Trajectory(times, rec.sigma_z, rec.fidelity, rec.n_mean, rec.phonons,
                       g=g, snapshots=rec.snapshots,
-                      meta={"method": "rk4_floquet", "dt_max": dt_max, "period": period,
+                      meta={"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
                             "n_steps": n_steps, "norm_drift": drift})
 
 

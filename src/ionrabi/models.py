@@ -237,8 +237,9 @@ class TwoToneGenerator:
         self._full_b = spec.delta_b + spec.nu
         self.frame = np.concatenate([spec.nu * self.nb, spec.nu * self.nb - self._full_r])
         self.period = 2.0 * math.pi / abs(self._full_b - self._full_r)
-        # RK4 step bound: 400 steps per trap period.  evolve_unitary_td repeats
-        # the one-period propagator, and so its error, over every period.
+        # RK4 step bound: 400 steps per trap period keep validate's one-cycle
+        # fig6 max_deviation within 1e-10 of perfbench/refs/twotone.json, made
+        # by stepping the whole span at 200; 200 here miss it by 3.1e-10.
         self.dt_max = 2.0 * math.pi / (400.0 * spec.nu)
 
     def tone_coeff(self, t: float) -> complex:
