@@ -7,9 +7,10 @@ eta = 0, where f1 is exactly 1).  Evolves pure states and density matrices:
 eigh for a time-independent H; for the two-tone drive (TwoToneGenerator),
 which is periodic in a rotating frame, RK4 over one period and powers of
 that period's propagator, with no renormalization (evolve_unitary_td); and
-Lindblad RK4.  Drives the blockade/filter and dissipative
-Fock-state-preparation protocols enabled by the zeros of the nonlinear
-sideband function f1.
+Lindblad RK4.  Drives dissipative Fock-state preparation, enabled by the
+zeros of the nonlinear sideband function f1, and measures the figure claims
+on a Trajectory: the population above a blockade level (population_above)
+and the collapse-revival ratio of <sigma_z> (revival_ratio).
 """
 
 __version__ = "0.1.0"
@@ -17,7 +18,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConvergenceFailure,
     IonRabiError,
-    NoBarrier,
     NoSignChange,
     PositivityLoss,
     SchemaError,
@@ -31,16 +31,12 @@ from .fock import (
     annihilation_op,
     barrier_eta,
     creation_op,
-    displacement_matrix,
     f1_diagonal,
-    f1_operator,
     f1_scalar,
     f1_series,
-    identity_op,
     number_op,
     parity_op,
     qubit_ops,
-    rabi_rate,
 )
 from .models import (
     ModelSpec,
@@ -68,14 +64,11 @@ from .dynamics import (
     thermal_state,
 )
 from .protocols import (
-    CollapseRevivalResult,
-    FilterReport,
     FockPrepPlan,
     FockPrepResult,
     f1_landscape,
-    refine_barrier,
-    run_collapse_revival,
-    run_filter_analysis,
+    population_above,
+    revival_ratio,
     run_fock_prep,
 )
 from .scenario import Scenario, parse_scenario, scenario_from_dict

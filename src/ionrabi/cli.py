@@ -16,7 +16,6 @@ import yaml
 
 from .errors import (
     ConvergenceFailure,
-    NoBarrier,
     NoSignChange,
     PositivityLoss,
     SchemaError,
@@ -334,7 +333,7 @@ def main(argv=None) -> int:
     except ConvergenceFailure as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (StepTooLarge, PositivityLoss, TruncationTooSmall, NoSignChange, NoBarrier) as exc:
+    except (StepTooLarge, PositivityLoss, TruncationTooSmall, NoSignChange) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -21,10 +21,6 @@ class NoSignChange(IonRabiError):
     """Root bracketing failed: f1(n, eta) does not change sign on the scanned bracket."""
 
 
-class NoBarrier(IonRabiError):
-    """No f1 zero (blockade index) exists below the truncation."""
-
-
 class StepTooLarge(IonRabiError):
     """Integrator step produced norm/trace drift beyond tolerance."""
 

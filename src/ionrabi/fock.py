@@ -29,16 +29,12 @@ __all__ = [
     "annihilation_op",
     "creation_op",
     "number_op",
-    "identity_op",
     "qubit_ops",
     "parity_op",
     "f1_scalar",
     "f1_series",
     "f1_diagonal",
-    "f1_operator",
     "barrier_eta",
-    "rabi_rate",
-    "displacement_matrix",
     "hermiticity_defect",
 ]
 
@@ -135,10 +131,6 @@ def number_op(space: HilbertSpace) -> Operator:
     return Operator(space, np.diag(diag), hermitian=True)
 
 
-def identity_op(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.dim_total, dtype=complex), hermitian=True)
-
-
 def qubit_ops(space: HilbertSpace):
     """(sigma_z, sigma_plus, sigma_minus, sigma_x), identity on the boson factor.
 
@@ -233,12 +225,6 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
     return out
 
 
-def f1_operator(space: HilbertSpace, eta: float) -> Operator:
-    """Diagonal operator f1(n) on the boson factor, identity on the qubit."""
-    diag = np.concatenate([f1_diagonal(space.n_max, eta)] * 2).astype(complex)
-    return Operator(space, np.diag(diag), hermitian=True)
-
-
 def barrier_eta(n: int, bracket: tuple[float, float] = (1e-3, 1.0)) -> float:
     """Smallest eta in the bracket with f1(n, eta) = 0 (the blockade value).
 
@@ -286,23 +272,6 @@ def barrier_eta(n: int, bracket: tuple[float, float] = (1e-3, 1.0)) -> float:
     if abs(f1_scalar(n, root)) >= 1e-12:
         raise NoSignChange(f"bisection stalled for n={n} on [{a}, {b}]")
     return root
-
-
-def rabi_rate(n: int, direction: str, omega: float, eta: float) -> float:
-    """Sideband population-exchange rate beyond the Lamb-Dicke regime.
-
-    red  (|down,n> <-> |up,n-1>):  eta * Omega * sqrt(n)   * |f1(n-1)|
-    blue (|down,n> <-> |up,n+1>):  eta * Omega * sqrt(n+1) * |f1(n)|
-    """
-    if direction == "red":
-        if n < 1:
-            raise ValueError("red sideband requires n >= 1")
-        return eta * omega * math.sqrt(n) * abs(f1_scalar(n - 1, eta))
-    if direction == "blue":
-        if n < 0:
-            raise ValueError("blue sideband requires n >= 0")
-        return eta * omega * math.sqrt(n + 1) * abs(f1_scalar(n, eta))
-    raise ValueError(f"direction must be 'red' or 'blue', got {direction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +324,3 @@ def displacement_boson(n_max: int, beta: complex) -> np.ndarray:
             D[n, n + k] = mag * (-np.conj(phase)) ** k
     return D
 
-
-def displacement_matrix(space: HilbertSpace, beta: complex) -> Operator:
-    """D(beta) on the boson factor, identity on the qubit."""
-    return Operator(space, np.kron(np.eye(2), displacement_boson(space.n_max, beta)))

@@ -129,6 +129,16 @@ def test_fockprep_outputs(tmp_path):
         assert [float(v) for v in row[:9]] == pytest.approx(expected, abs=1e-10)
 
 
+def test_fockprep_hot_start_widens_truncation(tmp_path):
+    # a thermal nbar = 3 start needs 80 levels to hold its tail, more than the
+    # ladder's default of 40
+    with pytest.warns(ValidityWarning, match="above target"):
+        assert exit_code(["fockprep", "--target", "3", "--nbar", "3", "--duration", "1",
+                          "--points", "3", "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "fockprep-n3" / "trajectory.csv").open().readline()
+    assert header.rstrip().split(",")[-1] == "P_80"
+
+
 def test_validate_writes_report(tmp_path):
     assert exit_code(["validate", "--scenario", str(SCENARIOS / "fig6.scenario"),
                       "--t-cycles", "0.1", "--out", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
-"""Every committed golden under scenarios/golden/ is reproduced by the CLI.
+"""Every committed golden under scenarios/golden/ is reproduced by the CLI,
+and every figure scenario shows the paper's claim for that figure.
 
 CSVs must have the exact header and row count and every value within ATOL;
 metadata.json must have the same structure with every number within ATOL.
@@ -9,11 +10,16 @@ steps, so its rounding drift can build up: it is held to RK4_ATOL.
 import csv
 import json
 import math
+import operator
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ionrabi.cli import main
+from ionrabi.protocols import population_above, revival_ratio
+from ionrabi.runner import simulate_scenario
+from ionrabi.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "scenarios" / "golden"
@@ -80,3 +86,42 @@ def test_evolved_figure(tmp_path, fig):
     with open(GOLDEN / name / "metadata.json") as fh:
         want = json.load(fh)
     assert_json_close(got, want, atol)
+
+
+def _at(traj, cycles):
+    """Record indices at the given times in cycles, which must be on the grid."""
+    idx = np.abs(traj.cycles[:, None] - np.atleast_1d(cycles)).argmin(axis=0)
+    assert np.allclose(traj.cycles[idx], cycles, rtol=0.0, atol=1e-9)
+    return idx
+
+
+def _leak_beyond_initial_tail(traj, n_star):
+    above = population_above(traj, n_star)
+    return above.max() - above[0]
+
+
+# figure -> (measure of its trajectory, comparison, bound), thresholds from
+# the paper's claims; the revival time of the JC at nbar = 30 is sqrt(30) cycles
+CLAIMS = {
+    # JC: <sigma_z> collapses, then revives
+    "fig2a": (lambda traj: revival_ratio(traj, math.sqrt(30)), operator.gt, 10.0),
+    # nonlinear JC at eta = 0.5: no revival above the collapse plateau
+    "fig2b": (lambda traj: revival_ratio(traj, math.sqrt(30)), operator.lt, 1.0),
+    # nonlinear anti-JC plus qubit decay prepares |17> within 100 cycles
+    "fig3": (lambda traj: traj.phonons[_at(traj, 100.0)[0], 17], operator.ge, 0.999),
+    # the f1(7) zero keeps |0, down> below n = 8
+    "fig4": (lambda traj: population_above(traj, 7).max(), operator.le, 1e-8),
+    # the f1(10) zero: nothing climbs past n = 10 beyond the initial coherent tail
+    "fig6": (lambda traj: _leak_beyond_initial_tail(traj, 10), operator.le, 1e-8),
+    # deep-strong QRM returns to its initial state every 2*pi/omega_R = 2 cycles
+    "fig5": (lambda traj: traj.fidelity[_at(traj, [2.0, 4.0, 6.0, 8.0, 10.0])].min(),
+             operator.ge, 1.0 - 1e-9),
+}
+
+
+@pytest.mark.parametrize("fig", sorted(CLAIMS))
+def test_figure_claim(fig):
+    measure, holds, bound = CLAIMS[fig]
+    traj, _ = simulate_scenario(parse_scenario(ROOT / "scenarios" / f"{fig}.scenario"))
+    value = float(measure(traj))
+    assert holds(value, bound), f"{fig}: measured {value:.6g}, bound {bound:g}"

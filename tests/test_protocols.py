@@ -7,18 +7,18 @@ from ionrabi import (
     FockPrepPlan,
     HilbertSpace,
     ModelSpec,
+    Trajectory,
     ValidityWarning,
     barrier_eta,
+    build_hamiltonian,
     coherent_state,
+    evolve_unitary,
     f1_landscape,
     f1_scalar,
-    fock_state,
-    refine_barrier,
-    run_collapse_revival,
-    run_filter_analysis,
+    population_above,
+    revival_ratio,
     run_fock_prep,
 )
-from ionrabi.errors import NoBarrier
 
 
 class TestFockPrep:
@@ -56,107 +56,69 @@ class TestFockPrep:
             run_fock_prep(FockPrepPlan(target_n=8, n_max=10))
 
 
-class TestRefineBarrier:
-    def test_locates_and_refines(self):
-        n_star, eta = refine_barrier(0.67898, 40)
-        assert n_star == 7
-        assert abs(f1_scalar(7, eta)) < 1e-12
-
-    def test_already_refined_is_kept(self):
-        root = barrier_eta(10)
-        n_star, eta = refine_barrier(root, 40)
-        assert n_star == 10
-        assert eta == root
-
-    def test_no_barrier(self):
-        with pytest.raises(NoBarrier):
-            refine_barrier(0.05, 40)
+def _qrm_run(eta, g, n_max, cycles, n_points):
+    """DSC (nonlinear) QRM, omega_R = 1, from |down, alpha = 1>."""
+    kind = "NonlinearQRM" if eta else "QRM"
+    sp = HilbertSpace(n_max)
+    H = build_hamiltonian(ModelSpec(kind=kind, eta=eta, g=g, omega_R=1.0, omega0_R=0.0), sp)
+    times = np.linspace(0.0, cycles * 2 * math.pi / g, n_points)
+    return evolve_unitary(H, coherent_state(sp, 1.0, "down"), times, g=g)
 
 
 class TestFilterAnalysis:
-    def _spec(self, eta, ratio):
-        return ModelSpec(kind="NonlinearQRM", eta=eta, g=ratio, omega_R=1.0,
-                         omega0_R=0.0)
-
-    def test_fock_input_no_leakage(self):
-        sp = HilbertSpace(40)
-        spec = self._spec(0.67898, 4.0)
-        report = run_filter_analysis(spec, fock_state(sp, 0, "down"),
-                                     T=20 * 2 * math.pi / spec.g,
-                                     snapshot_times=[0.0, 10.0])
-        assert report.barrier_n == 7
-        assert report.initial_tail == 0.0
-        assert report.leakage_max < 1e-9
-        assert abs(report.eta_refined - 0.67898) < 5e-5
-        assert len(report.phonon_snapshots) == 2
-
-    def test_coherent_input_tail_conserved(self):
-        sp = HilbertSpace(40)
-        spec = self._spec(0.57838, 3.7)
-        psi = coherent_state(sp, 1.0, "down")
-        report = run_filter_analysis(spec, psi, T=20 * 2 * math.pi / spec.g)
-        assert report.barrier_n == 10
-        tail = sum(math.exp(-1.0) / math.factorial(n) for n in range(11, 41))
-        assert report.initial_tail == pytest.approx(tail, rel=1e-6)
-        assert report.leakage_max <= report.initial_tail + 1e-9
+    # fig4 and fig6 themselves are claims in test_golden.test_figure_claim
 
     def test_leakage_invariant_under_truncation_doubling(self):
-        spec = self._spec(0.57838, 3.7)
-        reports = []
-        for n_max in (30, 60):
-            psi = coherent_state(HilbertSpace(n_max), 1.0, "down")
-            reports.append(run_filter_analysis(spec, psi, T=8 * 2 * math.pi / spec.g,
-                                               n_points=161))
-        assert abs(reports[0].leakage_max - reports[1].leakage_max) < 1e-9
+        leaks = [population_above(_qrm_run(barrier_eta(10), 3.7, n_max, 8, 161), 10).max()
+                 for n_max in (30, 60)]
+        assert abs(leaks[0] - leaks[1]) < 1e-9
 
     def test_linear_control_leaks(self):
         # eta -> 0 control: without the blockade the DSC drive climbs far
         # beyond n = 10 (cf. the round trip of the linear model)
-        from ionrabi import build_hamiltonian, evolve_unitary
-        sp = HilbertSpace(60)
-        g = 3.7
-        H = build_hamiltonian(ModelSpec(kind="QRM", g=g, omega_R=1.0, omega0_R=0.0), sp)
-        psi = coherent_state(sp, 1.0, "down")
-        traj = evolve_unitary(H, psi, np.linspace(0, 2 * 2 * math.pi / g, 81))
-        above = traj.phonons[:, 11:].sum(axis=1)
-        assert above.max() > 0.5
+        traj = _qrm_run(0.0, 3.7, 60, 2, 81)
+        assert population_above(traj, 10).max() > 0.5
 
-    def test_requires_nqrm(self):
-        sp = HilbertSpace(20)
-        with pytest.raises(ValueError):
-            run_filter_analysis(ModelSpec(kind="QRM", g=1.0, omega_R=1.0, omega0_R=0.0),
-                                fock_state(sp, 0), T=1.0)
 
-    def test_no_barrier_below_truncation(self):
-        sp = HilbertSpace(40)
-        spec = self._spec(0.05, 4.0)
-        with pytest.raises(NoBarrier):
-            run_filter_analysis(spec, fock_state(sp, 0), T=1.0)
+def _trajectory(cycles, sigma_z, g=None):
+    times = np.asarray(cycles, dtype=float) * (2 * math.pi / g if g else 1.0)
+    n = times.size
+    return Trajectory(times=times, sigma_z=np.asarray(sigma_z, dtype=float),
+                      fidelity=np.ones(n), n_mean=np.zeros(n), phonons=np.ones((n, 4)), g=g)
+
+
+class TestPopulationAbove:
+    def test_sums_levels_above(self):
+        traj = _trajectory([0.0, 1.0], [0.0, 0.0])
+        traj.phonons = np.array([[0.5, 0.25, 0.125, 0.125], [1.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(population_above(traj, 1), [0.25, 0.0])
+        assert np.array_equal(population_above(traj, 3), [0.0, 0.0])
 
 
 class TestCollapseRevival:
-    def test_jc_shows_revival(self):
-        res = run_collapse_revival("JC", math.sqrt(8), g=1.0)
-        assert res.revival_ratio is not None and res.revival_ratio > 2.0
-        assert res.t_revival == pytest.approx(2 * math.pi * math.sqrt(8))
-        lo, hi = res.revival_window
-        assert lo < res.t_revival < hi
-
-    def test_nonlinear_run_mechanics(self):
-        # suppression itself is an nbar = 30 phenomenon (acceptance suite);
-        # here only the window bookkeeping on the 3x-long nonlinear run
-        res = run_collapse_revival("NonlinearJC", math.sqrt(8), g=1.0, eta=0.5)
-        assert res.sliding_max_ratio is not None
-        assert res.meta["duration_factor"] == 3.0
-        assert res.trajectory.times[-1] == pytest.approx(3 * 1.6 * res.t_revival)
+    # fig2a (revival) and fig2b (none) are claims in test_golden.test_figure_claim
 
     def test_tiny_coupling_is_static(self):
-        res = run_collapse_revival("JC", 1.0, g=1e-6, T=5.0, n_points=11, n_max=60)
-        assert np.abs(res.trajectory.sigma_z + 1.0).max() < 1e-6
+        sp = HilbertSpace(60)
+        H = build_hamiltonian(ModelSpec(kind="JC", g=1e-6), sp)
+        traj = evolve_unitary(H, coherent_state(sp, 1.0, "down"), np.linspace(0.0, 5.0, 11))
+        assert np.abs(traj.sigma_z + 1.0).max() < 1e-6
 
-    def test_rejects_unknown_model(self):
-        with pytest.raises(ValueError):
-            run_collapse_revival("AntiJC", 1.0, g=1.0)
+    def test_known_ratio(self):
+        # windows in cycles at t_r = 2: plateau [0.6, 1.4], revival [1.6, 2.4];
+        # the initial drop (t < 0.5) and the tail (t > 2.5) lie outside both
+        t = np.linspace(0.0, 3.0, 301)
+        sz = np.full(t.size, 0.05)
+        sz[t < 0.5] = -1.0
+        sz[t > 2.5] = 1.0
+        sz[(t > 1.5) & (t < 2.5)] = -0.5
+        sz[np.isclose(t, 1.0)] = -0.2
+        sz[np.isclose(t, 2.0)] = 0.8
+        assert revival_ratio(_trajectory(t, sz, g=3.0), 2.0) == pytest.approx(4.0, rel=1e-15)
+
+    def test_window_without_records(self):
+        with pytest.raises(ValueError, match="no record"):
+            revival_ratio(_trajectory(np.linspace(0.0, 0.5, 11), np.zeros(11)), 1.0)
 
 
 class TestLandscape:
