@@ -43,7 +43,6 @@ from .models import (
     TwoToneGenerator,
     ValidityWarning,
     build_hamiltonian,
-    default_n_max,
     sideband_detunings,
     simulated_frequencies,
 )
@@ -64,7 +63,6 @@ from .dynamics import (
     thermal_state,
 )
 from .protocols import (
-    FockPrepPlan,
     FockPrepResult,
     f1_landscape,
     population_above,

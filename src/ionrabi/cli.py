@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fockprep", help="dissipative Fock-state preparation")
     p.add_argument("--target", type=_at_least(int, 1), required=True, metavar="N")
-    p.add_argument("--eta", type=_at_least(float, 0), help="override the auto blockade eta")
+    p.add_argument("--eta", type=_at_least(float, 0), help="override the blockade eta "
+                   "barrier_eta(N); the truncation follows this eta's blockade level")
     p.add_argument("--nbar", type=_at_least(float, 0), default=1.0,
                    help="initial thermal occupation")
     p.add_argument("--g-khz", type=_at_least(float, 0, strict=True), default=45.24,
@@ -157,37 +158,38 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_fockprep(args) -> int:
-    from .protocols import FockPrepPlan, run_fock_prep
+    from .fock import barrier_eta
+    from .protocols import run_fock_prep
     from .runner import output_dir, write_json, write_trajectory_csv
-    from .scenario import KHZ
+    from .scenario import KHZ, SCHEMA_VERSION, scenario_from_dict
 
-    plan = FockPrepPlan(
-        target_n=args.target,
-        eta=args.eta,
-        g=args.g_khz * KHZ,
-        gamma_ratio=args.gamma_ratio,
-        initial_nbar=args.nbar,
-        duration=args.duration,
-        n_points=args.points,
-    )
-    result = run_fock_prep(plan)
-    base = output_dir(args.out, f"fockprep-n{args.target}")
+    eta = args.eta if args.eta is not None else barrier_eta(args.target)
+    scenario = scenario_from_dict({
+        "schema_version": SCHEMA_VERSION,
+        "name": f"fockprep-n{args.target}",
+        "model": {"kind": "NonlinearAntiJC", "g": args.g_khz, "eta": eta},
+        "initial": {"kind": "thermal", "nbar": args.nbar, "qubit": "down"},
+        "times": {"t_end": args.duration, "n_points": args.points},
+        "lindblad": {"gamma_ratio": args.gamma_ratio},
+    }, source="fockprep")
+    result = run_fock_prep(scenario, args.target)
+    base = output_dir(args.out, scenario.name)
     csv_path = os.path.join(base, "trajectory.csv")
     write_trajectory_csv(csv_path, result.trajectory,
                          ["sigma_z", "fidelity", "n_mean", "phonons"])
     report = {
         "target_n": args.target,
-        "eta_used": result.eta_used,
+        "eta_used": eta,
         "p_target_final": result.p_target,
         "initial_above_target": result.initial_above_target,
         "max_above_target": result.max_above_target,
-        "g_rad_per_s": plan.g,
-        "gamma_ratio": plan.gamma_ratio,
-        "duration_cycles": plan.duration,
+        "g_rad_per_s": args.g_khz * KHZ,
+        "gamma_ratio": args.gamma_ratio,
+        "duration_cycles": args.duration,
         "trace_drift": result.trajectory.meta["trace_drift"],
     }
     write_json(os.path.join(base, "report.json"), report)
-    print(f"fockprep target {args.target}: eta={result.eta_used:.6f} "
+    print(f"fockprep target {args.target}: eta={eta:.6f} "
           f"P_target={result.p_target:.6f} -> {csv_path}")
     return EXIT_OK
 
@@ -291,8 +293,7 @@ def _cmd_validate(args) -> int:
         print("rwa cross-check: skipped (needs a NonlinearQRM with eta > 0 or a TwoTone model)")
     if tt is not None:
         T = args.t_cycles * 2.0 * math.pi / tt.g
-        # at the truncation just checked, not the larger deep-strong-coupling default
-        rep = rwa_crosscheck(tt, T=T, tolerance=args.tolerance, n_max=n_max)
+        rep = rwa_crosscheck(tt, n_max, T=T, tolerance=args.tolerance)
         rwa_ok = rep.valid
         crosscheck_state = "pass" if rep.valid else "fail"
         report["rwa_crosscheck"] = {

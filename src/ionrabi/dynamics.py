@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import PositivityLoss, SpaceMismatch, StepTooLarge, TruncationTooSmall
 from .fock import HilbertSpace, Operator, hermiticity_defect
-from .models import ModelSpec, TwoToneGenerator, build_hamiltonian, default_n_max
+from .models import ModelSpec, TwoToneGenerator, build_hamiltonian
 
 __all__ = [
     "QuantumState",
@@ -649,11 +649,12 @@ class RwaReport:
     meta: dict = field(default_factory=dict)
 
 
-def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState | None = None,
+def rwa_crosscheck(spec: ModelSpec, n_max: int, psi0: QuantumState | None = None,
                    T: float | None = None, tolerance: float = 0.01,
-                   n_max: int | None = None, n_records: int = 61) -> RwaReport:
-    """Evolve psi0 under the full two-tone drive and under the nonlinear QRM
-    it simulates, and report max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
+                   n_records: int = 61) -> RwaReport:
+    """Evolve psi0 (default |down, 0>) at truncation n_max under the full
+    two-tone drive and under the nonlinear QRM it simulates, and report
+    max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
 
     The two trajectories are compared in a common frame: the two-tone state
     is mapped by exp(+i H0 t) with H0 = (delta_b+delta_r)/4 sigma_z
@@ -665,8 +666,6 @@ def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState | None = None,
     if spec.kind != "TwoTone":
         raise ValueError("rwa_crosscheck requires a TwoTone ModelSpec")
     omega0_R, omega_R = spec.simulated()
-    if n_max is None:
-        n_max = default_n_max(g=spec.g, omega_R=omega_R or None)
     space = HilbertSpace(n_max)
     if psi0 is None:
         psi0 = fock_state(space, 0, "down")

@@ -40,7 +40,6 @@ __all__ = [
     "sideband_detunings",
     "build_hamiltonian",
     "TwoToneGenerator",
-    "default_n_max",
     "DEFAULT_NU",
 ]
 
@@ -270,17 +269,3 @@ class TwoToneGenerator:
         out[:d] = np.conj(c) * (ph * (self.d0_dag @ (ph.conj() * X[d:])))
         return out
 
-
-def default_n_max(g: float | None = None, omega_R: float | None = None,
-                  alpha: float = 0.0, n_barrier: int | None = None) -> int:
-    """Truncation default: max(2 n_barrier, ceil((|alpha| + 2g/omega_R)^2) + 20, 40).
-
-    DSC dynamics displace the mode by up to 2g/omega_R on top of the initial
-    coherent radius; barrier models only need headroom above the blockade.
-    """
-    candidates = [40]
-    if n_barrier is not None:
-        candidates.append(2 * n_barrier)
-    if g and omega_R:
-        candidates.append(math.ceil((abs(alpha) + 2.0 * g / abs(omega_R)) ** 2) + 20)
-    return max(candidates)

@@ -28,9 +28,9 @@ from .dynamics import (
     thermal_required_n_max,
     thermal_state,
 )
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, SchemaError
 from .fock import HilbertSpace, f1_diagonal, qubit_ops
-from .models import TwoToneGenerator, build_hamiltonian, default_n_max
+from .models import TwoToneGenerator, build_hamiltonian
 from .scenario import Scenario, scenario_from_dict
 
 __all__ = [
@@ -107,29 +107,36 @@ def _state_n_requirement(scenario: Scenario) -> tuple[int, float]:
 
 
 def _barrier_index(eta: float, scan_to: int = 200) -> int | None:
-    if eta <= 0:
-        return None
+    """The blockade level n* of eta: the first n >= 1 with f1(n, eta) <= 0, or
+    the level below it when that one has the smaller |f1|.  None when f1
+    keeps its sign up to scan_to, as at eta = 0, where f1 is 1."""
     f1 = f1_diagonal(scan_to, eta)
-    small = np.nonzero(np.abs(f1[1:]) < 1e-2)[0]
-    return int(small[0] + 1) if small.size else None
+    crossed = np.nonzero(f1[1:] <= 0)[0]
+    if not crossed.size:
+        return None
+    n = int(crossed[0]) + 1
+    return n - 1 if n > 1 and abs(f1[n - 1]) < abs(f1[n]) else n
 
 
 def auto_n_max(scenario: Scenario) -> int:
-    """Truncation default when the scenario does not pin one."""
+    """The scenario's `truncation`, else the largest of: 40; the initial
+    state's own bound (_state_n_requirement); 2 n* for eta > 0, n* the
+    blockade level (_barrier_index); and, when omega_R != 0, ceil((|alpha| +
+    2g/|omega_R|)^2) + 20, as deep-strong coupling displaces the mode by up to
+    2g/omega_R beyond the initial radius (TwoTone: omega_R = simulated()[1]).
+    """
     if scenario.truncation is not None:
         return scenario.truncation
     spec = scenario.model_spec()
     n_state, alpha = _state_n_requirement(scenario)
-    n_barrier = None
-    omega_R = None
-    if spec.kind in ("NonlinearJC", "NonlinearAntiJC", "NonlinearQRM", "TwoTone"):
-        n_barrier = _barrier_index(spec.eta)
-    if spec.kind in ("QRM", "NonlinearQRM"):
-        omega_R = spec.omega_R or None
-    elif spec.kind == "TwoTone":
-        omega_R = spec.simulated()[1] or None
-    return max(n_state, default_n_max(g=spec.g, omega_R=omega_R,
-                                      alpha=alpha, n_barrier=n_barrier))
+    candidates = [40, n_state]
+    n_barrier = _barrier_index(spec.eta)
+    if n_barrier is not None:
+        candidates.append(2 * n_barrier)
+    omega_R = spec.simulated()[1] if spec.kind == "TwoTone" else spec.omega_R
+    if omega_R:
+        candidates.append(math.ceil((alpha + 2.0 * spec.g / abs(omega_R)) ** 2) + 20)
+    return max(candidates)
 
 
 def simulate_scenario(scenario: Scenario, n_max: int | None = None):
@@ -274,22 +281,30 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
     Each value is set as given, so an integer field such as initial.n needs
     integer values.  Writes each point into its own directory plus an
     index.json mapping grid points to result paths; failed points are
-    preserved in the index with their error.
+    preserved in the index with their error.  Two points whose directory
+    names (values to 6 significant digits) coincide raise SchemaError before
+    anything is written.
     """
     grid = [{}]
     for path, values in axes:
         grid = [dict(point, **{path: v}) for point in grid for v in values]
+    tags = {}
+    for point in grid:
+        tag = _point_tag(point)
+        if tag in tags:
+            raise SchemaError(f"sweep points {tags[tag]} and {point} share the "
+                              f"output directory {tag!r}")
+        tags[tag] = point
     base = output_dir(out_dir, template.name)
 
     results = []
     index = []
-    for point in grid:
+    for tag, point in tags.items():
         entry = {"point": point}
         try:
             doc = deepcopy(template.to_dict())
             for path, value in point.items():
                 _set_key_path(doc, path, value)
-            tag = _point_tag(point)
             doc["name"] = f"{template.name}/{tag}"
             res = run(scenario_from_dict(doc, source=f"sweep:{tag}"), out_dir=out_dir)
             entry.update(status="ok", name=res.name, csv=res.csv_path,

@@ -5,7 +5,9 @@ Conventions (matching the trapped-ion literature):
     omega0_R) is given in units of 2*pi*kHz, i.e. the file value 11.31 means
     an angular frequency 2*pi * 11.31 kHz;
   - phases are radians, eta and alpha are dimensionless;
-  - times.t_end and outputs.snapshot_times are in cycles of 2*pi/g.
+  - times.t_end and outputs.snapshot_times are in cycles of 2*pi/g;
+  - `truncation` (the phonon cutoff n_max) is optional; when it is absent,
+    runner.auto_n_max picks it from the model and the initial state.
 
 Landscape configs (`ionrabi landscape --config`) share the header fields
 and hold one `landscape` section instead of model/initial/times.

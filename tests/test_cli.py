@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from ionrabi.cli import main
+from ionrabi.fock import barrier_eta
 from ionrabi.models import ValidityWarning
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +118,7 @@ def test_fockprep_outputs(tmp_path):
     base = tmp_path / "fockprep-n3"
     report = json.loads((base / "report.json").read_text())
     assert report["target_n"] == 3
+    assert report["eta_used"] == barrier_eta(3)
     assert report["duration_cycles"] == 2.0
     for key, value in (("p_target_final", 0.5320239669651834),
                        ("initial_above_target", 0.06249999999957368),
@@ -137,6 +139,24 @@ def test_fockprep_hot_start_widens_truncation(tmp_path):
                           "--points", "3", "--out", str(tmp_path)]) == 0
     header = (tmp_path / "fockprep-n3" / "trajectory.csv").open().readline()
     assert header.rstrip().split(",")[-1] == "P_80"
+
+
+def test_fockprep_truncation_follows_eta_blockade(tmp_path):
+    # eta = 0.3 blocks the ladder at n = 40, not at the target 17
+    assert exit_code(["fockprep", "--target", "17", "--eta", "0.3", "--duration", "1",
+                      "--points", "2", "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "fockprep-n17" / "trajectory.csv").open().readline()
+    assert header.rstrip().split(",")[4:] == [f"P_{n}" for n in range(81)]
+
+
+def test_auto_truncation_passes_convergence(tmp_path):
+    doc = yaml.safe_load(Path(FIG4).read_text())
+    del doc["truncation"]
+    path = _write(tmp_path / "fig4-auto.scenario", doc)
+    assert exit_code(["evolve", "--scenario", path, "--check-convergence",
+                      "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / doc["name"] / "metadata.json").read_text())
+    assert meta["n_max"] == 84
 
 
 def test_validate_writes_report(tmp_path):
@@ -178,6 +198,15 @@ def test_sweep_exponent_axis_is_a_number(tmp_path):
     index = json.loads((tmp_path / "fig4-nqrm-barrier-fock" / "index.json").read_text())
     assert [(entry["status"], entry["point"]) for entry in index] == [
         ("ok", {"model.eta": 0.001})]
+
+
+def test_sweep_clashing_directories_exit_2(tmp_path, capsys):
+    # both values print as 0.67898 to the 6 digits of a point's directory name
+    assert exit_code(["sweep", "--template", FIG4, "--axis", "model.eta=[0.6789801,0.6789802]",
+                      "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "0.6789801" in err and "0.6789802" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_failed_point_is_kept_in_index(tmp_path):

@@ -558,4 +558,4 @@ class TestRwaCrosscheck:
 
     def test_requires_two_tone(self):
         with pytest.raises(ValueError):
-            rwa_crosscheck(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.0))
+            rwa_crosscheck(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.0), 12)

@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from ionrabi.cli import main
+from ionrabi.dynamics import Trajectory
 from ionrabi.protocols import population_above, revival_ratio
-from ionrabi.runner import simulate_scenario
-from ionrabi.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "scenarios" / "golden"
@@ -74,14 +73,28 @@ def test_fig1_landscape(tmp_path):
     assert_csv_close(tmp_path / name / "landscape.csv", GOLDEN / name / "landscape.csv")
 
 
+@pytest.fixture(scope="module")
+def evolved(tmp_path_factory):
+    """The output directory of a figure, evolved by the CLI once per module."""
+    out = tmp_path_factory.mktemp("evolved")
+    done = set()
+
+    def outputs(fig):
+        if fig not in done:
+            assert main(["evolve", "--scenario", str(ROOT / "scenarios" / f"{fig}.scenario"),
+                         "--out", str(out)]) == 0
+            done.add(fig)
+        return out / EVOLVED[fig]
+    return outputs
+
+
 @pytest.mark.parametrize("fig", sorted(EVOLVED))
-def test_evolved_figure(tmp_path, fig):
-    assert main(["evolve", "--scenario", str(ROOT / "scenarios" / f"{fig}.scenario"),
-                 "--out", str(tmp_path)]) == 0
+def test_evolved_figure(evolved, fig):
+    got_dir = evolved(fig)
     name = EVOLVED[fig]
     atol = RK4_ATOL if fig == "fig3" else ATOL
-    assert_csv_close(tmp_path / name / "trajectory.csv", GOLDEN / name / "trajectory.csv", atol)
-    with open(tmp_path / name / "metadata.json") as fh:
+    assert_csv_close(got_dir / "trajectory.csv", GOLDEN / name / "trajectory.csv", atol)
+    with open(got_dir / "metadata.json") as fh:
         got = json.load(fh)
     with open(GOLDEN / name / "metadata.json") as fh:
         want = json.load(fh)
@@ -119,9 +132,20 @@ CLAIMS = {
 }
 
 
+def _read_trajectory(path):
+    """The Trajectory a trajectory.csv holds: its t column is in cycles, so
+    g is None; an observable the scenario does not record is None."""
+    header, rows = _read_csv(path)
+    columns = dict(zip(header, np.array(rows).T))
+    levels = [name for name in header if name.startswith("P_")]
+    return Trajectory(times=columns["t"], sigma_z=columns.get("sigma_z"),
+                      fidelity=columns.get("fidelity"), n_mean=columns.get("n_mean"),
+                      phonons=np.column_stack([columns[n] for n in levels]) if levels else None)
+
+
 @pytest.mark.parametrize("fig", sorted(CLAIMS))
-def test_figure_claim(fig):
+def test_figure_claim(evolved, fig):
     measure, holds, bound = CLAIMS[fig]
-    traj, _ = simulate_scenario(parse_scenario(ROOT / "scenarios" / f"{fig}.scenario"))
+    traj = _read_trajectory(evolved(fig) / "trajectory.csv")
     value = float(measure(traj))
     assert holds(value, bound), f"{fig}: measured {value:.6g}, bound {bound:g}"

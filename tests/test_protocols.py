@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ionrabi import (
-    FockPrepPlan,
     HilbertSpace,
     ModelSpec,
     Trajectory,
@@ -18,42 +17,49 @@ from ionrabi import (
     population_above,
     revival_ratio,
     run_fock_prep,
+    scenario_from_dict,
 )
+from ionrabi.scenario import KHZ
+
+
+def _fockprep(truncation, target_n=3, nbar=0.2, duration=30.0, n_points=61, gamma_ratio=2.0):
+    """A ladder-climbing scenario at the blockade eta of target_n, g = 1 rad/s."""
+    return scenario_from_dict({
+        "schema_version": 1,
+        "name": f"fockprep-n{target_n}",
+        "model": {"kind": "NonlinearAntiJC", "g": 1.0 / KHZ, "eta": barrier_eta(target_n)},
+        "initial": {"kind": "thermal", "nbar": nbar, "qubit": "down"},
+        "times": {"t_end": duration, "n_points": n_points},
+        "lindblad": {"gamma_ratio": gamma_ratio},
+        "truncation": truncation,
+    })
 
 
 class TestFockPrep:
     def test_small_target_converges(self):
-        plan = FockPrepPlan(target_n=3, initial_nbar=0.2, duration=30.0,
-                            n_points=61, n_max=14)
-        res = run_fock_prep(plan)
+        res = run_fock_prep(_fockprep(14), 3)
         assert res.p_target >= 0.99
-        assert res.eta_used == pytest.approx(barrier_eta(3), abs=1e-12)
         # monotone funneling: the blocked sector only holds its initial tail
         assert res.max_above_target <= res.initial_above_target + 1e-6
         assert res.trajectory.meta["trace_drift"] < 1e-8
 
     def test_without_dissipation_no_convergence(self):
-        plan = FockPrepPlan(target_n=3, initial_nbar=0.2, duration=30.0,
-                            n_points=61, n_max=14, gamma_ratio=0.0)
-        assert run_fock_prep(plan).p_target < 0.99
+        assert run_fock_prep(_fockprep(14, gamma_ratio=0.0), 3).p_target < 0.99
 
     def test_ground_state_start(self):
-        plan = FockPrepPlan(target_n=3, initial_nbar=0.0, duration=30.0,
-                            n_points=61, n_max=14)
-        res = run_fock_prep(plan)
+        res = run_fock_prep(_fockprep(14, nbar=0.0), 3)
         assert res.p_target >= 0.99
         assert res.initial_above_target == 0.0
 
     def test_warns_on_large_initial_tail(self):
         with pytest.warns(ValidityWarning, match="above target"):
-            run_fock_prep(FockPrepPlan(target_n=3, initial_nbar=0.5, duration=0.5,
-                                       n_points=3, n_max=22))
+            run_fock_prep(_fockprep(22, nbar=0.5, duration=0.5, n_points=3), 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FockPrepPlan(target_n=0)
+            run_fock_prep(_fockprep(14), 0)
         with pytest.raises(ValueError):
-            run_fock_prep(FockPrepPlan(target_n=8, n_max=10))
+            run_fock_prep(_fockprep(10, target_n=8, nbar=1.0), 8)
 
 
 def _qrm_run(eta, g, n_max, cycles, n_points):

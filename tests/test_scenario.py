@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ionrabi import Scenario, parse_scenario, scenario_from_dict
+from ionrabi import Scenario, barrier_eta, parse_scenario, scenario_from_dict
+from ionrabi.dynamics import thermal_required_n_max
 from ionrabi.errors import SchemaError
+from ionrabi.runner import _barrier_index, auto_n_max
 from ionrabi.scenario import KHZ
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -173,3 +175,25 @@ class TestDefaults:
         again = parse_scenario(p)
         assert again == sc
         assert yaml.safe_load(sc.to_yaml())["initial"]["qubit"] == "down"
+
+
+class TestAutoTruncation:
+    @pytest.mark.parametrize("n", [3, 7, 10, 17, 41, 60, 99])
+    def test_barrier_index_at_root(self, n):
+        assert _barrier_index(barrier_eta(n)) == n
+
+    def test_barrier_index_first_sign_change(self):
+        assert _barrier_index(0.9) == 4  # f1 goes from +0.061 at n = 3 to -0.033
+        assert _barrier_index(0.05) is None  # f1 keeps its sign up to n = 200
+        assert _barrier_index(0.0) is None
+
+    @pytest.mark.parametrize("target", [3, 17, 41, 60])
+    @pytest.mark.parametrize("nbar", [0, 1, 3])
+    def test_fockprep_ladder_rule(self, target, nbar):
+        # the ladder's own rule: headroom 2 target above the blockade, 40 at
+        # least, and room for the thermal start
+        sc = scenario_from_dict(_minimal(
+            model={"kind": "NonlinearAntiJC", "g": 45.24, "eta": barrier_eta(target)},
+            initial={"kind": "thermal", "nbar": nbar}, lindblad={"gamma_ratio": 2.0}))
+        thermal = thermal_required_n_max(nbar) if nbar > 0 else 0
+        assert auto_n_max(sc) == max(2 * target, 40, thermal)
