@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import yaml
 
+from .dynamics import rwa_crosscheck
 from .errors import (
     ConvergenceFailure,
     NoSignChange,
@@ -22,6 +23,13 @@ from .errors import (
     StepTooLarge,
     TruncationTooSmall,
 )
+from .fock import BARRIER_BRACKET, barrier_eta, f1_diagonal, f1_scalar
+from .models import DEFAULT_NU, ModelSpec, sideband_detunings
+from .protocols import f1_landscape, run_fock_prep
+from .runner import (CONVERGENCE_BUMP, check_truncation_convergence, output_dir, run, sweep,
+                     write_json, write_landscape_csv, write_trajectory_csv)
+from .scenario import (KHZ, SCHEMA_VERSION, YamlLoader, landscape_from_dict, parse_landscape,
+                       parse_scenario, scenario_from_dict)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -63,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="table extent (default 60)")
     p.add_argument("--find-zero", type=_at_least(int, 1), metavar="N",
                    help="find the smallest eta with f1(N, eta)=0")
-    p.add_argument("--bracket", type=float, nargs=2, default=(1e-3, 1.0),
-                   help="eta search bracket for --find-zero (default 1e-3 1.0)")
+    p.add_argument("--bracket", type=float, nargs=2, default=BARRIER_BRACKET,
+                   help="eta search bracket for --find-zero (default %s %s)" % BARRIER_BRACKET)
     p.add_argument("--out-file", help="write table here instead of stdout")
 
     p = sub.add_parser("evolve", help="run a scenario file")
@@ -115,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_f1(args) -> int:
-    from .fock import barrier_eta, f1_diagonal, f1_scalar
-
     if args.find_zero is not None:
         lo, hi = args.bracket
         if not 0 < lo < hi:
@@ -147,9 +153,6 @@ def _cmd_f1(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    from .runner import run
-    from .scenario import parse_scenario
-
     scenario = parse_scenario(args.scenario)
     result = run(scenario, out_dir=args.out, check_convergence=args.check_convergence)
     print(f"{result.name}: wrote {result.csv_path} ({result.wall_time_s:.2f}s, "
@@ -158,11 +161,6 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_fockprep(args) -> int:
-    from .fock import barrier_eta
-    from .protocols import run_fock_prep
-    from .runner import output_dir, write_json, write_trajectory_csv
-    from .scenario import KHZ, SCHEMA_VERSION, scenario_from_dict
-
     eta = args.eta if args.eta is not None else barrier_eta(args.target)
     scenario = scenario_from_dict({
         "schema_version": SCHEMA_VERSION,
@@ -195,10 +193,6 @@ def _cmd_fockprep(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    from .protocols import f1_landscape
-    from .runner import output_dir, write_landscape_csv
-    from .scenario import landscape_from_dict, parse_landscape
-
     if args.config:
         name, grid = parse_landscape(args.config)
     else:
@@ -219,8 +213,6 @@ def _cmd_landscape(args) -> int:
 
 
 def _parse_axis(text: str):
-    from .scenario import YamlLoader
-
     if "=" not in text:
         raise SchemaError(f"axis {text!r} must look like key.path=start:stop:count")
     path, spec = text.split("=", 1)
@@ -252,9 +244,6 @@ def _parse_axis(text: str):
 
 
 def _cmd_sweep(args) -> int:
-    from .runner import sweep
-    from .scenario import parse_scenario
-
     template = parse_scenario(args.template)
     axes = [_parse_axis(a) for a in args.axis]
     results = sweep(template, axes, out_dir=args.out)
@@ -266,11 +255,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .dynamics import rwa_crosscheck
-    from .models import DEFAULT_NU, ModelSpec, sideband_detunings
-    from .runner import CONVERGENCE_BUMP, check_truncation_convergence, output_dir, write_json
-    from .scenario import parse_scenario
-
     scenario = parse_scenario(args.scenario)
     spec = scenario.model_spec()
     report = {"scenario": scenario.name}

@@ -19,8 +19,9 @@ Evolution strategies:
     rho C^dag C; no element is dropped on a threshold, and every element
     outside it is exactly 0 for all time (e.g. 4 n_max + 1 of the
     (2 n_max + 2)^2 elements for the anti-JC with qubit decay from a thermal
-    |down>, the weak U(1) symmetry of that generator).  The generator is a
-    sparse COO map on that set, built once per call.
+    |down>, the weak U(1) symmetry of that generator).  One index-pairing
+    pass, `_lindblad_coo`, finds the set and the generator's sparse COO map
+    on it, once per call.
 Fixed steps keep golden outputs deterministic and reproducible.
 
 Trace/norm/positivity are monitored, not silently repaired: drifts beyond
@@ -124,15 +125,15 @@ def fock_state(space: HilbertSpace, n: int, qubit="down") -> QuantumState:
     return QuantumState(space, psi, "pure")
 
 
-def coherent_required_n_max(alpha: complex, tail: float = 1e-10) -> int:
-    """Smallest n_max with Poisson(|alpha|^2) mass beyond it below `tail`."""
+def coherent_required_n_max(alpha: complex) -> int:
+    """Smallest n_max with Poisson(|alpha|^2) mass beyond it below 1e-10."""
     lam = abs(alpha) ** 2
     if lam == 0:
         return 1
     p = math.exp(-lam)
     acc = p
     n = 0
-    while 1.0 - acc >= tail and n < 100000:
+    while 1.0 - acc >= 1e-10 and n < 100000:
         n += 1
         p *= lam / n
         acc += p
@@ -149,9 +150,16 @@ def thermal_required_n_max(nbar: float) -> int:
 def coherent_state(space: HilbertSpace, alpha: complex, qubit="down") -> QuantumState:
     """Coherent state |alpha> (x) |qubit>, renormalized after truncation.
 
-    Rejects truncations holding less than 1 - 1e-10 of the Poisson weight.
+    Rejects n_max below coherent_required_n_max(alpha) (TruncationTooSmall).
     """
     lam = abs(alpha) ** 2
+    required = coherent_required_n_max(alpha)
+    if space.n_max < required:
+        raise TruncationTooSmall(
+            f"coherent state with |alpha|^2={lam:.4g} needs n_max >= {required} "
+            f"to hold all but 1e-10 of its weight, got n_max={space.n_max}",
+            required_n_max=required,
+        )
     n = np.arange(space.dim_boson)
     logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, space.dim_boson)))])
     if lam > 0:
@@ -159,14 +167,7 @@ def coherent_state(space: HilbertSpace, alpha: complex, qubit="down") -> Quantum
         amps = np.exp(logw) * np.exp(1j * np.angle(alpha) * n)
     else:
         amps = (n == 0).astype(complex)
-    held = float(np.sum(np.abs(amps) ** 2))
-    if 1.0 - held > 1e-10:
-        raise TruncationTooSmall(
-            f"coherent state with |alpha|^2={lam:.4g} keeps tail mass "
-            f"{1.0 - held:.3e} > 1e-10 beyond n_max={space.n_max}",
-            required_n_max=coherent_required_n_max(alpha),
-        )
-    amps = amps / math.sqrt(held)
+    amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     psi = np.zeros(space.dim_total, dtype=complex)
     q = _qubit_index(qubit)
     psi[q * space.dim_boson:(q + 1) * space.dim_boson] = amps
@@ -457,54 +458,47 @@ def _nonzeros_by_column(M):
     return rows, cols, M[rows, cols]
 
 
-def _reachable(rho0, A, jumps) -> np.ndarray:
-    """Row-major flat indices of the elements of rho that can ever be nonzero.
+def _lindblad_coo(rho0, A, jumps):
+    """Reachable set and generator of drho/dt = A rho + rho A^dag + sum rate C rho C^dag.
 
-    Closure of the support of rho0 under the exact nonzero patterns of
-    A rho, rho A^dag and C rho C^dag, by boolean matmuls; nothing is dropped
-    on a threshold.  The support is symmetrized first, so the set is closed
-    under transposition (rho A^dag's pattern is the transpose of A rho's)
-    and the per-step hermitization stays on it.
+    Returns (flat, targets, sources, values): the row-major flat indices of
+    the elements of rho that can ever be nonzero, sorted, and the generator as
+    a COO map on them, as positions in `flat`, sorted by target.  The set is
+    the closure of rho0's symmetrized support under the exact nonzero
+    patterns of A rho, rho A^dag and C rho C^dag: the index pairing is
+    repeated until it names no new target, so its last pass is the COO and
+    nothing is dropped on a threshold.  The symmetrized start keeps the set
+    closed under transposition (rho A^dag's pattern is the transpose of
+    A rho's), so the per-step hermitization stays on it.
     """
-    pa = A != 0
-    pcs = [C != 0 for _, C in jumps]
-    m = rho0 != 0
-    m = m | m.T
-    while True:
-        left = pa @ m
-        grown = m | left | left.T
-        for pc in pcs:
-            grown |= pc @ m @ pc.T
-        if np.array_equal(grown, m):
-            return np.flatnonzero(m)
-        m = grown
-
-
-def _lindblad_coo(A, jumps, flat, d_total):
-    """COO (targets, sources, values) of drho/dt = A rho + rho A^dag + sum rate C rho C^dag
-    on the reachable elements `flat`, as positions in `flat`, sorted by target.
-
-    Only reachable sources are paired, and by closure every target is reachable.
-    """
-    rows, cols = np.divmod(flat, d_total)
+    d_total = A.shape[0]
     ar, ac, av = _nonzeros_by_column(A)
-    # A rho: source (k, j) -> target (i, j) for A[i, k] != 0
-    p, e = _column_pairs(rows, ac, d_total)
-    tgt, src, val = [ar[e] * d_total + cols[p]], [p], [av[e]]
-    # rho A^dag: source (i, k) -> target (i, j) for A[j, k] != 0
-    p, e = _column_pairs(cols, ac, d_total)
-    tgt.append(rows[p] * d_total + ar[e]); src.append(p); val.append(av[e].conj())
-    for rate, C in jumps:
-        cr, cc, cv = _nonzeros_by_column(C)
-        # C rho C^dag: source (k, l) -> target (i, j) for C[i, k], C[j, l] != 0
-        p, e1 = _column_pairs(rows, cc, d_total)
-        q, e2 = _column_pairs(cols[p], cc, d_total)
-        p, e1 = p[q], e1[q]
-        tgt.append(cr[e1] * d_total + cr[e2]); src.append(p)
-        val.append(rate * cv[e1] * cv[e2].conj())
-    tgt = np.searchsorted(flat, np.concatenate(tgt))
+    channels = [(rate, *_nonzeros_by_column(C)) for rate, C in jumps]
+    mask = rho0 != 0
+    mask = (mask | mask.T).ravel()
+    while True:
+        flat = np.flatnonzero(mask)
+        rows, cols = np.divmod(flat, d_total)
+        # A rho: source (k, j) -> target (i, j) for A[i, k] != 0
+        p, e = _column_pairs(rows, ac, d_total)
+        tgt, src, val = [ar[e] * d_total + cols[p]], [p], [av[e]]
+        # rho A^dag: source (i, k) -> target (i, j) for A[j, k] != 0
+        p, e = _column_pairs(cols, ac, d_total)
+        tgt.append(rows[p] * d_total + ar[e]); src.append(p); val.append(av[e].conj())
+        for rate, cr, cc, cv in channels:
+            # C rho C^dag: source (k, l) -> target (i, j) for C[i, k], C[j, l] != 0
+            p, e1 = _column_pairs(rows, cc, d_total)
+            q, e2 = _column_pairs(cols[p], cc, d_total)
+            p, e1 = p[q], e1[q]
+            tgt.append(cr[e1] * d_total + cr[e2]); src.append(p)
+            val.append(rate * cv[e1] * cv[e2].conj())
+        tgt = np.concatenate(tgt)
+        if mask[tgt].all():
+            break
+        mask[tgt] = True
+    tgt = np.searchsorted(flat, tgt)
     order = np.argsort(tgt, kind="stable")
-    return tgt[order], np.concatenate(src)[order], np.concatenate(val)[order]
+    return flat, tgt[order], np.concatenate(src)[order], np.concatenate(val)[order]
 
 
 def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, times,
@@ -514,10 +508,11 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
 
     Only the elements of rho that the generator can reach from rho0 are
     stepped: the closure of rho0's support under the exact nonzero patterns
-    of H, C and C^dag C (`_reachable`).  Every other element is exactly 0
-    for all time, and no element is dropped on a threshold.  The generator
-    is a COO map on that set, built once per call; channels with rate 0 are
-    left out.  Collapse operators must live on rho0's space (SpaceMismatch).
+    of H, C and C^dag C.  Every other element is exactly 0 for all time, and
+    no element is dropped on a threshold.  One index-pairing pass,
+    `_lindblad_coo`, finds the set and the generator's COO map on it, once
+    per call; channels with rate 0 are left out.  Collapse operators must
+    live on rho0's space (SpaceMismatch).
 
     The step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05.  Every step
     re-hermitizes rho (a transpose permutation on the set) and raises
@@ -546,9 +541,8 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     A = -1j * H.mat
     for rate, C in jumps:
         A = A - 0.5 * rate * (C.conj().T @ C)
-    flat = _reachable(rho0.data, A, jumps)
+    flat, tgt, src, val = _lindblad_coo(rho0.data, A, jumps)
     rows, cols = np.divmod(flat, D)
-    tgt, src, val = _lindblad_coo(A, jumps, flat, D)
     targets, starts = np.unique(tgt, return_index=True)
     transpose = np.searchsorted(flat, cols * D + rows)
     diagonal = np.flatnonzero(rows == cols)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dd import dd_add, dd_div_scalar, dd_mul, two_prod
-from .errors import NoSignChange, SpaceMismatch
+from .errors import NoSignChange
 
 __all__ = [
     "HilbertSpace",
@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
+# default eta bracket of barrier_eta and `ionrabi f1 --find-zero`; it holds the
+# first zero of every n >= 1 (sqrt(2) for n = 1)
+BARRIER_BRACKET = (1e-3, 1.5)
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,6 @@ class HilbertSpace:
         return qubit * self.dim_boson + n
 
 
-def _check_same_space(a: HilbertSpace, b: HilbertSpace):
-    if a.n_max != b.n_max:
-        raise SpaceMismatch(f"spaces differ: n_max {a.n_max} vs {b.n_max}")
-
-
 class Operator:
     """Dense complex matrix on a HilbertSpace.
 
@@ -95,10 +93,6 @@ class Operator:
         self.space = space
         self.mat = mat
         self.hermitian = hermitian
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_same_space(self.space, other.space)
-        return Operator(self.space, self.mat @ other.mat)
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
@@ -225,12 +219,12 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
     return out
 
 
-def barrier_eta(n: int, bracket: tuple[float, float] = (1e-3, 1.0)) -> float:
+def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float:
     """Smallest eta in the bracket with f1(n, eta) = 0 (the blockade value).
 
     Scans eta on a 1e-3 grid, 1000 points per f1_diagonal call, to bracket
     the first sign change, then bisects through f1_scalar.
-    Zeros of f1 in eta are simple and well separated below eta = 1.
+    Zeros of f1 in eta are simple and well separated below eta = 1.5.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"barrier index must be an integer >= 1, got {n!r}")

@@ -149,21 +149,17 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
     g = spec.g
     cycle = 2.0 * math.pi / g
     times = np.linspace(0.0, scenario.times["t_end"] * cycle, scenario.times["n_points"])
-    snap_idx = sorted({int(np.argmin(np.abs(times - ts * cycle)))
-                       for ts in scenario.outputs["snapshot_times"]})
 
     if scenario.lindblad is not None:
         H = build_hamiltonian(spec, space)
         _, _, sm, _ = qubit_ops(space)
         lb = LindbladSpec([(scenario.lindblad["gamma_ratio"] * g, sm)])
-        traj = evolve_lindblad(H, lb, state0.to_density(), times, g=g,
-                               snapshot_indices=snap_idx)
+        traj = evolve_lindblad(H, lb, state0.to_density(), times, g=g)
     elif spec.kind == "TwoTone":
-        traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times, g=g,
-                                 snapshot_indices=snap_idx)
+        traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times, g=g)
     else:
         H = build_hamiltonian(spec, space)
-        traj = evolve_unitary(H, state0, times, g=g, snapshot_indices=snap_idx)
+        traj = evolve_unitary(H, state0, times, g=g)
     return traj, n_max
 
 

@@ -6,6 +6,8 @@ Conventions (matching the trapped-ion literature):
     an angular frequency 2*pi * 11.31 kHz;
   - phases are radians, eta and alpha are dimensionless;
   - times.t_end and outputs.snapshot_times are in cycles of 2*pi/g;
+    snapshot_times is validated and echoed in the metadata only, since no
+    output writes a state snapshot;
   - `truncation` (the phonon cutoff n_max) is optional; when it is absent,
     runner.auto_n_max picks it from the model and the initial state.
 

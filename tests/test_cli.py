@@ -124,7 +124,7 @@ def test_fockprep_outputs(tmp_path):
                        ("initial_above_target", 0.06249999999957368),
                        ("max_above_target", 0.06249999999957374)):
         assert report[key] == pytest.approx(value, abs=1e-10)
-    rows = list(csv.reader((base / "trajectory.csv").open()))
+    rows = list(csv.reader((base / "trajectory.csv").read_text().splitlines()))
     assert rows[0] == ["t", "sigma_z", "fidelity", "n_mean"] + [f"P_{n}" for n in range(41)]
     assert len(rows) == 1 + len(FOCKPREP_3)
     for row, expected in zip(rows[1:], FOCKPREP_3):
@@ -137,16 +137,16 @@ def test_fockprep_hot_start_widens_truncation(tmp_path):
     with pytest.warns(ValidityWarning, match="above target"):
         assert exit_code(["fockprep", "--target", "3", "--nbar", "3", "--duration", "1",
                           "--points", "3", "--out", str(tmp_path)]) == 0
-    header = (tmp_path / "fockprep-n3" / "trajectory.csv").open().readline()
-    assert header.rstrip().split(",")[-1] == "P_80"
+    header = (tmp_path / "fockprep-n3" / "trajectory.csv").read_text().splitlines()[0]
+    assert header.split(",")[-1] == "P_80"
 
 
 def test_fockprep_truncation_follows_eta_blockade(tmp_path):
     # eta = 0.3 blocks the ladder at n = 40, not at the target 17
     assert exit_code(["fockprep", "--target", "17", "--eta", "0.3", "--duration", "1",
                       "--points", "2", "--out", str(tmp_path)]) == 0
-    header = (tmp_path / "fockprep-n17" / "trajectory.csv").open().readline()
-    assert header.rstrip().split(",")[4:] == [f"P_{n}" for n in range(81)]
+    header = (tmp_path / "fockprep-n17" / "trajectory.csv").read_text().splitlines()[0]
+    assert header.split(",")[4:] == [f"P_{n}" for n in range(81)]
 
 
 def test_auto_truncation_passes_convergence(tmp_path):
@@ -169,7 +169,23 @@ def test_validate_writes_report(tmp_path):
 
 
 def test_no_sign_change_exits_3():
-    assert exit_code(["f1", "--find-zero", "1"]) == 3
+    # f1(1, eta) first vanishes at sqrt(2), outside this bracket
+    assert exit_code(["f1", "--find-zero", "1", "--bracket", "0.001", "1.0"]) == 3
+
+
+def test_find_zero_default_bracket_holds_target_1(capsys):
+    assert exit_code(["f1", "--find-zero", "1"]) == 0
+    assert "barrier_eta(1) = 1.414213562373" in capsys.readouterr().out
+
+
+def test_fockprep_target_2(tmp_path):
+    # the blockade of target 2 sits at eta = sqrt(3 - sqrt(3)) = 1.126; the
+    # nbar = 1 start holds 1/8 above it
+    with pytest.warns(ValidityWarning, match="above target"):
+        assert exit_code(["fockprep", "--target", "2", "--duration", "1", "--points", "2",
+                          "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fockprep-n2" / "report.json").read_text())
+    assert report["eta_used"] == pytest.approx(math.sqrt(3.0 - math.sqrt(3.0)), abs=1e-15)
 
 
 def test_unconverged_truncation_exits_4(tmp_path):

@@ -31,7 +31,7 @@ from ionrabi import (
     thermal_state,
 )
 from ionrabi import dynamics
-from ionrabi.dynamics import _reachable, thermal_required_n_max
+from ionrabi.dynamics import _lindblad_coo, coherent_required_n_max, thermal_required_n_max
 from ionrabi.errors import (
     PositivityLoss,
     SpaceMismatch,
@@ -87,6 +87,16 @@ class TestCoherentState:
         with pytest.raises(TruncationTooSmall) as err:
             coherent_state(sp, math.sqrt(30), "down")
         assert err.value.required_n_max > 60
+
+    @pytest.mark.parametrize("alpha", [0.5, 1, 3, 5.5])
+    def test_required_n_max_is_one_bound(self, alpha):
+        # coherent_state's rejection and the runner's auto truncation share
+        # coherent_required_n_max
+        required = coherent_required_n_max(alpha)
+        coherent_state(HilbertSpace(required), alpha)
+        with pytest.raises(TruncationTooSmall) as err:
+            coherent_state(HilbertSpace(required - 1), alpha)
+        assert err.value.required_n_max == required
 
     def test_poisson_distribution(self):
         sp = HilbertSpace(40)
@@ -473,6 +483,14 @@ def _dense_reference(H, terms, rho0, times, dt_max):
     return states
 
 
+def _asymmetric_thermal(sp, nbar):
+    """A thermal |down> state, hermitian within 1e-10, whose zero pattern is not
+    symmetric: <down,0|rho|down,3> = 1e-12 but <down,3|rho|down,0> = 0."""
+    rho = thermal_state(sp, nbar, "down").data.copy()
+    rho[sp.index(0, 0), sp.index(0, 3)] = 1e-12
+    return QuantumState(sp, rho, "density")
+
+
 class TestReducedLindblad:
     def _check_against_dense(self, H, terms, rho0, times):
         traj = evolve_lindblad(H, LindbladSpec(terms), rho0, times,
@@ -488,6 +506,13 @@ class TestReducedLindblad:
         self._check_against_dense(H, [(2.0, sm)], thermal_state(space, 0.2, "down"),
                                   np.linspace(0, 3, 7))
 
+    def test_asymmetric_start_matches_dense(self, space):
+        # the per-step hermitization's transpose map needs the symmetrized set
+        H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.5)
+        sm = qubit_ops(space)[2]
+        self._check_against_dense(H, [(2.0, sm)], _asymmetric_thermal(space, 0.2),
+                                  np.linspace(0, 1, 3))
+
     def test_qrm_two_channels_match_dense(self, space):
         # coherent start under the QRM with two channels: nothing reduces
         H = _build(space, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
@@ -495,8 +520,8 @@ class TestReducedLindblad:
         rho0 = coherent_state(space, 0.8, "down")
         D = space.dim_total
         A = -1j * H.mat - 0.5 * sum(rate * C.mat.conj().T @ C.mat for rate, C in terms)
-        assert len(_reachable(rho0.to_density().data, A,
-                              [(rate, C.mat) for rate, C in terms])) == D * D
+        assert len(_lindblad_coo(rho0.to_density().data, A,
+                                 [(rate, C.mat) for rate, C in terms])[0]) == D * D
         self._check_against_dense(H, terms, rho0, np.linspace(0, 2, 5))
 
     def test_anti_jc_thermal_reaches_4n_plus_1(self):
@@ -506,7 +531,7 @@ class TestReducedLindblad:
         sm = qubit_ops(sp)[2]
         rho0 = thermal_state(sp, 1.0, "down")
         A = -1j * H.mat - 0.5 * gamma * sm.mat.conj().T @ sm.mat
-        flat = _reachable(rho0.data, A, [(gamma, sm.mat)])
+        flat = _lindblad_coo(rho0.data, A, [(gamma, sm.mat)])[0]
         assert len(flat) == 4 * sp.n_max + 1 == 161
         traj = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0,
                                np.linspace(0, 0.5, 2), snapshot_indices=[1])
@@ -517,6 +542,60 @@ class TestReducedLindblad:
         assert np.count_nonzero(rho) == 161
         # re-hermitized every step, so exactly hermitian
         assert np.array_equal(rho, rho.conj().T)
+
+
+def _boolean_closure(rho0, A, jumps):
+    """The reachable set by dense boolean matmuls: the closure of rho0's
+    symmetrized support under the patterns of A rho, rho A^dag and C rho C^dag,
+    one hop per iteration.  The oracle for `_lindblad_coo`'s index pairing."""
+    pa = A != 0
+    pcs = [C != 0 for _, C in jumps]
+    m = rho0 != 0
+    m = m | m.T
+    while True:
+        left = pa @ m
+        grown = m | left | left.T
+        for pc in pcs:
+            grown |= pc @ m @ pc.T
+        if np.array_equal(grown, m):
+            return np.flatnonzero(m)
+        m = grown
+
+
+class TestLindbladCoo:
+    def _generator(self, sp, model, channels):
+        if model == "anti_jc":
+            H = _build(sp, "NonlinearAntiJC", g=1.0, eta=0.4518)
+        else:
+            H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
+        ops = {"sm": qubit_ops(sp)[2], "a": annihilation_op(sp)}
+        terms = [(rate, ops[name]) for name, rate in channels]
+        A = -1j * H.mat - 0.5 * sum(rate * C.mat.conj().T @ C.mat for rate, C in terms)
+        return H, terms, A, [(rate, C.mat) for rate, C in terms]
+
+    @pytest.mark.parametrize("model,channels,start,size", [
+        ("anti_jc", [("sm", 2.0)], "thermal", 161),
+        ("qrm", [("sm", 0.6), ("a", 0.3)], "vacuum", 3362),
+        ("qrm", [], "coherent", 82 * 82),
+        # the (0, 3) coherence adds the blocks 3 rungs off the diagonal
+        ("anti_jc", [("sm", 2.0)], "asymmetric", 161 + 2 * (37 * 4 + 2)),
+    ])
+    def test_set_matches_boolean_closure(self, model, channels, start, size):
+        sp = HilbertSpace(40)
+        _, _, A, jumps = self._generator(sp, model, channels)
+        rho0 = {"thermal": lambda: thermal_state(sp, 1.0, "down"),
+                "vacuum": lambda: fock_state(sp, 0, "down").to_density(),
+                "coherent": lambda: coherent_state(sp, 0.8, "down").to_density(),
+                "asymmetric": lambda: _asymmetric_thermal(sp, 1.0)}[start]().data
+        flat, tgt, src, val = _lindblad_coo(rho0, A, jumps)
+        assert np.array_equal(flat, _boolean_closure(rho0, A, jumps))
+        assert len(flat) == size
+        # closed under transposition, and the COO names only set positions
+        D = sp.dim_total
+        rows, cols = np.divmod(flat, D)
+        assert np.array_equal(np.sort(cols * D + rows), flat)
+        assert np.all(np.diff(tgt) >= 0) and tgt.max() < len(flat) and src.max() < len(flat)
+        assert len(tgt) == len(src) == len(val)
 
 
 class TestObservables:

@@ -17,7 +17,7 @@ from ionrabi import (
     number_op,
     qubit_ops,
 )
-from ionrabi.errors import NoSignChange, SpaceMismatch
+from ionrabi.errors import NoSignChange
 from ionrabi.fock import displacement_boson, hermiticity_defect
 
 # 25-digit reference values computed with mpmath (dps=40) from the closed
@@ -130,12 +130,6 @@ class TestOperatorWrapper:
         mat[0, 1] = 1.0
         with pytest.raises(ValueError, match="hermiticity"):
             Operator(space, mat, hermitian=True)
-
-    def test_space_mismatch_on_matmul(self):
-        a = number_op(HilbertSpace(4))
-        b = number_op(HilbertSpace(5))
-        with pytest.raises(SpaceMismatch):
-            a @ b
 
 
 class TestF1:
@@ -264,7 +258,14 @@ class TestBarrierEta:
     def test_no_sign_change_reported(self):
         # f1(1, eta) = exp(-eta^2/2)(2 - eta^2)/2 first vanishes at sqrt(2) > 1
         with pytest.raises(NoSignChange):
-            barrier_eta(1)
+            barrier_eta(1, (1e-3, 1.0))
+
+    @pytest.mark.parametrize("n,root", [
+        (1, math.sqrt(2.0)),                       # L_1^(1)(x) = 2 - x
+        (2, math.sqrt(3.0 - math.sqrt(3.0))),      # L_2^(1)(x) = (x^2 - 6x + 6)/2
+    ])
+    def test_default_bracket_holds_low_targets(self, n, root):
+        assert barrier_eta(n) == pytest.approx(root, abs=1e-15)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
