@@ -63,7 +63,6 @@ from .dynamics import (
     thermal_state,
 )
 from .protocols import (
-    FockPrepResult,
     f1_landscape,
     population_above,
     revival_ratio,

@@ -27,8 +27,8 @@ from .fock import BARRIER_BRACKET, barrier_eta, f1_diagonal, f1_scalar
 from .models import DEFAULT_NU, ModelSpec, sideband_detunings
 from .protocols import f1_landscape, run_fock_prep
 from .runner import (CONVERGENCE_BUMP, check_truncation_convergence, output_dir, run, sweep,
-                     write_json, write_landscape_csv, write_trajectory_csv)
-from .scenario import (KHZ, SCHEMA_VERSION, YamlLoader, landscape_from_dict, parse_landscape,
+                     write_json, write_landscape_csv)
+from .scenario import (SCHEMA_VERSION, YamlLoader, landscape_from_dict, parse_landscape,
                        parse_scenario, scenario_from_dict)
 
 EXIT_OK = 0
@@ -82,10 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-convergence", action="store_true",
                    help="rerun at n_max+20 and require observable changes < 1e-6")
 
-    p = sub.add_parser("fockprep", help="dissipative Fock-state preparation")
+    p = sub.add_parser("fockprep", help="dissipative Fock-state preparation; writes "
+                       "trajectory.csv, metadata.json and report.json")
     p.add_argument("--target", type=_at_least(int, 1), required=True, metavar="N")
     p.add_argument("--eta", type=_at_least(float, 0), help="override the blockade eta "
-                   "barrier_eta(N); the truncation follows this eta's blockade level")
+                   "barrier_eta(N); the truncation is the larger of 40, the thermal "
+                   "start's bound and twice this eta's blockade level, and must reach N")
     p.add_argument("--nbar", type=_at_least(float, 0), default=1.0,
                    help="initial thermal occupation")
     p.add_argument("--g-khz", type=_at_least(float, 0, strict=True), default=45.24,
@@ -170,25 +172,10 @@ def _cmd_fockprep(args) -> int:
         "times": {"t_end": args.duration, "n_points": args.points},
         "lindblad": {"gamma_ratio": args.gamma_ratio},
     }, source="fockprep")
-    result = run_fock_prep(scenario, args.target)
-    base = output_dir(args.out, scenario.name)
-    csv_path = os.path.join(base, "trajectory.csv")
-    write_trajectory_csv(csv_path, result.trajectory,
-                         ["sigma_z", "fidelity", "n_mean", "phonons"])
-    report = {
-        "target_n": args.target,
-        "eta_used": eta,
-        "p_target_final": result.p_target,
-        "initial_above_target": result.initial_above_target,
-        "max_above_target": result.max_above_target,
-        "g_rad_per_s": args.g_khz * KHZ,
-        "gamma_ratio": args.gamma_ratio,
-        "duration_cycles": args.duration,
-        "trace_drift": result.trajectory.meta["trace_drift"],
-    }
-    write_json(os.path.join(base, "report.json"), report)
+    report = run_fock_prep(scenario, args.target, out_dir=args.out)
+    csv_path = os.path.join(output_dir(args.out, scenario.name), "trajectory.csv")
     print(f"fockprep target {args.target}: eta={eta:.6f} "
-          f"P_target={result.p_target:.6f} -> {csv_path}")
+          f"P_target={report['p_target_final']:.6f} -> {csv_path}")
     return EXIT_OK
 
 
@@ -246,12 +233,10 @@ def _parse_axis(text: str):
 def _cmd_sweep(args) -> int:
     template = parse_scenario(args.template)
     axes = [_parse_axis(a) for a in args.axis]
-    results = sweep(template, axes, out_dir=args.out)
-    total = 1
-    for _, values in axes:
-        total *= len(values)
-    print(f"sweep {template.name}: {len(results)}/{total} points succeeded")
-    return EXIT_OK if len(results) == total else EXIT_NUMERICAL
+    index = sweep(template, axes, out_dir=args.out)
+    ok = sum(entry["status"] == "ok" for entry in index)
+    print(f"sweep {template.name}: {ok}/{len(index)} points succeeded")
+    return EXIT_OK if ok == len(index) else EXIT_NUMERICAL
 
 
 def _cmd_validate(args) -> int:

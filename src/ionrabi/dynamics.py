@@ -117,9 +117,12 @@ def _qubit_index(qubit) -> int:
 
 
 def fock_state(space: HilbertSpace, n: int, qubit="down") -> QuantumState:
-    """|qubit, n> basis state."""
-    if not 0 <= n <= space.n_max:
-        raise ValueError(f"Fock index {n} exceeds truncation n_max={space.n_max}")
+    """|qubit, n> basis state.  Rejects n above n_max (TruncationTooSmall)."""
+    if n < 0:
+        raise ValueError(f"Fock index {n} must be >= 0")
+    if n > space.n_max:
+        raise TruncationTooSmall(f"Fock index {n} exceeds truncation n_max={space.n_max}",
+                                 required_n_max=n)
     psi = np.zeros(space.dim_total, dtype=complex)
     psi[space.index(_qubit_index(qubit), n)] = 1.0
     return QuantumState(space, psi, "pure")

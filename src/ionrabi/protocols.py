@@ -1,24 +1,28 @@
 """Experiment drivers composed from models + dynamics: dissipative Fock-state
-preparation, run as a Scenario (run_fock_prep), and the f1 landscape map,
-plus two measures over a Trajectory that state the paper's figure claims:
-the population above a blockade level (population_above) and the
-collapse-revival ratio of <sigma_z> (revival_ratio).
+preparation (run_fock_prep) and the f1 landscape map, plus two measures over
+a Trajectory that state the paper's figure claims: the population above a
+blockade level (population_above) and the collapse-revival ratio of
+<sigma_z> (revival_ratio).
+
+run_fock_prep is a plain scenario run (runner.run, at runner.auto_n_max, the
+one truncation rule) plus a report: it writes trajectory.csv, metadata.json
+and report.json into one directory.
 """
 from __future__ import annotations
 
+import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory
+from .errors import SchemaError
 from .fock import f1_diagonal
 from .models import ValidityWarning
-from .runner import auto_n_max, simulate_scenario
+from .runner import auto_n_max, run, write_json
 from .scenario import Scenario
 
 __all__ = [
-    "FockPrepResult",
     "run_fock_prep",
     "population_above",
     "revival_ratio",
@@ -32,28 +36,24 @@ LANDSCAPE_FLOOR = -16.0
 # dissipative Fock-state preparation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FockPrepResult:
-    trajectory: Trajectory
-    p_target: float
-    initial_above_target: float
-    max_above_target: float
-
-
-def run_fock_prep(scenario: Scenario, target_n: int) -> FockPrepResult:
+def run_fock_prep(scenario: Scenario, target_n: int, out_dir=None) -> dict:
     """Run a ladder-climbing scenario (nonlinear anti-JC drive plus qubit decay
-    funnel a low-lying state into |down, target_n>, blocked there by f1) and
-    measure the population at and above target_n.  Runs at auto_n_max, raised
-    to 2 target_n unless the scenario pins a truncation, which must reach it.
+    funnel a low-lying state into |down, target_n>, blocked there by f1) with
+    runner.run, which writes trajectory.csv and metadata.json at
+    auto_n_max(scenario); then measure the population at and above target_n,
+    write it to report.json beside them and return that report.  A target
+    above auto_n_max raises SchemaError before anything is written.
     """
     if target_n < 1:
         raise ValueError("target_n must be >= 1")
+    if scenario.lindblad is None:
+        raise SchemaError(f"{scenario.name}: Fock-state preparation needs a lindblad section")
     n_max = auto_n_max(scenario)
-    if scenario.truncation is None:
-        n_max = max(n_max, 2 * target_n)
-    elif n_max < 2 * target_n:
-        raise ValueError(f"truncation n_max={n_max} < 2*target_n={2 * target_n}")
-    traj, _ = simulate_scenario(scenario, n_max)
+    if target_n > n_max:
+        raise SchemaError(f"{scenario.name}: target n={target_n} lies above the "
+                          f"truncation n_max={n_max}")
+    result = run(scenario, out_dir)
+    traj = result.trajectory
     above = population_above(traj, target_n)
     if above[0] > 1e-3:
         warnings.warn(
@@ -61,12 +61,19 @@ def run_fock_prep(scenario: Scenario, target_n: int) -> FockPrepResult:
             "ladder cannot bring it back below the blockade",
             ValidityWarning,
         )
-    return FockPrepResult(
-        trajectory=traj,
-        p_target=float(traj.phonons[-1, target_n]),
-        initial_above_target=float(above[0]),
-        max_above_target=float(above.max()),
-    )
+    report = {
+        "target_n": target_n,
+        "eta_used": scenario.model["eta"],
+        "p_target_final": float(traj.phonons[-1, target_n]),
+        "initial_above_target": float(above[0]),
+        "max_above_target": float(above.max()),
+        "g_rad_per_s": scenario.model_spec().g,
+        "gamma_ratio": scenario.lindblad["gamma_ratio"],
+        "duration_cycles": scenario.times["t_end"],
+        "trace_drift": traj.meta["trace_drift"],
+    }
+    write_json(os.path.join(os.path.dirname(result.csv_path), "report.json"), report)
+    return report
 
 
 # ---------------------------------------------------------------------------

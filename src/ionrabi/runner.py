@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     LindbladSpec,
+    Trajectory,
     coherent_required_n_max,
     coherent_state,
     evolve_lindblad,
@@ -76,6 +77,7 @@ class RunResult:
     metadata_path: str
     wall_time_s: float
     convergence: str  # 'skipped' | 'pass'
+    trajectory: Trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,8 @@ def _state_n_requirement(scenario: Scenario) -> tuple[int, float]:
     """(minimum n_max holding the initial state, coherent-equivalent radius)."""
     init = scenario.initial
     if init["kind"] == "fock":
-        return max(init["n"], 1), math.sqrt(init["n"])
+        # one level of room: a sideband exchange from |n> reaches |n + 1>
+        return init["n"] + 1, math.sqrt(init["n"])
     if init["kind"] == "coherent":
         alpha = abs(init["alpha"])
         return coherent_required_n_max(alpha), alpha
@@ -199,12 +202,12 @@ def write_metadata(path, scenario: Scenario, n_max: int, traj):
 
 
 def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> RunResult:
-    """Execute one scenario and write trajectory.csv + metadata.json.
+    """Execute one scenario and write trajectory.csv + metadata.json; the
+    result hands back the trajectory.  Every scenario run goes through here.
 
     With check_convergence, the run goes through check_truncation_convergence
     and raises ConvergenceFailure when the truncation is not adequate.
     """
-    base = output_dir(out_dir, scenario.name)
     started = time.perf_counter()
     verdict = "skipped"
     if check_convergence:
@@ -217,12 +220,13 @@ def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> Ru
         verdict = "pass"
     else:
         traj, n_max = simulate_scenario(scenario)
+    base = output_dir(out_dir, scenario.name)
     csv_path = os.path.join(base, "trajectory.csv")
     meta_path = os.path.join(base, "metadata.json")
     write_trajectory_csv(csv_path, traj, scenario.outputs["observables"])
     write_metadata(meta_path, scenario, n_max, traj)
     return RunResult(scenario.name, csv_path, meta_path,
-                     time.perf_counter() - started, verdict)
+                     time.perf_counter() - started, verdict, traj)
 
 
 def _trajectory_delta(a, b) -> float:
@@ -277,9 +281,9 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
     Each value is set as given, so an integer field such as initial.n needs
     integer values.  Writes each point into its own directory plus an
     index.json mapping grid points to result paths; failed points are
-    preserved in the index with their error.  Two points whose directory
-    names (values to 6 significant digits) coincide raise SchemaError before
-    anything is written.
+    preserved in the index with their error.  Returns the index entries; no
+    trajectory is kept.  Two points whose directory names (values to 6
+    significant digits) coincide raise SchemaError before anything is written.
     """
     grid = [{}]
     for path, values in axes:
@@ -293,7 +297,6 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
         tags[tag] = point
     base = output_dir(out_dir, template.name)
 
-    results = []
     index = []
     for tag, point in tags.items():
         entry = {"point": point}
@@ -305,12 +308,12 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
             res = run(scenario_from_dict(doc, source=f"sweep:{tag}"), out_dir=out_dir)
             entry.update(status="ok", name=res.name, csv=res.csv_path,
                          metadata=res.metadata_path)
-            results.append(res)
+            del res  # hold no trajectory while the next point runs
         except Exception as exc:  # preserved in the failure manifest
             entry.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         index.append(entry)
     write_json(os.path.join(base, "index.json"), index)
-    return results
+    return index
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,10 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         truncation=truncation,
         schema_version=version,
     )
-    scenario.model_spec()  # surface model-level validation errors at parse time
+    try:  # surface model-level validation errors at parse time
+        scenario.model_spec()
+    except ValueError as exc:
+        _fail(f"{source}.model", str(exc))
     return scenario
 
 
@@ -271,13 +274,7 @@ def _load_yaml(path):
 
 def parse_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
-    doc = _load_yaml(path)
-    try:
-        return scenario_from_dict(doc, source=str(path))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{path}: {exc}") from exc
+    return scenario_from_dict(_load_yaml(path), source=str(path))
 
 
 def landscape_from_dict(section: dict, source: str) -> dict:

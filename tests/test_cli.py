@@ -129,6 +129,19 @@ def test_fockprep_outputs(tmp_path):
     assert len(rows) == 1 + len(FOCKPREP_3)
     for row, expected in zip(rows[1:], FOCKPREP_3):
         assert [float(v) for v in row[:9]] == pytest.approx(expected, abs=1e-10)
+    # the run's metadata reports the truncation the CSV was written at
+    meta = json.loads((base / "metadata.json").read_text())
+    assert rows[0][-1] == f"P_{meta['n_max']}"
+    assert meta["integrator"]["trace_drift"] == report["trace_drift"]
+
+
+def test_fockprep_target_above_truncation_exits_2(tmp_path, monkeypatch, capsys):
+    # eta = 0.9 blocks the ladder at n = 4, so auto_n_max gives 40 < 45
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(["fockprep", "--target", "45", "--eta", "0.9", "--duration", "1",
+                      "--points", "2", "--out", str(tmp_path / "out")]) == 2
+    assert "n_max=40" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fockprep_hot_start_widens_truncation(tmp_path):
@@ -157,6 +170,28 @@ def test_auto_truncation_passes_convergence(tmp_path):
                       "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / doc["name"] / "metadata.json").read_text())
     assert meta["n_max"] == 84
+
+
+def test_fock_start_keeps_room_above_it(tmp_path):
+    # |down, 60> under the anti-JC drive climbs to |up, 61>: at n_max 60 that
+    # level is missing and sigma_z stays -1
+    path = _write(tmp_path / "antijc-60.scenario", {
+        "schema_version": 1, "name": "antijc-60", "model": {"kind": "AntiJC", "g": 10.0},
+        "initial": {"kind": "fock", "n": 60, "qubit": "down"},
+        "times": {"t_end": 0.025, "n_points": 3}})
+    assert exit_code(["evolve", "--scenario", path, "--check-convergence",
+                      "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "antijc-60" / "metadata.json").read_text())["n_max"] == 61
+
+
+@pytest.mark.parametrize("command", ["evolve", "validate"])
+def test_fock_start_above_pinned_truncation_exits_3(command, tmp_path, capsys):
+    path = _write(tmp_path / "fock-500.scenario", {
+        "schema_version": 1, "name": "fock-500", "model": {"kind": "JC", "g": 10.0},
+        "initial": {"kind": "fock", "n": 500}, "times": {"t_end": 0.1, "n_points": 3},
+        "truncation": 10})
+    assert exit_code([command, "--scenario", path, "--out", str(tmp_path)]) == 3
+    assert "TruncationTooSmall" in capsys.readouterr().err
 
 
 def test_validate_writes_report(tmp_path):
@@ -231,3 +266,11 @@ def test_sweep_failed_point_is_kept_in_index(tmp_path):
     index = json.loads((tmp_path / "fig4-nqrm-barrier-fock" / "index.json").read_text())
     assert index[0]["status"] == "failed"
     assert index[0]["error"].startswith("SchemaError:")
+
+
+def test_sweep_model_error_is_a_schema_error(tmp_path):
+    assert exit_code(["sweep", "--template", FIG4, "--axis", "model.g=[-1]",
+                      "--out", str(tmp_path)]) == 3
+    index = json.loads((tmp_path / "fig4-nqrm-barrier-fock" / "index.json").read_text())
+    assert index[0]["status"] == "failed"
+    assert index[0]["error"].startswith("SchemaError: sweep:model_g=-1.model:")

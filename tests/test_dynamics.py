@@ -63,8 +63,13 @@ class TestFockState:
         assert overlap_fidelity(psi, psi) == pytest.approx(1.0)
 
     def test_rejects_overflow(self, space):
-        with pytest.raises(ValueError):
+        with pytest.raises(TruncationTooSmall) as info:
             fock_state(space, space.n_max + 1, "down")
+        assert info.value.required_n_max == space.n_max + 1
+
+    def test_rejects_negative_index(self, space):
+        with pytest.raises(ValueError):
+            fock_state(space, -1, "down")
 
 
 class TestCoherentState:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from ionrabi import (
     HilbertSpace,
     ModelSpec,
+    SchemaError,
     Trajectory,
     ValidityWarning,
     barrier_eta,
@@ -36,30 +38,44 @@ def _fockprep(truncation, target_n=3, nbar=0.2, duration=30.0, n_points=61, gamm
 
 
 class TestFockPrep:
-    def test_small_target_converges(self):
-        res = run_fock_prep(_fockprep(14), 3)
-        assert res.p_target >= 0.99
+    def test_small_target_converges(self, tmp_path):
+        report = run_fock_prep(_fockprep(14), 3, out_dir=tmp_path)
+        assert report["p_target_final"] >= 0.99
         # monotone funneling: the blocked sector only holds its initial tail
-        assert res.max_above_target <= res.initial_above_target + 1e-6
-        assert res.trajectory.meta["trace_drift"] < 1e-8
+        assert report["max_above_target"] <= report["initial_above_target"] + 1e-6
+        assert report["trace_drift"] < 1e-8
 
-    def test_without_dissipation_no_convergence(self):
-        assert run_fock_prep(_fockprep(14, gamma_ratio=0.0), 3).p_target < 0.99
+    def test_without_dissipation_no_convergence(self, tmp_path):
+        report = run_fock_prep(_fockprep(14, gamma_ratio=0.0), 3, out_dir=tmp_path)
+        assert report["p_target_final"] < 0.99
 
-    def test_ground_state_start(self):
-        res = run_fock_prep(_fockprep(14, nbar=0.0), 3)
-        assert res.p_target >= 0.99
-        assert res.initial_above_target == 0.0
+    def test_ground_state_start(self, tmp_path):
+        report = run_fock_prep(_fockprep(14, nbar=0.0), 3, out_dir=tmp_path)
+        assert report["p_target_final"] >= 0.99
+        assert report["initial_above_target"] == 0.0
 
-    def test_warns_on_large_initial_tail(self):
+    def test_warns_on_large_initial_tail(self, tmp_path):
         with pytest.warns(ValidityWarning, match="above target"):
-            run_fock_prep(_fockprep(22, nbar=0.5, duration=0.5, n_points=3), 3)
+            run_fock_prep(_fockprep(22, nbar=0.5, duration=0.5, n_points=3), 3, out_dir=tmp_path)
 
-    def test_validation(self):
+    def test_writes_run_outputs_and_report(self, tmp_path):
+        report = run_fock_prep(_fockprep(14, duration=1.0, n_points=3), 3, out_dir=tmp_path)
+        base = tmp_path / "fockprep-n3"
+        assert json.loads((base / "report.json").read_text()) == report
+        assert json.loads((base / "metadata.json").read_text())["n_max"] == 14
+        assert (base / "trajectory.csv").is_file()
+
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            run_fock_prep(_fockprep(14), 0)
-        with pytest.raises(ValueError):
-            run_fock_prep(_fockprep(10, target_n=8, nbar=1.0), 8)
+            run_fock_prep(_fockprep(14), 0, out_dir=tmp_path)
+        # a target above the pinned truncation is refused before anything is written
+        with pytest.raises(SchemaError, match="above the truncation"):
+            run_fock_prep(_fockprep(7, target_n=8, nbar=0.0), 8, out_dir=tmp_path)
+        doc = _fockprep(14).to_dict()
+        del doc["lindblad"]
+        with pytest.raises(SchemaError, match="lindblad"):
+            run_fock_prep(scenario_from_dict(doc), 3, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _qrm_run(eta, g, n_max, cycles, n_points):

@@ -150,7 +150,7 @@ class TestValidation:
         doc = _minimal(model={"kind": "TwoTone", "eta": 0.4, "Omega": 3.0,
                               "nu": 5000.0, "g": 100.0,
                               "delta_r": 11.31, "delta_b": -11.31})
-        with pytest.raises((SchemaError, ValueError), match="inconsistent coupling"):
+        with pytest.raises(SchemaError, match=r"^<dict>\.model: .*inconsistent coupling"):
             scenario_from_dict(doc)
 
     def test_negative_truncation(self):
@@ -178,7 +178,7 @@ class TestDefaults:
 
 
 class TestAutoTruncation:
-    @pytest.mark.parametrize("n", [3, 7, 10, 17, 41, 60, 99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 17, 41, 60, 99])
     def test_barrier_index_at_root(self, n):
         assert _barrier_index(barrier_eta(n)) == n
 
@@ -197,3 +197,10 @@ class TestAutoTruncation:
             initial={"kind": "thermal", "nbar": nbar}, lindblad={"gamma_ratio": 2.0}))
         thermal = thermal_required_n_max(nbar) if nbar > 0 else 0
         assert auto_n_max(sc) == max(2 * target, 40, thermal)
+
+    @pytest.mark.parametrize("n, expected", [(0, 40), (39, 40), (40, 41), (60, 61)])
+    def test_fock_start_keeps_one_level_of_room(self, n, expected):
+        # a sideband exchange from |n> reaches |n + 1>, which must be in the space
+        sc = scenario_from_dict(_minimal(model={"kind": "AntiJC", "g": 10.0},
+                                         initial={"kind": "fock", "n": n}))
+        assert auto_n_max(sc) == expected
