@@ -33,7 +33,6 @@ from .fock import (
     creation_op,
     f1_diagonal,
     f1_scalar,
-    f1_series,
     number_op,
     parity_op,
     qubit_ops,

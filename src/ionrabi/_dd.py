@@ -1,10 +1,11 @@
 """Compensated (double-double) arithmetic primitives.
 
-The nonlinear coupling f1 must be evaluated through two independent routes
-(alternating series and Laguerre recurrence) that agree to 1e-12 *relative*
-even where f1 itself is ~1e-5 near a blockade zero.  Plain double arithmetic
-leaves ~1e-15 absolute noise in both routes, which is not enough headroom, so
-both are carried in unevaluated double-double (hi, lo) pairs.  Error-free
+The nonlinear coupling f1 comes from the Laguerre recurrence
+(fock.f1_diagonal), and the tests hold it to the alternating series (the
+oracle in tests/f1_oracle.py) within 1e-12 *relative* even where f1 itself is
+~1e-5 near a blockade zero.  Plain double arithmetic leaves ~1e-15 absolute
+noise in both routes, which is not enough headroom, so both are carried in
+unevaluated double-double (hi, lo) pairs.  Error-free
 transforms below are the standard Dekker/Knuth building blocks; they work
 elementwise on numpy arrays as well as on python floats.
 """

@@ -32,7 +32,6 @@ __all__ = [
     "qubit_ops",
     "parity_op",
     "f1_scalar",
-    "f1_series",
     "f1_diagonal",
     "barrier_eta",
     "hermiticity_defect",
@@ -158,29 +157,9 @@ def _validate_f1_args(n: int, eta: float):
         raise ValueError(f"eta must be >= 0, got {eta}")
 
 
-def f1_series(n: int, eta: float) -> float:
-    """f1 from the alternating finite sum (terminates at l = n).
-
-    Terms are generated by exact ratios and accumulated in compensated
-    double-double arithmetic; the alternating cancellation near the zeros
-    would otherwise swamp the value with roundoff.
-    """
-    _validate_f1_args(n, eta)
-    xh, xl = two_prod(float(eta), float(eta))
-    th, tl = 1.0, 0.0  # T_0 = 1
-    sh, sl = 1.0, 0.0
-    for l in range(n):
-        # T_{l+1} = T_l * (-x) * (n - l) / ((l+1)(l+2))
-        th, tl = dd_mul(th, tl, -xh, -xl)
-        th, tl = dd_mul(th, tl, float(n - l), 0.0)
-        th, tl = dd_div_scalar(th, tl, float((l + 1) * (l + 2)))
-        sh, sl = dd_add(sh, sl, th, tl)
-    return math.exp(-0.5 * eta * eta) * (sh + sl)
-
-
 def f1_scalar(n: int, eta: float) -> float:
-    """f1(n, eta): row n of f1_diagonal; agrees with f1_series to full
-    double precision (tested invariant)."""
+    """f1(n, eta): row n of f1_diagonal; agrees with the alternating finite
+    sum to full double precision (tested invariant)."""
     return float(f1_diagonal(n, eta)[n])
 
 

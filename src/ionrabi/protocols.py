@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,9 +41,10 @@ def run_fock_prep(scenario: Scenario, target_n: int, out_dir=None) -> dict:
     """Run a ladder-climbing scenario (nonlinear anti-JC drive plus qubit decay
     funnel a low-lying state into |down, target_n>, blocked there by f1) with
     runner.run, which writes trajectory.csv and metadata.json at
-    auto_n_max(scenario); then measure the population at and above target_n,
-    write it to report.json beside them and return that report.  A target
-    above auto_n_max raises SchemaError before anything is written.
+    auto_n_max(scenario), pinned as the scenario's truncation (so metadata.json
+    echoes it); then measure the population at and above target_n, write it
+    to report.json beside them and return that report.  A target above
+    auto_n_max raises SchemaError before anything is written.
     """
     if target_n < 1:
         raise ValueError("target_n must be >= 1")
@@ -52,7 +54,8 @@ def run_fock_prep(scenario: Scenario, target_n: int, out_dir=None) -> dict:
     if target_n > n_max:
         raise SchemaError(f"{scenario.name}: target n={target_n} lies above the "
                           f"truncation n_max={n_max}")
-    result = run(scenario, out_dir)
+    # pinned, so run does not pick the truncation a second time
+    result = run(replace(scenario, truncation=n_max), out_dir)
     traj = result.trajectory
     above = population_above(traj, target_n)
     if above[0] > 1e-3:

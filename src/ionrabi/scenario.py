@@ -159,10 +159,6 @@ class Scenario:
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_yaml())
-
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     doc = _need_mapping(doc, source)

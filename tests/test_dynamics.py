@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ionrabi import (
     HilbertSpace,
@@ -134,7 +135,7 @@ class TestThermalState:
 
     def test_positive(self):
         rho = thermal_state(HilbertSpace(40), 1.0, "down")
-        assert rho.min_eigenvalue() >= -1e-12
+        assert np.linalg.eigvalsh(rho.data)[0] >= -1e-12
 
     @pytest.mark.parametrize("nbar", [0.5, 1.0, 3.0, 10.0])
     def test_required_n_max_is_one_bound(self, nbar):
@@ -213,6 +214,46 @@ class TestEvolveUnitary:
         H = _build(space, "JC", g=2.0)
         traj = evolve_unitary(H, fock_state(space, 0), [0.0, math.pi], g=2.0)
         assert traj.cycles[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_times", [1, dynamics._BLOCK, dynamics._BLOCK + 1,
+                                         3 * dynamics._BLOCK + 5])
+    def test_blocks_match_expm(self, n_times):
+        space = HilbertSpace(20)
+        H = _build(space, "NonlinearQRM", g=1.0, eta=0.4, omega_R=0.7, omega0_R=0.3)
+        psi = coherent_state(space, 1.2, "down")
+        times = np.linspace(0.2, 6.0, n_times)
+        traj = evolve_unitary(H, psi, times, snapshot_indices=range(n_times))
+        d = space.dim_boson
+        for i, t in enumerate(times):
+            ref = expm(-1j * H.mat * t) @ psi.data
+            pg, pe = np.abs(ref[:d]) ** 2, np.abs(ref[d:]) ** 2
+            assert np.abs(traj.snapshots[i] - ref).max() < 1e-12
+            assert np.abs(traj.phonons[i] - (pg + pe)).max() < 1e-12
+            assert traj.sigma_z[i] == pytest.approx(pe.sum() - pg.sum(), abs=1e-12)
+            assert traj.n_mean[i] == pytest.approx(np.arange(d) @ (pg + pe), abs=1e-12)
+            assert traj.fidelity[i] == pytest.approx(abs(np.vdot(psi.data, ref)) ** 2, abs=1e-12)
+        assert traj.meta == {"method": "eigh", "n_times": n_times}
+
+    def test_snapshots_across_blocks(self, space):
+        H = _build(space, "JC", g=1.0)
+        psi = coherent_state(space, 1.0, "down")
+        b = dynamics._BLOCK
+        times = np.linspace(0.0, 5.0, 3 * b + 5)
+        picked = [0, b - 1, b, 2 * b + 3, 3 * b + 4]
+        every = evolve_unitary(H, psi, times, snapshot_indices=range(len(times)))
+        traj = evolve_unitary(H, psi, times, snapshot_indices=picked)
+        assert sorted(traj.snapshots) == picked
+        for i in picked:
+            assert np.array_equal(traj.snapshots[i], every.snapshots[i])
+            assert np.abs(traj.snapshots[i] - expm(-1j * H.mat * times[i]) @ psi.data).max() < 1e-12
+
+    def test_norm_guard_names_first_time(self, space):
+        H = _build(space, "JC", g=1.0)
+        psi = fock_state(space, 2, "down")
+        psi.data *= 1.001
+        times = np.linspace(0.5, 3.0, 2 * dynamics._BLOCK + 1)
+        with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
+            evolve_unitary(H, psi, times)
 
 
 class _ConstantDrive:
@@ -639,6 +680,17 @@ class TestRwaCrosscheck:
         report = rwa_crosscheck(spec, T=2.0, n_max=12, n_records=9)
         assert report.max_deviation < 1e-12
         assert report.valid
+
+    def test_deviation_over_several_blocks(self):
+        # fig6's drive over one cycle, 150 records: the nonlinear-QRM side takes
+        # three blocks, the last one partial; the value is the per-time route's
+        khz = 2 * math.pi * 1e3
+        g, eta, omega_R = 41.847 * khz, 0.57838, 11.31 * khz
+        delta_r, delta_b = sideband_detunings(0.0, omega_R)
+        spec = ModelSpec(kind="TwoTone", eta=eta, Omega=2 * g / eta, nu=DEFAULT_NU,
+                         delta_r=delta_r, delta_b=delta_b)
+        report = rwa_crosscheck(spec, T=2 * math.pi / g, n_max=20, n_records=150)
+        assert report.max_deviation == pytest.approx(0.000609518190894387, abs=1e-12)
 
     def test_requires_two_tone(self):
         with pytest.raises(ValueError):

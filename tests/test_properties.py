@@ -16,11 +16,12 @@ from ionrabi import (
     build_hamiltonian,
     evolve_lindblad,
     f1_scalar,
-    f1_series,
     parity_op,
     qubit_ops,
 )
 from ionrabi.fock import hermiticity_defect
+
+from f1_oracle import f1_series
 
 SPACE = HilbertSpace(12)
 FEW = settings(max_examples=30, deadline=None)

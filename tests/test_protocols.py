@@ -21,6 +21,7 @@ from ionrabi import (
     run_fock_prep,
     scenario_from_dict,
 )
+from ionrabi import runner
 from ionrabi.scenario import KHZ
 
 
@@ -64,6 +65,19 @@ class TestFockPrep:
         assert json.loads((base / "report.json").read_text()) == report
         assert json.loads((base / "metadata.json").read_text())["n_max"] == 14
         assert (base / "trajectory.csv").is_file()
+
+    def test_truncation_picked_once(self, tmp_path, monkeypatch):
+        # the target check and the run share one auto_n_max, pinned into the
+        # scenario the run writes to metadata.json
+        calls = []
+        barrier_index = runner._barrier_index
+        monkeypatch.setattr(runner, "_barrier_index",
+                            lambda eta: calls.append(eta) or barrier_index(eta))
+        doc = _fockprep(None, duration=0.5, n_points=2).to_dict()
+        run_fock_prep(scenario_from_dict(doc), 3, out_dir=tmp_path)
+        assert len(calls) == 1
+        meta = json.loads((tmp_path / "fockprep-n3" / "metadata.json").read_text())
+        assert meta["n_max"] == meta["scenario"]["truncation"] == 40
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):

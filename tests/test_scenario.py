@@ -53,7 +53,7 @@ class TestGoldenFiles:
     def test_round_trip(self, name, tmp_path):
         sc = parse_scenario(SCENARIO_DIR / f"{name}.scenario")
         path = tmp_path / "row.yaml"
-        sc.save(path)
+        path.write_text(sc.to_yaml())
         assert parse_scenario(path) == sc
 
 
@@ -171,7 +171,7 @@ class TestDefaults:
     def test_round_trip_applies_normalization(self, tmp_path):
         sc = scenario_from_dict(_minimal(initial={"kind": "fock", "n": 2}))
         p = tmp_path / "s.yaml"
-        sc.save(p)
+        p.write_text(sc.to_yaml())
         again = parse_scenario(p)
         assert again == sc
         assert yaml.safe_load(sc.to_yaml())["initial"]["qubit"] == "down"
