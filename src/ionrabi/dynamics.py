@@ -1,11 +1,10 @@
 """State preparation, unitary/Lindblad propagation, and observable extraction.
 
 Evolution strategies:
-  - time-independent H: one hermitian eigendecomposition H = V diag(w) V^dag,
-    then the record times in blocks of _BLOCK, each block one matmul
-    V (e^{-i w t^T} * V^dag psi0) giving one state per column (exact up to
-    linear algebra; a block holds a few D x _BLOCK complex arrays, about
-    D * _BLOCK * 16 B each, never the whole trajectory);
+  - time-independent H: one stacked hermitian eigendecomposition per size of
+    sector, the connected blocks of H's nonzero pattern that psi0 touches,
+    then the record times in blocks of _BLOCK, one batched matmul per size
+    and block (evolve_unitary; exact up to linear algebra);
   - time-dependent H: a drive that repeats with period T' in a rotating
     frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
     Pass 1 steps the identity over one period with fixed-step RK4 to get
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PositivityLoss, SpaceMismatch, StepTooLarge, TruncationTooSmall
-from .fock import HilbertSpace, Operator, hermiticity_defect
+from .fock import HilbertSpace, Operator, _sectors, hermiticity_defect
 from .models import ModelSpec, TwoToneGenerator, build_hamiltonian
 
 __all__ = [
@@ -317,14 +316,19 @@ def _check_times(times) -> np.ndarray:
 
 def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = None,
                    snapshot_indices=None) -> Trajectory:
-    """psi(t) = exp(-iHt) psi0 via one hermitian eigendecomposition H = V diag(w) V^dag.
+    """psi(t) = exp(-iHt) psi0, sector by sector.
 
-    The record times go in blocks of _BLOCK: each block is one matmul
-    V (e^{-i w t^T} * V^dag psi0), one state per column, recorded at once.
-    A block holds a few D x _BLOCK complex arrays (phases, states), about
-    D * _BLOCK * 16 B each (248 kB at D = 242), never the whole trajectory.
-    A record whose norm is more than NORM_TOL from 1 raises StepTooLarge
-    naming the first such t.
+    The sectors are the connected components of H's nonzero pattern that
+    psi0's support touches (_sectors): the excitation-number doublets of the
+    JC family, the two parity chains of the QRM family, all of a dense H.
+    An exactly zero coupling decouples them, so every other amplitude stays
+    exactly 0.  Sectors of one size share a stacked eigh H = V diag(w) V^dag;
+    the record times go in blocks of _BLOCK, each one batched matmul
+    V (e^{-i w t^T} * V^dag psi0) per size, scattered into a zeroed D x _BLOCK
+    block of states.  A block holds at most three complex D x _BLOCK arrays
+    (248 kB each at D = 242), never the whole trajectory.  A record whose
+    norm is more than NORM_TOL from 1 raises StepTooLarge naming the first
+    such t.
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary requires a pure initial state")
@@ -333,12 +337,17 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
     if not H.hermitian and hermiticity_defect(H.mat) > 1e-12:
         raise ValueError("evolve_unitary requires a hermitian Hamiltonian")
     times = _check_times(times)
-    w, V = np.linalg.eigh(H.mat)
-    coeff = (V.conj().T @ psi0.data)[:, None]
+    groups = []
+    for idx in _sectors(H.mat, np.flatnonzero(psi0.data)):
+        w, V = np.linalg.eigh(H.mat[idx[:, :, None], idx[:, None, :]])
+        coeff = V.conj().swapaxes(1, 2) @ psi0.data[idx][:, :, None]
+        groups.append((idx.ravel(), -1j * w[:, :, None], V, coeff))
     rec = _Recorder(H.space, psi0, len(times), snapshot_indices)
     for i in range(0, len(times), _BLOCK):
         t = times[i:i + _BLOCK]
-        psi = V @ (np.exp(np.multiply.outer(-1j * w, t)) * coeff)
+        psi = np.zeros((len(psi0.data), len(t)), dtype=complex)
+        for rows, minus_iw, V, coeff in groups:
+            psi[rows] = (V @ (np.exp(minus_iw * t) * coeff)).reshape(len(rows), len(t))
         norm = np.linalg.norm(psi, axis=0)
         bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
         if bad.size:

@@ -102,6 +102,39 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.abs(mat - mat.conj().T).max() / scale)
 
 
+def _sectors(mat: np.ndarray, live: np.ndarray) -> list:
+    """The connected components of mat's nonzero pattern (read as undirected)
+    that hold an index in `live`: one (k, s) index array per size s,
+    ascending, its rows the components by smallest index, each ascending.
+    Labels start as the indices; each pass takes the least label among an
+    index and its neighbours, then jumps pointers to a fixed point, so they
+    settle on each component's smallest index.
+    """
+    dim = len(mat)
+    nz = mat != 0
+    rows, cols = np.nonzero(nz | nz.T)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    present = rows[starts]
+    label = np.arange(dim)
+    while True:
+        new = label.copy()
+        new[present] = np.minimum(label[present], np.minimum.reduceat(label[cols], starts))
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    keep = np.zeros(dim, dtype=bool)
+    keep[label[live]] = True
+    members = np.flatnonzero(keep[label])
+    size = np.bincount(label, minlength=dim)[label[members]]
+    # stable: each component keeps its indices ascending
+    order = np.argsort(size * dim + label[members], kind="stable")
+    members, size = members[order], size[order]
+    bounds = np.append(np.flatnonzero(np.diff(size, prepend=0)), len(size))
+    return [members[a:b].reshape(-1, size[a]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 # ---------------------------------------------------------------------------
 # ladder and Pauli operators
 # ---------------------------------------------------------------------------

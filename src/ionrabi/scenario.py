@@ -156,9 +156,6 @@ class Scenario:
             out["truncation"] = self.truncation
         return out
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False)
-
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     doc = _need_mapping(doc, source)

@@ -24,6 +24,7 @@ from ionrabi import (
     fock_state,
     number_op,
     overlap_fidelity,
+    parse_scenario,
     phonon_distribution,
     qubit_ops,
     rwa_crosscheck,
@@ -39,6 +40,7 @@ from ionrabi.errors import (
     StepTooLarge,
     TruncationTooSmall,
 )
+from ionrabi.fock import _sectors
 from ionrabi.models import DEFAULT_NU
 from ionrabi.runner import _state_n_requirement
 
@@ -254,6 +256,86 @@ class TestEvolveUnitary:
         times = np.linspace(0.5, 3.0, 2 * dynamics._BLOCK + 1)
         with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
             evolve_unitary(H, psi, times)
+
+
+def _random_hermitian(space, rng):
+    d = space.dim_total
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return Operator(space, (a + a.conj().T) / (2.0 * math.sqrt(d)), hermitian=True)
+
+
+def _parity_sectors(space):
+    """|down, even> + |up, odd> and its complement, each ascending."""
+    n = np.arange(space.dim_boson)
+    even = np.concatenate([n[n % 2 == 0], space.dim_boson + n[n % 2 == 1]])
+    odd = np.concatenate([n[n % 2 == 1], space.dim_boson + n[n % 2 == 0]])
+    return np.sort(even), np.sort(odd)
+
+
+class TestSectors:
+    def test_nonlinear_jc_doublets(self):
+        sp = HilbertSpace(40)
+        H = _build(sp, "NonlinearJC", g=1.0, eta=0.4)
+        singlets, doublets = _sectors(H.mat, np.arange(sp.dim_total))
+        assert singlets.tolist() == [[sp.index(0, 0)], [sp.index(1, 40)]]
+        assert doublets.tolist() == [[sp.index(0, n), sp.index(1, n - 1)] for n in range(1, 41)]
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("QRM", dict(g=1.0, omega_R=0.7, omega0_R=0.3)),
+        ("NonlinearQRM", dict(g=1.0, eta=0.4, omega_R=0.7, omega0_R=0.3)),
+    ])
+    def test_rabi_parity_chains(self, kind, kw):
+        sp = HilbertSpace(30)
+        H = _build(sp, kind, **kw)
+        (chains,) = _sectors(H.mat, np.arange(sp.dim_total))
+        assert chains.shape == (2, sp.n_max + 1)
+        assert [c.tolist() for c in chains] == [c.tolist() for c in _parity_sectors(sp)]
+
+    def test_fig4_start_keeps_one_parity(self):
+        sc = parse_scenario(ROOT / "scenarios" / "fig4.scenario")
+        sp = HilbertSpace(sc.truncation)
+        H = build_hamiltonian(sc.model_spec(), sp)
+        psi = fock_state(sp, 0, "down")
+        (sector,) = _sectors(H.mat, np.flatnonzero(psi.data))
+        even, odd = _parity_sectors(sp)
+        assert sector.tolist() == [even.tolist()]
+        times = np.linspace(0.0, 20.0 * 2 * math.pi / sc.model_spec().g, 201)
+        traj = evolve_unitary(H, psi, times, snapshot_indices=range(len(times)))
+        for state in traj.snapshots.values():
+            assert not np.any(state[odd])
+            assert abs(np.linalg.norm(state[even]) - 1.0) < 1e-12
+
+    def test_dense_hermitian_is_one_sector(self, space, rng):
+        H = _random_hermitian(space, rng)
+        (sector,) = _sectors(H.mat, np.array([3]))
+        assert sector.tolist() == [list(range(space.dim_total))]
+
+    def test_untouched_sectors_dropped(self):
+        sp = HilbertSpace(10)
+        H = _build(sp, "JC", g=1.0)
+        live = np.array([sp.index(0, 4), sp.index(1, 10)])
+        singlets, doublets = _sectors(H.mat, live)
+        assert singlets.tolist() == [[sp.index(1, 10)]]
+        assert doublets.tolist() == [[sp.index(0, 4), sp.index(1, 3)]]
+
+    @pytest.mark.parametrize("case", ["JC", "NonlinearQRM", "random"])
+    def test_route_matches_expm(self, case, rng):
+        sp = HilbertSpace(20)
+        if case == "JC":
+            H = _build(sp, "JC", g=1.0)
+            psi = coherent_state(sp, 1.5, "down")
+        elif case == "NonlinearQRM":
+            H = _build(sp, "NonlinearQRM", g=1.0, eta=0.4, omega_R=0.7, omega0_R=0.3)
+            psi = fock_state(sp, 3, "up")
+        else:
+            H = _random_hermitian(sp, rng)
+            data = rng.normal(size=sp.dim_total) + 1j * rng.normal(size=sp.dim_total)
+            psi = QuantumState(sp, data / np.linalg.norm(data), "pure")
+        times = np.linspace(0.0, 8.0, 2 * dynamics._BLOCK + 7)
+        traj = evolve_unitary(H, psi, times, snapshot_indices=range(len(times)))
+        for i, t in enumerate(times):
+            assert np.abs(traj.snapshots[i] - expm(-1j * H.mat * t) @ psi.data).max() < 1e-12
+        assert traj.meta == {"method": "eigh", "n_times": len(times)}
 
 
 class _ConstantDrive:
