@@ -273,7 +273,7 @@ def _cmd_validate(args) -> int:
         }
         print(f"rwa cross-check over {args.t_cycles} cycles: max deviation "
               f"{rep.max_deviation:.4f} (tolerance {rep.tolerance}) -> {crosscheck_state}; "
-              f"top-level population {rep.meta['top_population']:.3e} at n_max {n_max}")
+              f"top-level population {rep.top_population:.3e} at n_max {n_max}")
 
     write_json(os.path.join(output_dir(args.out, scenario.name), "validation.json"), report)
     if not converged:

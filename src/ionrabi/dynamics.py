@@ -24,7 +24,9 @@ Evolution strategies:
     |down>, the weak U(1) symmetry of that generator).  One index-pairing
     pass, `_lindblad_coo`, finds the set and the generator's sparse COO map
     on it, once per call.
-Fixed steps keep golden outputs deterministic and reproducible.
+Fixed steps keep golden outputs deterministic and reproducible.  Every
+evolver hands its records to one _Recorder, which checks each record's norm
+or trace once, keeps the states if asked (keep_states) and builds the Trajectory.
 
 Trace/norm/positivity are monitored, not silently repaired: drifts beyond
 tolerance raise StepTooLarge / PositivityLoss so step-size bugs surface.
@@ -230,7 +232,8 @@ class Trajectory:
     """Time grid plus per-time observables.
 
     times are in the raw units of 1/H; `cycles` converts to the paper's
-    2*pi/g axis when g is known.
+    2*pi/g axis when g is known.  `states`, kept only on request, holds the
+    state at times[i] in row i: (n_times, D) if pure, (n_times, D, D) if not.
     """
 
     times: np.ndarray
@@ -239,7 +242,7 @@ class Trajectory:
     n_mean: np.ndarray
     phonons: np.ndarray                      # (n_times, dim_boson)
     g: float | None = None
-    snapshots: dict = field(default_factory=dict)   # time index -> raw state copy
+    states: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -250,16 +253,21 @@ class Trajectory:
 
 
 class _Recorder:
-    def __init__(self, space: HilbertSpace, ref: QuantumState, n_times: int,
-                 snapshot_indices=None):
+    """Observables of every record, and its state with keep_states; a record
+    whose ||psi||^2 or trace is more than `tol` from 1 raises StepTooLarge."""
+
+    def __init__(self, space: HilbertSpace, ref: QuantumState, times: np.ndarray, tol: float,
+                 keep_states: bool = False):
+        n_times = len(times)
         self.d = space.dim_boson
         self.ref = ref
+        self.times = times
+        self.tol = tol
         self.sigma_z = np.empty(n_times)
         self.fidelity = np.empty(n_times)
         self.n_mean = np.empty(n_times)
         self.phonons = np.empty((n_times, self.d))
-        self.snapshots = {}
-        self._snap = set(snapshot_indices or ())
+        self.states = np.empty((n_times,) + ref.data.shape, dtype=complex) if keep_states else None
         self._nb = np.arange(self.d)
 
     def record(self, i: int, states: np.ndarray):
@@ -277,17 +285,21 @@ class _Recorder:
         pn = pg + pe
         total = pn.sum(axis=0)
         # inverted comparison so NaN (diverged integration) fails too
-        bad = np.flatnonzero(~(np.abs(total - 1.0) <= PHONON_SUM_TOL))
+        bad = np.flatnonzero(~(np.abs(total - 1.0) <= self.tol))
         if bad.size:
-            raise StepTooLarge(f"phonon distribution sum drifted to {total[bad[0]]} "
-                               f"at record {i + bad[0]}")
+            raise StepTooLarge(f"norm/trace drifted to {total[bad[0]]} "
+                               f"at t={self.times[i + bad[0]]}")
         block = slice(i, i + pn.shape[1])
         self.sigma_z[block] = pe.sum(axis=0) - pg.sum(axis=0)
         self.n_mean[block] = self._nb @ pn
         self.phonons[block] = pn.T
         self.fidelity[block] = fid
-        for j in self._snap.intersection(range(block.start, block.stop)):
-            self.snapshots[j] = (states[:, j - i] if self.ref.is_pure else states).copy()
+        if self.states is not None:
+            self.states[block] = states.T if self.ref.is_pure else states
+
+    def trajectory(self, g: float | None, meta: dict) -> Trajectory:
+        return Trajectory(self.times, self.sigma_z, self.fidelity, self.n_mean, self.phonons,
+                          g=g, states=self.states, meta=meta)
 
 
 def _fidelity_raw(ref: QuantumState, state: np.ndarray) -> float:
@@ -315,7 +327,7 @@ def _check_times(times) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = None,
-                   snapshot_indices=None) -> Trajectory:
+                   keep_states: bool = False) -> Trajectory:
     """psi(t) = exp(-iHt) psi0, sector by sector.
 
     The sectors are the connected components of H's nonzero pattern that
@@ -326,9 +338,9 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
     the record times go in blocks of _BLOCK, each one batched matmul
     V (e^{-i w t^T} * V^dag psi0) per size, scattered into a zeroed D x _BLOCK
     block of states.  A block holds at most three complex D x _BLOCK arrays
-    (248 kB each at D = 242), never the whole trajectory.  A record whose
-    norm is more than NORM_TOL from 1 raises StepTooLarge naming the first
-    such t.
+    (248 kB each at D = 242) besides the kept states.  The recorder raises
+    StepTooLarge at the first t whose ||psi||^2 is more than 2 NORM_TOL from
+    1, that is ||psi|| more than NORM_TOL.
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary requires a pure initial state")
@@ -342,24 +354,18 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
         w, V = np.linalg.eigh(H.mat[idx[:, :, None], idx[:, None, :]])
         coeff = V.conj().swapaxes(1, 2) @ psi0.data[idx][:, :, None]
         groups.append((idx.ravel(), -1j * w[:, :, None], V, coeff))
-    rec = _Recorder(H.space, psi0, len(times), snapshot_indices)
+    rec = _Recorder(H.space, psi0, times, 2 * NORM_TOL, keep_states)
     for i in range(0, len(times), _BLOCK):
         t = times[i:i + _BLOCK]
         psi = np.zeros((len(psi0.data), len(t)), dtype=complex)
         for rows, minus_iw, V, coeff in groups:
             psi[rows] = (V @ (np.exp(minus_iw * t) * coeff)).reshape(len(rows), len(t))
-        norm = np.linalg.norm(psi, axis=0)
-        bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
-        if bad.size:
-            raise StepTooLarge(f"norm drifted to {norm[bad[0]]} at t={t[bad[0]]}")
         rec.record(i, psi)
-    return Trajectory(times, rec.sigma_z, rec.fidelity, rec.n_mean, rec.phonons,
-                      g=g, snapshots=rec.snapshots,
-                      meta={"method": "eigh", "n_times": len(times)})
+    return rec.trajectory(g, {"method": "eigh", "n_times": len(times)})
 
 
 def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
-                      snapshot_indices=None) -> Trajectory:
+                      keep_states: bool = False) -> Trajectory:
     """psi(t) for i d psi/dt = H(t) psi, with H(t) periodic in a rotating frame.
 
     `drive` supplies apply(t, X) = H(t) @ X for X of shape (D,) or (D, m), the
@@ -451,7 +457,7 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     wide = len(periods) > D
     X = np.eye(D, dtype=complex) if wide else seeds
     j = 0
-    rec = _Recorder(psi0.space, psi0, len(times), snapshot_indices)
+    rec = _Recorder(psi0.space, psi0, times, PHONON_SUM_TOL, keep_states)
     for r, i in enumerate(order):
         if not wide:
             X = X[:, :needed[r]]
@@ -462,10 +468,8 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
         if s[i] > j * dt:
             psi = step(psi, t0 + j * dt, s[i] - j * dt)
         rec.record(i, (np.exp(1j * drive.frame * (k[i] * period)) * psi)[:, None])
-    return Trajectory(times, rec.sigma_z, rec.fidelity, rec.n_mean, rec.phonons,
-                      g=g, snapshots=rec.snapshots,
-                      meta={"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
-                            "n_steps": n_steps, "norm_drift": drift})
+    return rec.trajectory(g, {"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
+                              "n_steps": n_steps, "norm_drift": drift})
 
 
 def _column_pairs(key, cols, n):
@@ -499,7 +503,8 @@ def _lindblad_coo(rho0, A, jumps):
     repeated until it names no new target, so its last pass is the COO and
     nothing is dropped on a threshold.  The symmetrized start keeps the set
     closed under transposition (rho A^dag's pattern is the transpose of
-    A rho's), so the per-step hermitization stays on it.
+    A rho's), so rho_ij and rho_ji are stepped together even from a start
+    whose zero pattern is not symmetric.
     """
     d_total = A.shape[0]
     ar, ac, av = _nonzeros_by_column(A)
@@ -533,7 +538,7 @@ def _lindblad_coo(rho0, A, jumps):
 
 def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, times,
                     dt_max: float | None = None, g: float | None = None,
-                    snapshot_indices=None) -> Trajectory:
+                    keep_states: bool = False) -> Trajectory:
     """Fixed-step RK4 for drho/dt = -i[H,rho] + sum Gamma (C rho C^dag - {C^dag C, rho}/2).
 
     Only the elements of rho that the generator can reach from rho0 are
@@ -545,11 +550,11 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     live on rho0's space (SpaceMismatch).
 
     The step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05.  Every step
-    re-hermitizes rho (a transpose permutation on the set) and raises
-    StepTooLarge on a trace drift > 1e-6.  At each record time rho is
-    scattered back into a full matrix; a non-finite entry or an eigenvalue
+    raises StepTooLarge on a trace drift > 1e-6; rho is never re-hermitized,
+    as the generator keeps it hermitian to rounding.  At each record time rho
+    is scattered back into a full matrix; a non-finite entry or an eigenvalue
     < -1e-6 raises PositivityLoss (positivity is monitored, never projected
-    back), and snapshots hold the full matrix.
+    back), and with keep_states `states` holds the full matrices.
     """
     rho0 = rho0.to_density()
     if H.space.n_max != rho0.space.n_max:
@@ -572,17 +577,15 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     for rate, C in jumps:
         A = A - 0.5 * rate * (C.conj().T @ C)
     flat, tgt, src, val = _lindblad_coo(rho0.data, A, jumps)
-    rows, cols = np.divmod(flat, D)
     targets, starts = np.unique(tgt, return_index=True)
-    transpose = np.searchsorted(flat, cols * D + rows)
-    diagonal = np.flatnonzero(rows == cols)
+    diagonal = np.flatnonzero(flat % (D + 1) == 0)
 
     def rhs(x):
         out = np.zeros_like(x)
         out[targets] = np.add.reduceat(val * x[src], starts)
         return out
 
-    rec = _Recorder(H.space, rho0, len(times), snapshot_indices)
+    rec = _Recorder(H.space, rho0, times, PHONON_SUM_TOL, keep_states)
     x = rho0.data.ravel()[flat]
     t = times[0]
     max_trace_drift = 0.0
@@ -598,7 +601,6 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
             k3 = rhs(x + (0.5 * dt) * k2)
             k4 = rhs(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            x = 0.5 * (x + x[transpose].conj())
             n_steps += 1
             tr_drift = abs(x[diagonal].real.sum() - 1.0)
             max_trace_drift = max(max_trace_drift, tr_drift)
@@ -615,10 +617,8 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
         if not (min_eig >= -1e-6):
             raise PositivityLoss(f"min eigenvalue {min_eig:.3e} < -1e-6 at t={t}")
         rec.record(i, rho)
-    return Trajectory(times, rec.sigma_z, rec.fidelity, rec.n_mean, rec.phonons,
-                      g=g, snapshots=rec.snapshots,
-                      meta={"method": "rk4_lindblad", "dt": dt_eff, "n_steps": n_steps,
-                            "trace_drift": max_trace_drift})
+    return rec.trajectory(g, {"method": "rk4_lindblad", "dt": dt_eff, "n_steps": n_steps,
+                              "trace_drift": max_trace_drift})
 
 
 # ---------------------------------------------------------------------------
@@ -669,23 +669,21 @@ class RwaReport:
     tolerance: float
     valid: bool
     omega_over_nu: float
-    n_records: int
-    meta: dict = field(default_factory=dict)
+    top_population: float   # largest population of level n_max in the two-tone run
 
 
 def rwa_crosscheck(spec: ModelSpec, n_max: int, psi0: QuantumState | None = None,
                    T: float | None = None, tolerance: float = 0.01,
                    n_records: int = 61) -> RwaReport:
     """Evolve psi0 (default |down, 0>) at truncation n_max under the full
-    two-tone drive and under the nonlinear QRM it simulates, and report
-    max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
+    two-tone drive and under the nonlinear QRM it simulates, both keeping
+    their states, and report max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
 
     The two trajectories are compared in a common frame: the two-tone state
     is mapped by exp(+i H0 t) with H0 = (delta_b+delta_r)/4 sigma_z
     + (delta_b-delta_r)/2 a^dag a, which aligns the interaction picture of
-    the drive with the Schroedinger picture of the simulated model.
-    meta["top_population"] is the largest population of the top Fock level
-    n_max in the two-tone run, a one-pass truncation signal.
+    the drive with the Schroedinger picture of the simulated model.  H0 is
+    diagonal, so every record is aligned and compared in one array step.
     """
     if spec.kind != "TwoTone":
         raise ValueError("rwa_crosscheck requires a TwoTone ModelSpec")
@@ -697,31 +695,24 @@ def rwa_crosscheck(spec: ModelSpec, n_max: int, psi0: QuantumState | None = None
         T = 3.0 * 2.0 * math.pi / spec.g
     times = np.linspace(0.0, T, n_records)
 
-    traj_full = evolve_unitary_td(TwoToneGenerator(spec, space), psi0, times, g=spec.g,
-                                  snapshot_indices=range(n_records))
-
+    full = evolve_unitary_td(TwoToneGenerator(spec, space), psi0, times, g=spec.g,
+                             keep_states=True)
     H_sim = build_hamiltonian(ModelSpec(kind="NonlinearQRM", eta=spec.eta, g=spec.g,
                                         omega_R=omega_R, omega0_R=omega0_R), space)
-    traj_sim = evolve_unitary(H_sim, psi0, times, g=spec.g,
-                              snapshot_indices=range(n_records))
+    sim = evolve_unitary(H_sim, psi0, times, g=spec.g, keep_states=True)
 
     nb = np.arange(space.dim_boson)
     h0 = np.concatenate([
         0.25 * (spec.delta_b + spec.delta_r) * (-1.0) + 0.5 * (spec.delta_b - spec.delta_r) * nb,
         0.25 * (spec.delta_b + spec.delta_r) * (+1.0) + 0.5 * (spec.delta_b - spec.delta_r) * nb,
     ])
-    max_dev = 0.0
-    for i, t in enumerate(times):
-        aligned = np.exp(1j * h0 * t) * traj_full.snapshots[i]
-        dev = 1.0 - abs(np.vdot(aligned, traj_sim.snapshots[i])) ** 2
-        max_dev = max(max_dev, float(dev))
+    aligned = np.exp(1j * np.outer(times, h0)) * full.states
+    overlap = np.einsum("ij,ij->i", aligned.conj(), sim.states)
+    max_dev = max(0.0, float(np.max(1.0 - np.abs(overlap) ** 2)))
     return RwaReport(
         max_deviation=max_dev,
         tolerance=tolerance,
         valid=max_dev < tolerance,
         omega_over_nu=spec.Omega / spec.nu,
-        n_records=n_records,
-        meta={"T": T, "n_max": n_max, "omega0_R": omega0_R, "omega_R": omega_R,
-              "rk4_steps": traj_full.meta["n_steps"],
-              "top_population": float(traj_full.phonons[:, -1].max())},
+        top_population=float(full.phonons[:, -1].max()),
     )

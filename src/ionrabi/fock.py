@@ -251,7 +251,9 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
         grid = np.minimum(np.add.accumulate(np.r_[start, np.full(1000, step)]), hi)
         grid = grid[:np.searchsorted(grid, hi) + 1]
         f = f1_diagonal(n, grid)[n]
-        hit = np.nonzero((f[1:] == 0.0) | (f[:-1] * f[1:] < 0))[0]
+        # strict: f is exactly 0 where exp(-eta^2/2) underflows (eta > 38.6),
+        # which is no zero of f1
+        hit = np.nonzero(f[:-1] * f[1:] < 0)[0]
         if hit.size:
             break
         if grid[-1] == hi:
@@ -260,8 +262,6 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
             )
         start = grid[-1]
     k = int(hit[0]) + 1
-    if f[k] == 0.0:
-        return float(grid[k])
     a, fa, b, fb = float(grid[k - 1]), float(f[k - 1]), float(grid[k]), float(f[k])
     for _ in range(200):
         m = 0.5 * (a + b)

@@ -1,7 +1,8 @@
 """Scenario execution: deterministic CSV/JSON outputs and parameter sweeps.
 
 Determinism contract: fixed steps, no RNG.  A rerun reproduces the
-committed goldens within 1e-12, not byte for byte: values are written with
+committed goldens within 1e-12, and fig3's, whose 41,400 RK4 steps build up
+rounding drift, within 1e-10; not byte for byte: values are written with
 18 significant digits (%.17e), and the last of them can differ between runs.
 """
 from __future__ import annotations

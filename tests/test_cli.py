@@ -206,6 +206,8 @@ def test_validate_writes_report(tmp_path):
 def test_no_sign_change_exits_3():
     # f1(1, eta) first vanishes at sqrt(2), outside this bracket
     assert exit_code(["f1", "--find-zero", "1", "--bracket", "0.001", "1.0"]) == 3
+    # nor on [2, 50], though f1 underflows to -0 near eta = 38.6
+    assert exit_code(["f1", "--find-zero", "1", "--bracket", "2", "50"]) == 3
 
 
 def test_find_zero_default_bracket_holds_target_1(capsys):

@@ -164,9 +164,9 @@ class TestEvolveUnitary:
     def test_zero_hamiltonian(self, space):
         H = Operator(space, np.zeros((space.dim_total,) * 2), hermitian=True)
         psi = fock_state(space, 2, "up")
-        traj = evolve_unitary(H, psi, np.linspace(0, 5, 11), snapshot_indices=[0, 10])
+        traj = evolve_unitary(H, psi, np.linspace(0, 5, 11), keep_states=True)
         assert np.allclose(traj.fidelity, 1.0)
-        assert np.array_equal(traj.snapshots[10], psi.data)
+        assert np.array_equal(traj.states[10], psi.data)
 
     def test_jc_rabi_oscillation(self, space):
         g = 1.0
@@ -175,6 +175,7 @@ class TestEvolveUnitary:
         times = np.linspace(0, 4.0, 41)
         traj = evolve_unitary(H, psi, times)
         assert np.abs(traj.fidelity - np.cos(g * times) ** 2).max() < 1e-12
+        assert traj.states is None   # kept only on request
 
     def test_qrm_dsc_revival(self):
         sp = HilbertSpace(70)
@@ -196,19 +197,15 @@ class TestEvolveUnitary:
     def test_norm_preserved(self, space):
         H = _build(space, "JC", g=1.0)
         psi = fock_state(space, 3, "down")
-        traj = evolve_unitary(H, psi, np.linspace(0, 20, 101),
-                              snapshot_indices=range(101))
-        for state in traj.snapshots.values():
-            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+        traj = evolve_unitary(H, psi, np.linspace(0, 20, 101), keep_states=True)
+        assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() < 1e-10
 
     def test_energy_conserved(self):
         sp = HilbertSpace(40)
         H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
         psi = coherent_state(sp, 1.0, "down")
-        traj = evolve_unitary(H, psi, np.linspace(0, 10, 21),
-                              snapshot_indices=range(21))
-        energies = [expectation(H, QuantumState(sp, s, "pure"))
-                    for s in traj.snapshots.values()]
+        traj = evolve_unitary(H, psi, np.linspace(0, 10, 21), keep_states=True)
+        energies = [expectation(H, QuantumState(sp, s, "pure")) for s in traj.states]
         e0 = energies[0]
         assert max(abs(e - e0) for e in energies) < 1e-9 * max(1.0, abs(e0))
 
@@ -224,38 +221,39 @@ class TestEvolveUnitary:
         H = _build(space, "NonlinearQRM", g=1.0, eta=0.4, omega_R=0.7, omega0_R=0.3)
         psi = coherent_state(space, 1.2, "down")
         times = np.linspace(0.2, 6.0, n_times)
-        traj = evolve_unitary(H, psi, times, snapshot_indices=range(n_times))
+        traj = evolve_unitary(H, psi, times, keep_states=True)
         d = space.dim_boson
         for i, t in enumerate(times):
             ref = expm(-1j * H.mat * t) @ psi.data
             pg, pe = np.abs(ref[:d]) ** 2, np.abs(ref[d:]) ** 2
-            assert np.abs(traj.snapshots[i] - ref).max() < 1e-12
+            assert np.abs(traj.states[i] - ref).max() < 1e-12
             assert np.abs(traj.phonons[i] - (pg + pe)).max() < 1e-12
             assert traj.sigma_z[i] == pytest.approx(pe.sum() - pg.sum(), abs=1e-12)
             assert traj.n_mean[i] == pytest.approx(np.arange(d) @ (pg + pe), abs=1e-12)
             assert traj.fidelity[i] == pytest.approx(abs(np.vdot(psi.data, ref)) ** 2, abs=1e-12)
         assert traj.meta == {"method": "eigh", "n_times": n_times}
 
-    def test_snapshots_across_blocks(self, space):
+    def test_states_across_blocks(self, space):
         H = _build(space, "JC", g=1.0)
         psi = coherent_state(space, 1.0, "down")
-        b = dynamics._BLOCK
-        times = np.linspace(0.0, 5.0, 3 * b + 5)
-        picked = [0, b - 1, b, 2 * b + 3, 3 * b + 4]
-        every = evolve_unitary(H, psi, times, snapshot_indices=range(len(times)))
-        traj = evolve_unitary(H, psi, times, snapshot_indices=picked)
-        assert sorted(traj.snapshots) == picked
-        for i in picked:
-            assert np.array_equal(traj.snapshots[i], every.snapshots[i])
-            assert np.abs(traj.snapshots[i] - expm(-1j * H.mat * times[i]) @ psi.data).max() < 1e-12
+        times = np.linspace(0.0, 5.0, 3 * dynamics._BLOCK + 5)
+        traj = evolve_unitary(H, psi, times, keep_states=True)
+        assert traj.states.shape == (len(times), space.dim_total)
+        for i, t in enumerate(times):
+            assert np.abs(traj.states[i] - expm(-1j * H.mat * t) @ psi.data).max() < 1e-12
 
-    def test_norm_guard_names_first_time(self, space):
+    @pytest.mark.parametrize("route", ["unitary", "unitary_td"])
+    def test_norm_guard_names_first_time(self, space, route):
+        # the recorder names the time of the first bad record, on either route
         H = _build(space, "JC", g=1.0)
         psi = fock_state(space, 2, "down")
         psi.data *= 1.001
         times = np.linspace(0.5, 3.0, 2 * dynamics._BLOCK + 1)
         with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
-            evolve_unitary(H, psi, times)
+            if route == "unitary":
+                evolve_unitary(H, psi, times)
+            else:
+                evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2e-3), psi, times)
 
 
 def _random_hermitian(space, rng):
@@ -300,10 +298,9 @@ class TestSectors:
         even, odd = _parity_sectors(sp)
         assert sector.tolist() == [even.tolist()]
         times = np.linspace(0.0, 20.0 * 2 * math.pi / sc.model_spec().g, 201)
-        traj = evolve_unitary(H, psi, times, snapshot_indices=range(len(times)))
-        for state in traj.snapshots.values():
-            assert not np.any(state[odd])
-            assert abs(np.linalg.norm(state[even]) - 1.0) < 1e-12
+        traj = evolve_unitary(H, psi, times, keep_states=True)
+        assert not np.any(traj.states[:, odd])
+        assert np.abs(np.linalg.norm(traj.states[:, even], axis=1) - 1.0).max() < 1e-12
 
     def test_dense_hermitian_is_one_sector(self, space, rng):
         H = _random_hermitian(space, rng)
@@ -332,9 +329,9 @@ class TestSectors:
             data = rng.normal(size=sp.dim_total) + 1j * rng.normal(size=sp.dim_total)
             psi = QuantumState(sp, data / np.linalg.norm(data), "pure")
         times = np.linspace(0.0, 8.0, 2 * dynamics._BLOCK + 7)
-        traj = evolve_unitary(H, psi, times, snapshot_indices=range(len(times)))
+        traj = evolve_unitary(H, psi, times, keep_states=True)
         for i, t in enumerate(times):
-            assert np.abs(traj.snapshots[i] - expm(-1j * H.mat * t) @ psi.data).max() < 1e-12
+            assert np.abs(traj.states[i] - expm(-1j * H.mat * t) @ psi.data).max() < 1e-12
         assert traj.meta == {"method": "eigh", "n_times": len(times)}
 
 
@@ -405,17 +402,17 @@ class TestEvolveUnitaryTd:
         H = _build(space, "JC", g=g)
         psi = fock_state(space, 1, "down")
         times = np.linspace(0, 10.0 / g, 21)
-        ref = evolve_unitary(H, psi, times, snapshot_indices=range(21))
+        ref = evolve_unitary(H, psi, times, keep_states=True)
         traj = evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2e-3), psi, times,
-                                 snapshot_indices=range(21))
-        for i in range(21):
-            assert np.abs(traj.snapshots[i] - ref.snapshots[i]).max() < 1e-8
+                                 keep_states=True)
+        assert np.abs(traj.states - ref.states).max() < 1e-8
 
     def test_zero_drive_is_identity(self, space):
         psi = fock_state(space, 5, "up")
         drive = _ConstantDrive(np.zeros((space.dim_total,) * 2), dt_max=0.1)
         traj = evolve_unitary_td(drive, psi, np.linspace(0, 3, 7))
         assert np.allclose(traj.fidelity, 1.0)
+        assert traj.states is None
 
     def test_step_too_large(self, space):
         H = _build(space, "JC", g=1.0)
@@ -451,11 +448,10 @@ class TestEvolveUnitaryTd:
         gen = TwoToneGenerator(spec, HilbertSpace(12))
         psi = coherent_state(gen.space, 0.7, "down")
         times = np.linspace(0.0, 0.5, 11)
-        traj = evolve_unitary_td(gen, psi, times, snapshot_indices=range(11))
+        traj = evolve_unitary_td(gen, psi, times, keep_states=True)
         assert traj.meta["n_steps"] < 0.5 / gen.dt_max / 4
         ref = _rk4_reference(gen.apply, psi.data, times, gen.dt_max / 2)
-        got = np.array([traj.snapshots[i] for i in range(11)])
-        assert np.abs(got - ref).max() < 1e-10
+        assert np.abs(traj.states - ref).max() < 1e-10
 
     def test_step_of_400_per_trap_period(self, monkeypatch):
         # The step keeps validate's one-cycle fig6 max_deviation within 1e-10
@@ -484,10 +480,9 @@ class TestEvolveUnitaryTd:
             times = np.linspace(0.0, 0.48, n)
             assert len(np.unique(np.floor(times / gen.period))) == n
             drive = _Widths(gen)
-            runs[n] = evolve_unitary_td(drive, psi, times, snapshot_indices=range(n))
+            runs[n] = evolve_unitary_td(drive, psi, times, keep_states=True).states
             assert drive.widest == gen.space.dim_total   # pass 1's identity
-        for a, b in enumerate(range(0, 13, 3)):
-            assert np.abs(runs[5].snapshots[a] - runs[13].snapshots[b]).max() < 1e-13
+        assert np.abs(runs[5] - runs[13][::3]).max() < 1e-13
 
 
 class TestEvolveLindblad:
@@ -501,6 +496,7 @@ class TestEvolveLindblad:
         traj = evolve_lindblad(H, LindbladSpec([(0.0, sm)]), psi.to_density(), times,
                                dt_max=5e-3)
         assert np.abs(traj.fidelity - ref.fidelity).max() < 1e-8
+        assert traj.states is None
 
     def test_amplitude_damping_analytic(self, space):
         gamma = 0.8
@@ -525,8 +521,9 @@ class TestEvolveLindblad:
         _, _, sm, _ = qubit_ops(space)
         traj = evolve_lindblad(H, LindbladSpec([(2.0, sm)]),
                                thermal_state(space, 0.2, "down"),
-                               np.linspace(0, 8, 9), snapshot_indices=[8])
-        rho = traj.snapshots[8]
+                               np.linspace(0, 8, 9), keep_states=True)
+        assert traj.states.shape == (9, space.dim_total, space.dim_total)
+        rho = traj.states[8]
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(rho)[0] > -1e-8
 
@@ -606,7 +603,6 @@ def _dense_reference(H, terms, rho0, times, dt_max):
             k3 = rhs(rho + (0.5 * dt) * k2)
             k4 = rhs(rho + dt * k3)
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
         states.append(rho)
     return states
 
@@ -621,10 +617,9 @@ def _asymmetric_thermal(sp, nbar):
 
 class TestReducedLindblad:
     def _check_against_dense(self, H, terms, rho0, times):
-        traj = evolve_lindblad(H, LindbladSpec(terms), rho0, times,
-                               snapshot_indices=range(len(times)))
+        traj = evolve_lindblad(H, LindbladSpec(terms), rho0, times, keep_states=True)
         ref = _dense_reference(H, terms, rho0, times, traj.meta["dt"])
-        worst = max(np.abs(traj.snapshots[i] - ref[i]).max() for i in range(len(times)))
+        worst = np.abs(traj.states - np.array(ref)).max()
         assert worst <= 1e-12
 
     def test_anti_jc_decay_matches_dense(self, space):
@@ -635,7 +630,7 @@ class TestReducedLindblad:
                                   np.linspace(0, 3, 7))
 
     def test_asymmetric_start_matches_dense(self, space):
-        # the per-step hermitization's transpose map needs the symmetrized set
+        # the symmetrized set steps <down,3|rho|down,0> beside <down,0|rho|down,3>
         H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.5)
         sm = qubit_ops(space)[2]
         self._check_against_dense(H, [(2.0, sm)], _asymmetric_thermal(space, 0.2),
@@ -662,14 +657,14 @@ class TestReducedLindblad:
         flat = _lindblad_coo(rho0.data, A, [(gamma, sm.mat)])[0]
         assert len(flat) == 4 * sp.n_max + 1 == 161
         traj = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0,
-                               np.linspace(0, 0.5, 2), snapshot_indices=[1])
-        rho = traj.snapshots[1]
+                               np.linspace(0, 0.5, 2), keep_states=True)
+        rho = traj.states[1]
         off_set = np.ones(rho.size, dtype=bool)
         off_set[flat] = False
         assert np.all(rho.ravel()[off_set] == 0)
         assert np.count_nonzero(rho) == 161
-        # re-hermitized every step, so exactly hermitian
-        assert np.array_equal(rho, rho.conj().T)
+        # never re-hermitized: the generator keeps rho hermitian to rounding
+        assert np.abs(rho - rho.conj().T).max() < 1e-15
 
 
 def _boolean_closure(rho0, A, jumps):

@@ -260,6 +260,10 @@ class TestBarrierEta:
         # f1(1, eta) = exp(-eta^2/2)(2 - eta^2)/2 first vanishes at sqrt(2) > 1
         with pytest.raises(NoSignChange):
             barrier_eta(1, (1e-3, 1.0))
+        # f1(1, eta) < 0 beyond sqrt(2), and exp(-eta^2/2) underflows to 0
+        # near eta = 38.6: that 0 is no sign change
+        with pytest.raises(NoSignChange):
+            barrier_eta(1, (2.0, 50.0))
 
     @pytest.mark.parametrize("n,root", [
         (1, math.sqrt(2.0)),                       # L_1^(1)(x) = 2 - x
