@@ -22,8 +22,8 @@ Evolution strategies:
     outside it is exactly 0 for all time (e.g. 4 n_max + 1 of the
     (2 n_max + 2)^2 elements for the anti-JC with qubit decay from a thermal
     |down>, the weak U(1) symmetry of that generator).  One index-pairing
-    pass, `_lindblad_coo`, finds the set and the generator's sparse COO map
-    on it, once per call.
+    pass, `_lindblad_coo`, finds the set and the generator's COO map L on
+    it; each step is RK4's polynomial p(dt L) as two sparse quadratics in L.
 Fixed steps keep golden outputs deterministic and reproducible.  Every
 evolver hands its records to one _Recorder, which checks each record's norm
 or trace once, keeps the states if asked (keep_states) and builds the Trajectory.
@@ -43,22 +43,10 @@ from .fock import HilbertSpace, Operator, _sectors, hermiticity_defect
 from .models import ModelSpec, TwoToneGenerator, build_hamiltonian
 
 __all__ = [
-    "QuantumState",
-    "LindbladSpec",
-    "Trajectory",
-    "fock_state",
-    "coherent_state",
-    "thermal_state",
-    "coherent_required_n_max",
-    "thermal_required_n_max",
-    "evolve_unitary",
-    "evolve_unitary_td",
-    "evolve_lindblad",
-    "expectation",
-    "overlap_fidelity",
-    "phonon_distribution",
-    "rwa_crosscheck",
-    "RwaReport",
+    "QuantumState", "LindbladSpec", "Trajectory", "fock_state", "coherent_state",
+    "thermal_state", "coherent_required_n_max", "thermal_required_n_max", "evolve_unitary",
+    "evolve_unitary_td", "evolve_lindblad", "expectation", "overlap_fidelity",
+    "phonon_distribution", "rwa_crosscheck", "RwaReport",
 ]
 
 _QUBIT_INDEX = {"down": 0, "g": 0, "up": 1, "e": 1}
@@ -71,6 +59,10 @@ PHONON_SUM_TOL = 1e-6
 # of three: 0.74 s at 16, 0.71 s at 32, 0.56 s at 64, 0.54 s at 128; wider
 # blocks only hold more memory
 _BLOCK = 64
+# p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 step, is the product of 1 + a z + b z^2
+# over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
+_RK4_FACTORS = ((0.08525331300540473, 0.15755219957394268),
+                (0.9147466869945958, 0.26446261479905014))
 
 
 @dataclass
@@ -253,8 +245,8 @@ class Trajectory:
 
 
 class _Recorder:
-    """Observables of every record, and its state with keep_states; a record
-    whose ||psi||^2 or trace is more than `tol` from 1 raises StepTooLarge."""
+    """Observables of every record, and its state with keep_states; a record whose
+    ||psi||^2 or trace is more than `tol` from 1 (`drift`: the largest) raises StepTooLarge."""
 
     def __init__(self, space: HilbertSpace, ref: QuantumState, times: np.ndarray, tol: float,
                  keep_states: bool = False):
@@ -269,6 +261,7 @@ class _Recorder:
         self.phonons = np.empty((n_times, self.d))
         self.states = np.empty((n_times,) + ref.data.shape, dtype=complex) if keep_states else None
         self._nb = np.arange(self.d)
+        self.drift = 0.0
 
     def record(self, i: int, states: np.ndarray):
         """Record from record i on: against a pure reference, a block of pure
@@ -289,6 +282,7 @@ class _Recorder:
         if bad.size:
             raise StepTooLarge(f"norm/trace drifted to {total[bad[0]]} "
                                f"at t={self.times[i + bad[0]]}")
+        self.drift = max(self.drift, float(np.abs(total - 1.0).max()))
         block = slice(i, i + pn.shape[1])
         self.sigma_z[block] = pe.sum(axis=0) - pg.sum(axis=0)
         self.n_mean[block] = self._nb @ pn
@@ -310,7 +304,7 @@ def _fidelity_raw(ref: QuantumState, state: np.ndarray) -> float:
     # mixed reference: overlap Tr(rho_ref rho)
     if state.ndim == 1:
         return float(np.real(np.vdot(state, ref.data @ state)))
-    return float(np.real(np.trace(ref.data @ state)))
+    return float(np.real(np.vdot(ref.data.conj().T, state)))
 
 
 def _check_times(times) -> np.ndarray:
@@ -536,25 +530,28 @@ def _lindblad_coo(rho0, A, jumps):
     return flat, tgt[order], np.concatenate(src)[order], np.concatenate(val)[order]
 
 
+def _min_eigenvalue(rho: np.ndarray, blocks: list) -> float:
+    """Least eigenvalue of a rho that is block diagonal over `blocks` (_sectors)."""
+    return float(min(np.linalg.eigvalsh(rho[b[:, :, None], b[:, None, :]]).min() for b in blocks))
+
+
 def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, times,
                     dt_max: float | None = None, g: float | None = None,
                     keep_states: bool = False) -> Trajectory:
     """Fixed-step RK4 for drho/dt = -i[H,rho] + sum Gamma (C rho C^dag - {C^dag C, rho}/2).
 
-    Only the elements of rho that the generator can reach from rho0 are
-    stepped: the closure of rho0's support under the exact nonzero patterns
-    of H, C and C^dag C.  Every other element is exactly 0 for all time, and
-    no element is dropped on a threshold.  One index-pairing pass,
-    `_lindblad_coo`, finds the set and the generator's COO map on it, once
-    per call; channels with rate 0 are left out.  Collapse operators must
-    live on rho0's space (SpaceMismatch).
-
-    The step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05.  Every step
-    raises StepTooLarge on a trace drift > 1e-6; rho is never re-hermitized,
-    as the generator keeps it hermitian to rounding.  At each record time rho
-    is scattered back into a full matrix; a non-finite entry or an eigenvalue
-    < -1e-6 raises PositivityLoss (positivity is monitored, never projected
-    back), and with keep_states `states` holds the full matrices.
+    Steps only the elements of rho the generator can reach from rho0 (module
+    docstring), with `_lindblad_coo`'s COO map L on them; rate-0 channels are
+    left out, and collapse operators must live on rho0's space (SpaceMismatch).
+    With (||H|| + sum Gamma ||C||^2) dt <= 0.05, a step is x <- p(dt L) x, as
+    the factors 1 + a dt L + b dt^2 L^2 (_RK4_FACTORS) on one sparse pattern
+    of I, L and L^2, valued once per dt; no s x s matrix is built.  One BLAS
+    thread: 12-17 us a step at s = 161 (fig3), 0.8-1.0 ms at s = 6,724 (QRM,
+    qubit decay), where four right-hand sides took 61-73 us and 1.1-1.3 ms.
+    Each record raises PositivityLoss on a non-finite entry or an eigenvalue
+    below -1e-6 (one stacked eigvalsh per size of block of the set's
+    pattern), and StepTooLarge at a t whose trace is more than 1e-6 from 1;
+    trace_drift is the largest over the records.  Nothing is projected back.
     """
     rho0 = rho0.to_density()
     if H.space.n_max != rho0.space.n_max:
@@ -577,48 +574,48 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     for rate, C in jumps:
         A = A - 0.5 * rate * (C.conj().T @ C)
     flat, tgt, src, val = _lindblad_coo(rho0.data, A, jumps)
-    targets, starts = np.unique(tgt, return_index=True)
-    diagonal = np.flatnonzero(flat % (D + 1) == 0)
-
-    def rhs(x):
-        out = np.zeros_like(x)
-        out[targets] = np.add.reduceat(val * x[src], starts)
-        return out
+    s = len(flat)
+    # L^2's terms pair entry p (i <- j) with each entry e (j <- k).  I, L and L^2 are
+    # summed onto one (row, column) pattern; it holds every diagonal, so every row.
+    p, e = _column_pairs(src, tgt, s)
+    key = (np.concatenate([np.arange(s), tgt, tgt[p]]) * s
+           + np.concatenate([np.arange(s), src, src[e]]))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    rows, cols = np.divmod(key[first], s)
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    raw = np.concatenate([np.ones(s), val, val[p] * val[e]])[order]
+    power = np.repeat([0, 1, 2], [s, len(val), len(p)])[order]
+    Id, L, L2 = (np.add.reduceat(np.where(power == k, raw, 0), first) for k in range(3))
+    # every index is live, so an index outside the set is a 1 x 1 block holding 0
+    blocks = _sectors(np.bincount(flat, minlength=D * D).reshape(D, D), np.arange(D))
 
     rec = _Recorder(H.space, rho0, times, PHONON_SUM_TOL, keep_states)
     x = rho0.data.ravel()[flat]
-    t = times[0]
-    max_trace_drift = 0.0
+    t, h = times[0], None
     n_steps = 0
     rec.record(0, rho0.data)
     for i in range(1, len(times)):
         span = times[i] - t
         steps = max(1, math.ceil(span / dt_eff)) if span > 0 else 0
-        dt = span / steps if steps else 0.0
+        if steps and span / steps != h:
+            h = span / steps
+            v1, v2 = (Id + (a * h) * L + (b * h * h) * L2 for a, b in _RK4_FACTORS)
         for _ in range(steps):
-            k1 = rhs(x)
-            k2 = rhs(x + (0.5 * dt) * k1)
-            k3 = rhs(x + (0.5 * dt) * k2)
-            k4 = rhs(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            n_steps += 1
-            tr_drift = abs(x[diagonal].real.sum() - 1.0)
-            max_trace_drift = max(max_trace_drift, tr_drift)
-            if not (tr_drift <= 1e-6):
-                raise StepTooLarge(
-                    f"trace drifted by {tr_drift:.3e} > 1e-6 (dt={dt:.3e}); reduce dt_max"
-                )
+            x = np.add.reduceat(v2 * np.add.reduceat(v1 * x[cols], row_starts)[cols], row_starts)
+        n_steps += steps
         t = times[i]
         if not np.all(np.isfinite(x.view(float))):
             raise PositivityLoss(f"density matrix diverged before t={t}; reduce dt_max")
         rho = np.zeros((D, D), dtype=complex)
         rho.ravel()[flat] = x
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
+        min_eig = _min_eigenvalue(rho, blocks)
         if not (min_eig >= -1e-6):
             raise PositivityLoss(f"min eigenvalue {min_eig:.3e} < -1e-6 at t={t}")
         rec.record(i, rho)
     return rec.trajectory(g, {"method": "rk4_lindblad", "dt": dt_eff, "n_steps": n_steps,
-                              "trace_drift": max_trace_drift})
+                              "trace_drift": rec.drift})
 
 
 # ---------------------------------------------------------------------------

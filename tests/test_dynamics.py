@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,13 @@ from ionrabi import (
     thermal_state,
 )
 from ionrabi import dynamics
-from ionrabi.dynamics import _lindblad_coo, coherent_required_n_max, thermal_required_n_max
+from ionrabi.dynamics import (
+    _RK4_FACTORS,
+    _lindblad_coo,
+    _min_eigenvalue,
+    coherent_required_n_max,
+    thermal_required_n_max,
+)
 from ionrabi.errors import (
     PositivityLoss,
     SpaceMismatch,
@@ -555,6 +562,16 @@ class TestEvolveLindblad:
             evolve_lindblad(H, LindbladSpec([(1.0, sm)]), rho0,
                             np.linspace(0, 40, 11), dt_max=4.0)
 
+    def test_trace_guard_names_first_time(self, space):
+        # an anti-hermitian part i eps I grows the trace as e^{2 eps t}: 1e-5 over
+        # the first record span, beyond PHONON_SUM_TOL, while rho stays positive
+        H = _build(space, "JC", g=1.0)
+        H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total), hermitian=False)
+        sm = qubit_ops(space)[2]
+        with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
+            evolve_lindblad(H, LindbladSpec([(0.5, sm)]), thermal_state(space, 0.2, "down"),
+                            np.linspace(0, 1, 3))
+
     def test_rejects_negative_rate(self, space):
         _, _, sm, _ = qubit_ops(space)
         with pytest.raises(ValueError):
@@ -647,6 +664,57 @@ class TestReducedLindblad:
                                  [(rate, C.mat) for rate, C in terms])[0]) == D * D
         self._check_against_dense(H, terms, rho0, np.linspace(0, 2, 5))
 
+    def test_non_uniform_times_match_dense(self, space):
+        # record spans of different lengths, and one of length 0, give a new dt,
+        # so new factor values, at almost every record
+        H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.5)
+        sm = qubit_ops(space)[2]
+        self._check_against_dense(H, [(2.0, sm)], thermal_state(space, 0.2, "down"),
+                                  np.array([0.0, 0.013, 0.4, 0.4, 0.41, 1.3, 2.0]))
+
+    def test_large_set_builds_no_dense_generator(self):
+        # s = 82^2 = 6,724 stepped elements: one dense s x s complex matrix would
+        # be 723 MB; L, L^2 and the two factors stay sparse
+        sp = HilbertSpace(40)
+        H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
+        sm = qubit_ops(sp)[2]
+        rho0 = coherent_state(sp, 1.0, "down").to_density()
+        A = -1j * H.mat - 0.5 * sm.mat.conj().T @ sm.mat
+        assert len(_lindblad_coo(rho0.data, A, [(1.0, sm.mat)])[0]) == 6724
+        tracemalloc.start()
+        try:
+            traj = evolve_lindblad(H, LindbladSpec([(1.0, sm)]), rho0,
+                                   np.array([0.0, 3e-3]), dt_max=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.meta["n_steps"] == 3
+        assert peak < 100e6
+
+    @pytest.mark.parametrize("case", ["anti_jc_thermal", "qrm_two_channels"])
+    def test_block_minimum_matches_dense(self, case):
+        sp = HilbertSpace(40)
+        if case == "anti_jc_thermal":
+            H = _build(sp, "NonlinearAntiJC", g=1.0, eta=0.4518)
+            terms = [(2.0, qubit_ops(sp)[2])]
+            rho0 = thermal_state(sp, 1.0, "down")
+        else:
+            H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
+            terms = [(0.6, qubit_ops(sp)[2]), (0.3, annihilation_op(sp))]
+            rho0 = coherent_state(sp, 0.8, "down").to_density()
+        D = sp.dim_total
+        A = -1j * H.mat - 0.5 * sum(rate * C.mat.conj().T @ C.mat for rate, C in terms)
+        flat = _lindblad_coo(rho0.data, A, [(rate, C.mat) for rate, C in terms])[0]
+        blocks = _sectors(np.bincount(flat, minlength=D * D).reshape(D, D), np.arange(D))
+        # |up,0> is outside the anti-JC set, a 1 x 1 block beside |down,40>; the
+        # rest pairs |down,n> with |up,n+1>.  The QRM set is all of rho.
+        sizes = {"anti_jc_thermal": [(2, 1), (40, 2)], "qrm_two_channels": [(1, D)]}[case]
+        assert [b.shape for b in blocks] == sizes
+        traj = evolve_lindblad(H, LindbladSpec(terms), rho0, np.linspace(0, 0.2, 3),
+                               keep_states=True)
+        for rho in traj.states:
+            assert abs(_min_eigenvalue(rho, blocks) - np.linalg.eigvalsh(rho)[0]) < 1e-15
+
     def test_anti_jc_thermal_reaches_4n_plus_1(self):
         sp = HilbertSpace(40)
         g, gamma = 1.0, 2.0
@@ -683,6 +751,13 @@ def _boolean_closure(rho0, A, jumps):
         if np.array_equal(grown, m):
             return np.flatnonzero(m)
         m = grown
+
+
+def test_rk4_factors_multiply_back():
+    # (1 + a1 z + b1 z^2)(1 + a2 z + b2 z^2) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    (a1, b1), (a2, b2) = _RK4_FACTORS
+    got = [1.0, a1 + a2, b1 + b2 + a1 * a2, a1 * b2 + a2 * b1, b1 * b2]
+    assert np.abs(np.array(got) - [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24]).max() < 1e-15
 
 
 class TestLindbladCoo:

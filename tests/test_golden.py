@@ -5,7 +5,10 @@ CSVs must have the exact header and row count and every value within ATOL;
 metadata.json must have the same structure with every number within ATOL.
 Reruns are not byte-identical (the last of the 17 written digits can move),
 so the comparison carries a tolerance.  fig3 integrates 41,400 fixed RK4
-steps, so its rounding drift can build up: it is held to RK4_ATOL.
+steps, so its rounding drift can build up: it is held to RK4_ATOL.  Taking
+each step as the two quadratic factors of the RK4 polynomial, not as four
+right-hand sides, moved its values by at most 1.23e-11 (n_mean; fidelity
+5.9e-16, sigma_z 7.2e-13).
 """
 import csv
 import json
