@@ -3,7 +3,9 @@
 Builds the Jaynes-Cummings, anti-Jaynes-Cummings and quantum Rabi
 Hamiltonians and their nonlinear forms on a truncated qubit+phonon space
 with one builder, build_hamiltonian (a linear model is its nonlinear form at
-eta = 0, where f1 is exactly 1).  Evolves pure states and density matrices:
+eta = 0, where f1 is exactly 1).  ModelSpec.simulated() gives the nonlinear
+QRM that a two-tone drive simulates and ModelSpec.two_tone() the drive that
+simulates a nonlinear QRM.  Evolves pure states and density matrices:
 eigh for a time-independent H; for the two-tone drive (TwoToneGenerator),
 which is periodic in a rotating frame, RK4 over one period and powers of
 that period's propagator, with no renormalization (evolve_unitary_td); and
@@ -42,8 +44,6 @@ from .models import (
     TwoToneGenerator,
     ValidityWarning,
     build_hamiltonian,
-    sideband_detunings,
-    simulated_frequencies,
 )
 from .dynamics import (
     LindbladSpec,

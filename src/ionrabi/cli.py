@@ -24,7 +24,6 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fock import BARRIER_BRACKET, barrier_eta, f1_diagonal, f1_scalar
-from .models import DEFAULT_NU, ModelSpec, sideband_detunings
 from .protocols import f1_landscape, run_fock_prep
 from .runner import (CONVERGENCE_BUMP, check_truncation_convergence, output_dir, run, sweep,
                      write_json, write_landscape_csv)
@@ -251,16 +250,10 @@ def _cmd_validate(args) -> int:
 
     crosscheck_state = "skipped"
     rwa_ok = True
-    if spec.kind == "TwoTone":
-        tt = spec
-    elif spec.kind == "NonlinearQRM" and spec.eta > 0:
-        delta_r, delta_b = sideband_detunings(spec.omega0_R, spec.omega_R)
-        tt = ModelSpec(kind="TwoTone", eta=spec.eta, Omega=2.0 * spec.g / spec.eta,
-                       nu=DEFAULT_NU, delta_r=delta_r, delta_b=delta_b)
-    else:
-        tt = None
+    tt = spec.two_tone() if spec.kind == "NonlinearQRM" and spec.eta > 0 else spec
+    if tt.kind != "TwoTone":
         print("rwa cross-check: skipped (needs a NonlinearQRM with eta > 0 or a TwoTone model)")
-    if tt is not None:
+    else:
         T = args.t_cycles * 2.0 * math.pi / tt.g
         rep = rwa_crosscheck(tt, n_max, T=T, tolerance=args.tolerance)
         rwa_ok = rep.valid

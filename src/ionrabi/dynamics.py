@@ -390,7 +390,8 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     Nothing is renormalized: the per-step change of the largest column norm
     is summed, pass 1's once for every period used, and a sum > 1e-6 raises
     StepTooLarge, as does a record whose ||psi||^2 is more than 1e-6 from 1
-    (the recorder's check).
+    (the recorder's check, on all records in time order, so it names the
+    earliest).
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary_td requires a pure initial state")
@@ -451,17 +452,18 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     wide = len(periods) > D
     X = np.eye(D, dtype=complex) if wide else seeds
     j = 0
-    rec = _Recorder(psi0.space, psi0, times, PHONON_SUM_TOL, keep_states)
+    psi = np.empty((D, len(times)), dtype=complex)
     for r, i in enumerate(order):
         if not wide:
             X = X[:, :needed[r]]
         while j < cell[i]:
             X = step(X, t0 + j * dt, dt)
             j += 1
-        psi = X @ seeds[:, col[i]] if wide else X[:, col[i]]
+        psi[:, i] = X @ seeds[:, col[i]] if wide else X[:, col[i]]
         if s[i] > j * dt:
-            psi = step(psi, t0 + j * dt, s[i] - j * dt)
-        rec.record(i, (np.exp(1j * drive.frame * (k[i] * period)) * psi)[:, None])
+            psi[:, i] = step(psi[:, i], t0 + j * dt, s[i] - j * dt)
+    rec = _Recorder(psi0.space, psi0, times, PHONON_SUM_TOL, keep_states)
+    rec.record(0, np.exp(1j * np.outer(drive.frame, k * period)) * psi)
     return rec.trajectory(g, {"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
                               "n_steps": n_steps, "norm_drift": drift})
 
@@ -677,14 +679,14 @@ def rwa_crosscheck(spec: ModelSpec, n_max: int, psi0: QuantumState | None = None
     their states, and report max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
 
     The two trajectories are compared in a common frame: the two-tone state
-    is mapped by exp(+i H0 t) with H0 = (delta_b+delta_r)/4 sigma_z
-    + (delta_b-delta_r)/2 a^dag a, which aligns the interaction picture of
-    the drive with the Schroedinger picture of the simulated model.  H0 is
-    diagonal, so every record is aligned and compared in one array step.
+    is mapped by exp(-i H0 t) with H0 the free part of the simulated model
+    spec.simulated(), omega0_R/2 sigma_z + omega_R a^dag a (the diagonal of
+    its H), which aligns the interaction picture of the drive with the
+    Schroedinger picture of the simulated model.  H0 is diagonal, so every
+    record is aligned and compared in one array step.
     """
     if spec.kind != "TwoTone":
         raise ValueError("rwa_crosscheck requires a TwoTone ModelSpec")
-    omega0_R, omega_R = spec.simulated()
     space = HilbertSpace(n_max)
     if psi0 is None:
         psi0 = fock_state(space, 0, "down")
@@ -694,16 +696,10 @@ def rwa_crosscheck(spec: ModelSpec, n_max: int, psi0: QuantumState | None = None
 
     full = evolve_unitary_td(TwoToneGenerator(spec, space), psi0, times, g=spec.g,
                              keep_states=True)
-    H_sim = build_hamiltonian(ModelSpec(kind="NonlinearQRM", eta=spec.eta, g=spec.g,
-                                        omega_R=omega_R, omega0_R=omega0_R), space)
+    H_sim = build_hamiltonian(spec.simulated(), space)
     sim = evolve_unitary(H_sim, psi0, times, g=spec.g, keep_states=True)
 
-    nb = np.arange(space.dim_boson)
-    h0 = np.concatenate([
-        0.25 * (spec.delta_b + spec.delta_r) * (-1.0) + 0.5 * (spec.delta_b - spec.delta_r) * nb,
-        0.25 * (spec.delta_b + spec.delta_r) * (+1.0) + 0.5 * (spec.delta_b - spec.delta_r) * nb,
-    ])
-    aligned = np.exp(1j * np.outer(times, h0)) * full.states
+    aligned = np.exp(-1j * np.outer(times, np.real(np.diag(H_sim.mat)))) * full.states
     overlap = np.einsum("ij,ij->i", aligned.conj(), sim.states)
     max_dev = max(0.0, float(np.max(1.0 - np.abs(overlap) ** 2)))
     return RwaReport(

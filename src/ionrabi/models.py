@@ -8,6 +8,12 @@ eta.  The two-tone drive is time-dependent: TwoToneGenerator supplies
 apply(t, X), the RK4 step bound dt_max, and the rotating frame and period in
 which the drive repeats, for evolve_unitary_td.
 
+The two-tone drive simulates the nonlinear QRM of the same eta and g with
+omega0_R = -(delta_r + delta_b)/2 and omega_R = (delta_r - delta_b)/2;
+inversely delta_r = omega_R - omega0_R and delta_b = -omega_R - omega0_R.
+ModelSpec.simulated() and ModelSpec.two_tone() are the only code that holds
+this map.
+
 Sign convention: the exchange coupling is represented literally as
 i g (sigma+ B - sigma- B^dag); no sigma_x-style rephasing is substituted,
 since fidelity traces are sensitive to the convention.
@@ -36,8 +42,6 @@ __all__ = [
     "MODEL_KINDS",
     "ValidityWarning",
     "ModelSpec",
-    "simulated_frequencies",
-    "sideband_detunings",
     "build_hamiltonian",
     "TwoToneGenerator",
     "DEFAULT_NU",
@@ -139,21 +143,28 @@ class ModelSpec:
                 ValidityWarning,
             )
 
-    def simulated(self) -> tuple[float, float]:
-        """(omega0_R, omega_R) simulated by the two-tone detunings."""
-        return simulated_frequencies(self.delta_r, self.delta_b)
+    def simulated(self) -> "ModelSpec":
+        """The model this spec simulates: for TwoTone, the NonlinearQRM of the
+        same eta and g with omega0_R = -(delta_r + delta_b)/2 and
+        omega_R = (delta_r - delta_b)/2; for every other kind, the spec itself.
+        """
+        if self.kind != "TwoTone":
+            return self
+        return ModelSpec(kind="NonlinearQRM", eta=self.eta, g=self.g,
+                         omega0_R=-0.5 * (self.delta_r + self.delta_b),
+                         omega_R=0.5 * (self.delta_r - self.delta_b))
 
-
-def simulated_frequencies(delta_r: float, delta_b: float) -> tuple[float, float]:
-    """Map sideband detunings to the simulated Rabi-model frequencies:
-    omega0_R = -(delta_r + delta_b)/2,  omega_R = (delta_r - delta_b)/2.
-    """
-    return -0.5 * (delta_r + delta_b), 0.5 * (delta_r - delta_b)
-
-
-def sideband_detunings(omega0_R: float, omega_R: float) -> tuple[float, float]:
-    """Inverse of simulated_frequencies: (delta_r, delta_b)."""
-    return omega_R - omega0_R, -omega_R - omega0_R
+    def two_tone(self) -> "ModelSpec":
+        """The TwoTone spec that simulates this NonlinearQRM, the inverse of
+        simulated(): the same eta and g, nu = DEFAULT_NU,
+        delta_r = omega_R - omega0_R and delta_b = -omega_R - omega0_R.
+        Raises ValueError for every other kind.
+        """
+        if self.kind != "NonlinearQRM":
+            raise ValueError(f"only a NonlinearQRM has a two-tone drive, not {self.kind}")
+        return ModelSpec(kind="TwoTone", eta=self.eta, g=self.g, nu=DEFAULT_NU,
+                         delta_r=self.omega_R - self.omega0_R,
+                         delta_b=-self.omega_R - self.omega0_R)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +222,7 @@ class TwoToneGenerator:
     (-nu + delta_r and +nu + delta_b); keeping only the slow delta_r/delta_b
     would put both tones on the carrier resonance instead of the sidebands.
     Under the vibrational RWA this Hamiltonian reduces to the nonlinear QRM
-    with omega0_R = -(delta_r+delta_b)/2 and omega_R = (delta_r-delta_b)/2.
+    spec.simulated().
 
     The displacement argument i eta e^{i nu t} has constant modulus, so
     D(t) = P(t) D(i eta) P(t)^dag with P(t) = diag(e^{i nu n t}); only the

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import time
-from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +128,7 @@ def auto_n_max(scenario: Scenario) -> int:
     state's own bound (_state_n_requirement); 2 n* for eta > 0, n* the
     blockade level (_barrier_index); and, when omega_R != 0, ceil((|alpha| +
     2g/|omega_R|)^2) + 20, as deep-strong coupling displaces the mode by up to
-    2g/omega_R beyond the initial radius (TwoTone: omega_R = simulated()[1]).
+    2g/omega_R beyond the initial radius (omega_R of the simulated model).
     """
     if scenario.truncation is not None:
         return scenario.truncation
@@ -139,7 +138,7 @@ def auto_n_max(scenario: Scenario) -> int:
     n_barrier = _barrier_index(spec.eta)
     if n_barrier is not None:
         candidates.append(2 * n_barrier)
-    omega_R = spec.simulated()[1] if spec.kind == "TwoTone" else spec.omega_R
+    omega_R = spec.simulated().omega_R
     if omega_R:
         candidates.append(math.ceil((alpha + 2.0 * spec.g / abs(omega_R)) ** 2) + 20)
     return max(candidates)
@@ -315,7 +314,7 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
     for tag, point in tags.items():
         entry = {"point": point}
         try:
-            doc = deepcopy(template.to_dict())
+            doc = template.to_dict()
             for path, value in point.items():
                 _set_key_path(doc, path, value)
             doc["name"] = f"{template.name}/{tag}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
@@ -141,20 +141,8 @@ class Scenario:
         return ModelSpec(**kw)
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "model": dict(self.model),
-            "initial": dict(self.initial),
-            "times": dict(self.times),
-            "outputs": {"observables": list(self.outputs["observables"]),
-                        "snapshot_times": list(self.outputs["snapshot_times"])},
-        }
-        if self.lindblad is not None:
-            out["lindblad"] = dict(self.lindblad)
-        if self.truncation is not None:
-            out["truncation"] = self.truncation
-        return out
+        """A deep copy of the fields as a scenario document, unset sections left out."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:

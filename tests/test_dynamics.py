@@ -30,7 +30,6 @@ from ionrabi import (
     qubit_ops,
     rwa_crosscheck,
     scenario_from_dict,
-    sideband_detunings,
     thermal_state,
 )
 from ionrabi import dynamics
@@ -48,7 +47,6 @@ from ionrabi.errors import (
     TruncationTooSmall,
 )
 from ionrabi.fock import _sectors
-from ionrabi.models import DEFAULT_NU
 from ionrabi.runner import _state_n_requirement
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -373,6 +371,12 @@ def _rk4_reference(apply, psi0, times, dt_max):
     return np.array(out)
 
 
+def _fig6_nqrm(omega_R=11.31 * 2 * math.pi * 1e3):
+    """fig6's nonlinear QRM (g, eta and, by default, omega_R of the scenario)."""
+    return ModelSpec(kind="NonlinearQRM", eta=0.57838, g=41.847 * 2 * math.pi * 1e3,
+                     omega_R=omega_R)
+
+
 def _fig6_max_deviation(monkeypatch, steps_per_trap_period):
     """validate's one-cycle fig6 cross-check, with the two-tone RK4 step set."""
     class Stepped(TwoToneGenerator):
@@ -381,12 +385,8 @@ def _fig6_max_deviation(monkeypatch, steps_per_trap_period):
             self.dt_max = 2 * math.pi / (steps_per_trap_period * spec.nu)
 
     monkeypatch.setattr(dynamics, "TwoToneGenerator", Stepped)
-    khz = 2 * math.pi * 1e3
-    g, eta, omega_R = 41.847 * khz, 0.57838, 11.31 * khz
-    delta_r, delta_b = sideband_detunings(0.0, omega_R)
-    spec = ModelSpec(kind="TwoTone", eta=eta, Omega=2 * g / eta, nu=DEFAULT_NU,
-                     delta_r=delta_r, delta_b=delta_b)
-    return rwa_crosscheck(spec, T=2 * math.pi / g, n_max=40).max_deviation
+    spec = _fig6_nqrm().two_tone()
+    return rwa_crosscheck(spec, T=2 * math.pi / spec.g, n_max=40).max_deviation
 
 
 class _Widths:
@@ -437,6 +437,17 @@ class TestEvolveUnitaryTd:
 
         with pytest.raises(AttributeError, match="dt_max"):
             evolve_unitary_td(NoStep(), fock_state(space, 0), np.linspace(0, 1, 3))
+
+    def test_names_earliest_bad_record(self):
+        # a slow norm gain from the anti-hermitian 1.5e-7j I first passes the
+        # 1e-6 bound at t = 0.5; the record at 3.9 sits nearest its period's
+        # start, so a check in pass 2's sweep order would name it first
+        sp = HilbertSpace(4)
+        H = _build(sp, "JC", g=1.0).mat + 1.5e-7j * np.eye(sp.dim_total)
+        psi = fock_state(sp, 2, "down")
+        psi.data *= math.sqrt(1 + 0.9e-6)   # past the constructor's norm check
+        with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
+            evolve_unitary_td(_ConstantDrive(H, dt_max=2e-3), psi, [0.0, 0.5, 1.0, 2.0, 3.9])
 
     def test_period_drift_counts_once_per_period(self, space):
         # |down,0> is dark under the JC, so its own norm never moves; the
@@ -836,13 +847,28 @@ class TestRwaCrosscheck:
     def test_deviation_over_several_blocks(self):
         # fig6's drive over one cycle, 150 records: the nonlinear-QRM side takes
         # three blocks, the last one partial; the value is the per-time route's
-        khz = 2 * math.pi * 1e3
-        g, eta, omega_R = 41.847 * khz, 0.57838, 11.31 * khz
-        delta_r, delta_b = sideband_detunings(0.0, omega_R)
-        spec = ModelSpec(kind="TwoTone", eta=eta, Omega=2 * g / eta, nu=DEFAULT_NU,
-                         delta_r=delta_r, delta_b=delta_b)
-        report = rwa_crosscheck(spec, T=2 * math.pi / g, n_max=20, n_records=150)
+        spec = _fig6_nqrm().two_tone()
+        report = rwa_crosscheck(spec, T=2 * math.pi / spec.g, n_max=20, n_records=150)
         assert report.max_deviation == pytest.approx(0.000609518190894387, abs=1e-12)
+
+    @pytest.mark.parametrize("g_over_omega_R, deviation", [
+        (0.1, 0.0005144387113399373),
+        (0.5, 0.0005040300042039592),
+        (1.0, 0.0006690822438305544),
+        (2.0, 0.0019136080413882928),
+        (4.0, 0.0038574216323326027),
+    ])
+    def test_coupling_regimes(self, g_over_omega_R, deviation):
+        # fig6's g, eta and coherent alpha = 1 start over three cycles, from
+        # ultrastrong to deep-strong coupling: the two-tone drive stays within the
+        # RWA tolerance in every regime, with the top level empty
+        nqrm = _fig6_nqrm()
+        spec = _fig6_nqrm(omega_R=nqrm.g / g_over_omega_R).two_tone()
+        psi0 = coherent_state(HilbertSpace(40), 1.0, "down")
+        report = rwa_crosscheck(spec, 40, psi0=psi0)
+        assert report.valid and report.max_deviation < 0.01
+        assert report.max_deviation == pytest.approx(deviation, abs=1e-10)
+        assert report.top_population < 1e-26
 
     def test_requires_two_tone(self):
         with pytest.raises(ValueError):

@@ -18,10 +18,9 @@ from ionrabi import (
     number_op,
     parity_op,
     qubit_ops,
-    simulated_frequencies,
-    sideband_detunings,
 )
 from ionrabi.fock import displacement_boson, hermiticity_defect
+from ionrabi.models import DEFAULT_NU
 
 KHZ = 2 * math.pi * 1e3
 
@@ -198,25 +197,50 @@ class TestLDConvergenceRate:
         assert ratios[0.05] == pytest.approx(ratios[0.025], rel=0.05)
 
 
+def _simulated(delta_r, delta_b):
+    """(omega0_R, omega_R) of the nonlinear QRM that the two-tone detunings simulate."""
+    sim = ModelSpec(kind="TwoTone", eta=0.3, g=1.0, nu=DEFAULT_NU,
+                    delta_r=delta_r, delta_b=delta_b).simulated()
+    assert (sim.kind, sim.eta, sim.g) == ("NonlinearQRM", 0.3, 1.0)
+    return sim.omega0_R, sim.omega_R
+
+
 class TestSimulatedFrequencies:
     def test_paper_detunings(self):
         dr, db = 11.31 * KHZ, -11.31 * KHZ
-        w0R, wR = simulated_frequencies(dr, db)
+        w0R, wR = _simulated(dr, db)
         assert w0R == 0.0
         assert wR == pytest.approx(11.31 * KHZ)
 
     def test_zero(self):
-        assert simulated_frequencies(0.0, 0.0) == (0.0, 0.0)
+        assert _simulated(0.0, 0.0) == (0.0, 0.0)
 
     def test_arithmetic(self):
         delta = 0.37
-        w0R, wR = simulated_frequencies(0.0, -2 * delta)
+        w0R, wR = _simulated(0.0, -2 * delta)
         assert w0R == pytest.approx(delta)
         assert wR == pytest.approx(delta)
 
     def test_inverse(self):
-        dr, db = sideband_detunings(0.2, 1.4)
-        assert simulated_frequencies(dr, db) == pytest.approx((0.2, 1.4))
+        # two_tone() then simulated() is the identity on a nonlinear QRM
+        nqrm = ModelSpec(kind="NonlinearQRM", eta=0.57838, g=41.847 * KHZ,
+                         omega0_R=0.2 * KHZ, omega_R=11.31 * KHZ)
+        tt = nqrm.two_tone()
+        assert (tt.kind, tt.eta, tt.g, tt.nu) == ("TwoTone", nqrm.eta, nqrm.g, DEFAULT_NU)
+        assert tt.Omega == pytest.approx(2 * nqrm.g / nqrm.eta)
+        back = tt.simulated()
+        assert (back.kind, back.eta, back.g) == ("NonlinearQRM", nqrm.eta, nqrm.g)
+        assert (back.omega0_R, back.omega_R) == pytest.approx((nqrm.omega0_R, nqrm.omega_R))
+
+    def test_other_kinds_simulate_themselves(self):
+        spec = ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.1)
+        assert spec.simulated() is spec
+
+    @pytest.mark.parametrize("kind", ["JC", "QRM", "TwoTone"])
+    def test_only_nonlinear_qrm_has_a_two_tone(self, kind):
+        spec = _two_tone_spec() if kind == "TwoTone" else ModelSpec(kind=kind, g=1.0)
+        with pytest.raises(ValueError, match="two-tone"):
+            spec.two_tone()
 
 
 def _two_tone_spec(eta=0.3, Omega=2.0, nu=400.0, dr=0.25, db=-0.25, phi_r=0.0, phi_b=0.0):
