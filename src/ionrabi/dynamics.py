@@ -3,8 +3,10 @@
 Evolution strategies:
   - time-independent H: one stacked hermitian eigendecomposition per size of
     sector, the connected blocks of H's nonzero pattern that psi0 touches,
-    then the record times in blocks of _BLOCK, one batched matmul per size
-    and block (evolve_unitary; exact up to linear algebra);
+    then the record times in blocks of _BLOCK: the phases e^{-iwt} from one
+    exp per eigenvalue at the block's first time and one per distinct gap,
+    and a cumulative product over the block; one batched matmul per size and
+    block (evolve_unitary; exact up to linear algebra);
   - time-dependent H: a drive that repeats with period T' in a rotating
     frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
     Pass 1 steps the identity over one period with fixed-step RK4 to get
@@ -56,8 +58,8 @@ TRACE_TOL = 1e-8
 PHONON_SUM_TOL = 1e-6
 # record times per matmul in evolve_unitary.  The fig2b eta sweep plus its
 # convergence reruns (D = 242 and 282), one BLAS thread on a 2-vCPU Xeon, best
-# of three: 0.74 s at 16, 0.71 s at 32, 0.56 s at 64, 0.54 s at 128; wider
-# blocks only hold more memory
+# of three (range over three runs): 0.27-0.30 s at 16, 0.19-0.20 s at 32,
+# 0.15-0.16 s at 64, 0.15-0.17 s at 128, where 128 adds 0.5 MB of peak RSS
 _BLOCK = 64
 # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 step, is the product of 1 + a z + b z^2
 # over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
@@ -311,6 +313,9 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
         raise ValueError("times must be a non-empty 1-d grid")
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ValueError(f"times[{bad[0]}] = {times[bad[0]]} is not finite")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be monotone non-decreasing")
     return times
@@ -331,8 +336,13 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
     exactly 0.  Sectors of one size share a stacked eigh H = V diag(w) V^dag;
     the record times go in blocks of _BLOCK, each one batched matmul
     V (e^{-i w t^T} * V^dag psi0) per size, scattered into a zeroed D x _BLOCK
-    block of states.  A block holds at most three complex D x _BLOCK arrays
-    (248 kB each at D = 242) besides the kept states.  The recorder raises
+    block of states.  The phases take one exp per eigenvalue at the block's
+    first time (times V^dag psi0) and one per distinct gap between its times,
+    and a cumulative product along the block, so no phase is more than
+    _BLOCK - 1 rounded products from a direct exp; a linspace grid has a few
+    distinct gaps a block, a grid whose gaps all differ one exp per time.
+    A block holds at most three complex D x _BLOCK arrays (248 kB each at
+    D = 242) besides the kept states.  The recorder raises
     StepTooLarge at the first t whose ||psi||^2 is more than 2 NORM_TOL from
     1, that is ||psi|| more than NORM_TOL.
     """
@@ -351,9 +361,19 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
     rec = _Recorder(H.space, psi0, times, 2 * NORM_TOL, keep_states)
     for i in range(0, len(times), _BLOCK):
         t = times[i:i + _BLOCK]
+        # one gap per time, the first 0: its slot takes the direct exp at t[0]
+        gaps = np.diff(t, prepend=t[0])
+        # the distinct gaps, and each gap's index among them (stable: numpy's
+        # default sort pages in its SIMD kernels, which peak RSS counts)
+        step = np.sort(gaps, kind="stable")
+        step = step[np.diff(step, prepend=-np.inf) > 0]
+        which = np.searchsorted(step, gaps)
         psi = np.zeros((len(psi0.data), len(t)), dtype=complex)
         for rows, minus_iw, V, coeff in groups:
-            psi[rows] = (V @ (np.exp(minus_iw * t) * coeff)).reshape(len(rows), len(t))
+            phase = np.exp(minus_iw * step)[:, :, which]
+            phase[:, :, :1] = np.exp(minus_iw * t[0]) * coeff
+            np.cumprod(phase, axis=2, out=phase)
+            psi[rows] = (V @ phase).reshape(len(rows), len(t))
         rec.record(i, psi)
     return rec.trajectory(g, {"method": "eigh", "n_times": len(times)})
 

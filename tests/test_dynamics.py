@@ -165,6 +165,18 @@ class TestThermalState:
             thermal_state(HilbertSpace(required - 1), nbar)
 
 
+def _random_grid_with_repeats():
+    # sorted, with _BLOCK + 5 times entered twice: irregular and zero gaps
+    base = np.random.default_rng(16).uniform(0.2, 6.0, 2 * dynamics._BLOCK)
+    return np.sort(np.concatenate((base, base[:dynamics._BLOCK + 5])))
+
+
+# linspace grids by their length (1: a block with no gaps), and an irregular one
+_GRIDS = [*(pytest.param(np.linspace(0.2, 6.0, n), id=str(n))
+            for n in (1, dynamics._BLOCK, dynamics._BLOCK + 1, 3 * dynamics._BLOCK + 5)),
+          pytest.param(_random_grid_with_repeats(), id="random-with-repeats")]
+
+
 class TestEvolveUnitary:
     def test_zero_hamiltonian(self, space):
         H = Operator(space, np.zeros((space.dim_total,) * 2), hermitian=True)
@@ -219,13 +231,11 @@ class TestEvolveUnitary:
         traj = evolve_unitary(H, fock_state(space, 0), [0.0, math.pi], g=2.0)
         assert traj.cycles[1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("n_times", [1, dynamics._BLOCK, dynamics._BLOCK + 1,
-                                         3 * dynamics._BLOCK + 5])
-    def test_blocks_match_expm(self, n_times):
+    @pytest.mark.parametrize("times", _GRIDS)
+    def test_blocks_match_expm(self, times):
         space = HilbertSpace(20)
         H = _build(space, "NonlinearQRM", g=1.0, eta=0.4, omega_R=0.7, omega0_R=0.3)
         psi = coherent_state(space, 1.2, "down")
-        times = np.linspace(0.2, 6.0, n_times)
         traj = evolve_unitary(H, psi, times, keep_states=True)
         d = space.dim_boson
         for i, t in enumerate(times):
@@ -236,7 +246,20 @@ class TestEvolveUnitary:
             assert traj.sigma_z[i] == pytest.approx(pe.sum() - pg.sum(), abs=1e-12)
             assert traj.n_mean[i] == pytest.approx(np.arange(d) @ (pg + pe), abs=1e-12)
             assert traj.fidelity[i] == pytest.approx(abs(np.vdot(psi.data, ref)) ** 2, abs=1e-12)
-        assert traj.meta == {"method": "eigh", "n_times": n_times}
+        assert traj.meta == {"method": "eigh", "n_times": len(times)}
+
+    def test_long_phases_match_direct_exp(self):
+        # fig2b's H and grid: |w t| reaches 192 rad, and each block's phases
+        # are a running product over up to _BLOCK - 1 gaps
+        sp = HilbertSpace(120)
+        H = _build(sp, "NonlinearJC", g=45.24, eta=0.5)
+        psi = coherent_state(sp, math.sqrt(30), "down")
+        times = np.linspace(0.0, 3 * 1.6 * math.sqrt(30) * 2 * math.pi / 45.24, 2401)
+        traj = evolve_unitary(H, psi, times, keep_states=True)
+        w, V = np.linalg.eigh(H.mat)
+        ref = V @ (np.exp(-1j * np.outer(w, times)) * (V.conj().T @ psi.data)[:, None])
+        assert np.abs(w).max() * times[-1] > 150
+        assert np.abs(traj.states - ref.T).max() < 1e-12
 
     def test_states_across_blocks(self, space):
         H = _build(space, "JC", g=1.0)
@@ -259,6 +282,23 @@ class TestEvolveUnitary:
                 evolve_unitary(H, psi, times)
             else:
                 evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2e-3), psi, times)
+
+
+@pytest.mark.parametrize("times", [[0.0, math.inf], [0.0, math.nan, 1.0], [-math.inf, 0.0]],
+                         ids=["inf", "nan", "-inf"])
+@pytest.mark.parametrize("route", ["unitary", "unitary_td", "lindblad"])
+def test_rejects_non_finite_times(space, route, times):
+    H = _build(space, "JC", g=1.0)
+    psi = fock_state(space, 2, "down")
+    bad = next(i for i, t in enumerate(times) if not math.isfinite(t))
+    with pytest.raises(ValueError, match=rf"^times\[{bad}\] = \S+ is not finite$"):
+        if route == "unitary":
+            evolve_unitary(H, psi, times)
+        elif route == "unitary_td":
+            evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2e-3), psi, times)
+        else:
+            evolve_lindblad(H, LindbladSpec([(1.0, qubit_ops(space)[2])]), psi.to_density(),
+                            times)
 
 
 def _random_hermitian(space, rng):
