@@ -403,9 +403,9 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     one vector step per record, where stepping the span directly takes
     ceil(T'/dt_max) vector steps for every period in it.  So the route pays
     off when the span holds many more drive periods than a D-wide step costs
-    vector steps: about 6 at D = 82 and 32 at D = 152 for TwoToneGenerator
-    at one BLAS thread (fig6's drive has 238 periods per cycle).  A span of a
-    few periods runs slower than stepping it directly.
+    vector steps: about 5 at D = 82 and 17 at D = 152 for TwoToneGenerator
+    at one BLAS thread on a 2-vCPU Xeon (fig6's drive has 238 periods per
+    cycle).  A span of a few periods runs slower than stepping it directly.
 
     Nothing is renormalized: the per-step change of the largest column norm
     is summed, pass 1's once for every period used, and a sum > 1e-6 raises
@@ -424,15 +424,22 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     cell = np.minimum((s / dt).astype(int), n_grid - 1)
     n_steps = 0
     drift = 0.0
+    last = (None, None)   # the last step's result and its column norms, reused when
+                          # the next step continues from that result
 
     def step(X, t, h, weight=1.0):
-        nonlocal n_steps, drift
-        k1 = drive.apply(t, X)
-        k2 = drive.apply(t + h / 2, X + (-0.5j * h) * k1)
-        k3 = drive.apply(t + h / 2, X + (-0.5j * h) * k2)
-        k4 = drive.apply(t + h, X + (-1j * h) * k3)
-        Y = X + (-1j * h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        grown = np.linalg.norm(Y, axis=0) - np.linalg.norm(X, axis=0)
+        nonlocal n_steps, drift, last
+        k = drive.apply(t, X)
+        Y = X + (-1j * h / 6.0) * k
+        k = drive.apply(t + h / 2, X + (-0.5j * h) * k)
+        Y += (-1j * h / 3.0) * k
+        k = drive.apply(t + h / 2, X + (-0.5j * h) * k)
+        Y += (-1j * h / 3.0) * k
+        k = drive.apply(t + h, X + (-1j * h) * k)
+        Y += (-1j * h / 6.0) * k
+        norm = np.linalg.norm(Y, axis=0)
+        grown = norm - (last[1] if X is last[0] else np.linalg.norm(X, axis=0))
+        last = (Y, norm)
         drift += weight * float(np.max(np.abs(grown)))
         n_steps += 1
         if not (drift <= 1e-6):
@@ -474,7 +481,7 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     j = 0
     psi = np.empty((D, len(times)), dtype=complex)
     for r, i in enumerate(order):
-        if not wide:
+        if not wide and X.shape[1] > needed[r]:   # a new view only when seeds drop
             X = X[:, :needed[r]]
         while j < cell[i]:
             X = step(X, t0 + j * dt, dt)

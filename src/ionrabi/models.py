@@ -225,8 +225,14 @@ class TwoToneGenerator:
     spec.simulated().
 
     The displacement argument i eta e^{i nu t} has constant modulus, so
-    D(t) = P(t) D(i eta) P(t)^dag with P(t) = diag(e^{i nu n t}); only the
-    cached D(i eta) matrix and O(dim) phase vectors are needed per step.
+    D(t) = P(t) D(i eta) P(t)^dag with P(t) = diag(e^{i nu n t}).  Every
+    element <m|D(i eta)|n> is i^(m-n) times a real number, so
+    D(i eta) = S R S^dag with S = diag(i^n) and R real: apply(t, X) takes
+    each half of H(t) @ X as a phase multiply by q(t)^* = (P(t) S)^*, one
+    real matmul with R or R^T on the interleaved real and imaginary parts,
+    and a phase multiply by q(t) times the tone coefficient.  The phases of
+    the last t are kept on the instance, since RK4 calls t + h/2 twice in a
+    row, so one generator must not be shared between threads.
 
     The drive is periodic in a rotating frame.  With W(t) = diag(e^{i K t}),
     K = nu n on the qubit-down block and nu n - (delta_r - nu) on the
@@ -241,8 +247,11 @@ class TwoToneGenerator:
         self.spec = spec
         self.space = space
         self.d0 = displacement_boson(space.n_max, 1j * spec.eta)
-        self.d0_dag = self.d0.conj().T
         self.nb = np.arange(space.dim_boson)
+        # S = diag(i^n), exact: S^dag D(i eta) S has imaginary part 0
+        self.s = np.array([1, 1j, -1, -1j])[self.nb % 4]
+        self.r = (self.s.conj()[:, None] * self.d0 * self.s[None, :]).real.copy()
+        self._t = None
         self._full_r = spec.delta_r - spec.nu
         self._full_b = spec.delta_b + spec.nu
         self.frame = np.concatenate([spec.nu * self.nb, spec.nu * self.nb - self._full_r])
@@ -268,15 +277,25 @@ class TwoToneGenerator:
         H[:d, d:] = block.conj().T
         return H
 
+    def _phases(self, t: float):
+        """(q(t)^*, [conj(c) q(t), c q(t)]) as broadcastable columns, c = tone_coeff(t)."""
+        if t != self._t:
+            q = np.exp(1j * self.spec.nu * t * self.nb) * self.s
+            c = self.tone_coeff(t)
+            self._pre = q.conj()[:, None]
+            self._post = (np.array([[np.conj(c)], [c]]) * q)[:, :, None]
+            self._t = t
+        return self._pre, self._post
+
     def apply(self, t: float, X: np.ndarray) -> np.ndarray:
         """H(t) @ X for X of shape (dim,) or (dim, m), without materializing H."""
         d = self.space.dim_boson
-        ph = np.exp(1j * self.spec.nu * t * self.nb)
-        if X.ndim == 2:
-            ph = ph[:, None]
-        c = self.tone_coeff(t)
-        out = np.empty_like(X)
-        out[d:] = c * (ph * (self.d0 @ (ph.conj() * X[:d])))
-        out[:d] = np.conj(c) * (ph * (self.d0_dag @ (ph.conj() * X[d:])))
-        return out
-
+        pre, post = self._phases(t)
+        halves = X.reshape(2, d, -1)    # [down block, up block]
+        # a fresh C-ordered Z, so each half views as (d, 2m) floats
+        Z = np.multiply(pre, halves, out=np.empty(halves.shape, dtype=complex))
+        out = np.empty_like(Z)
+        np.matmul(self.r, Z[0].view(float), out=out[1].view(float))
+        np.matmul(self.r.T, Z[1].view(float), out=out[0].view(float))
+        out *= post
+        return out.reshape(X.shape)

@@ -329,6 +329,30 @@ class TestTwoTone:
         for t in (0.0, 0.41):
             assert np.abs(gen.apply(t, X) - gen.matrix(t) @ X).max() < 1e-12
 
+    @pytest.mark.parametrize("n_max", [2, 15, 40, 60])
+    @pytest.mark.parametrize("eta", [0.1, 0.45, 0.578, 1.2])
+    def test_displacement_is_real_between_phases(self, eta, n_max):
+        # <m|D(i eta)|n> = i^(m-n) x real, so S^dag D(i eta) S is real for S = diag(i^n)
+        d0 = displacement_boson(n_max, 1j * eta)
+        s = np.array([1, 1j, -1, -1j])[np.arange(n_max + 1) % 4]
+        assert np.abs((s.conj()[:, None] * d0 * s[None, :]).imag).max() == 0.0
+
+    @pytest.mark.parametrize("shape", ["vector", "block", "column-slice", "column"])
+    def test_generator_apply_across_times(self, rng, shape):
+        # t1, t1, t2, t1: the phases kept from the last time are reused only
+        # for that time.  pass 2 of evolve_unitary_td hands apply a leading
+        # column slice of a block and, for a record step, one column of it.
+        sp = HilbertSpace(40)
+        gen = TwoToneGenerator(_two_tone_spec(eta=0.578, dr=0.3, db=-0.1,
+                                              phi_r=0.7, phi_b=-1.9), sp)
+        big = rng.normal(size=(sp.dim_total, 7)) + 1j * rng.normal(size=(sp.dim_total, 7))
+        X = {"vector": big[:, 0].copy(), "block": big, "column-slice": big[:, :4],
+             "column": big[:, 3]}[shape]
+        for t in (0.013, 0.013, 0.41, 0.013):
+            out = gen.apply(t, X)
+            assert out.shape == X.shape
+            assert np.abs(out - gen.matrix(t) @ X).max() < 1e-12
+
     def test_frame_makes_drive_periodic(self):
         # e^{-iKt} H(t) e^{iKt} repeats with the period; K's own shift is constant
         sp = HilbertSpace(15)
