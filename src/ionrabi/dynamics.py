@@ -29,6 +29,9 @@ Evolution strategies:
 Fixed steps keep golden outputs deterministic and reproducible.  Every
 evolver hands its records to one _Recorder, which checks each record's norm
 or trace once, keeps the states if asked (keep_states) and builds the Trajectory.
+Time carries no unit here: `times` are in units of 1/H, as H's entries are
+frequencies, and a Trajectory's times are the caller's grid.  Conversion to the
+paper's cycles of 2*pi/g belongs to the scenario layer (runner.simulate_scenario).
 
 Trace/norm/positivity are monitored, not silently repaired: drifts beyond
 tolerance raise StepTooLarge / PositivityLoss so step-size bugs surface.
@@ -225,9 +228,10 @@ class LindbladSpec:
 class Trajectory:
     """Time grid plus per-time observables.
 
-    times are in the raw units of 1/H; `cycles` converts to the paper's
-    2*pi/g axis when g is known.  `states`, kept only on request, holds the
-    state at times[i] in row i: (n_times, D) if pure, (n_times, D, D) if not.
+    times are in the unit of the grid they came from: 1/H from an evolver,
+    cycles of 2*pi/g from runner.simulate_scenario or a trajectory CSV read
+    back.  `states`, kept only on request, holds the state at times[i] in row
+    i: (n_times, D) if pure, (n_times, D, D) if not.
     """
 
     times: np.ndarray
@@ -235,15 +239,8 @@ class Trajectory:
     fidelity: np.ndarray
     n_mean: np.ndarray
     phonons: np.ndarray                      # (n_times, dim_boson)
-    g: float | None = None
     states: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def cycles(self) -> np.ndarray:
-        if self.g is None:
-            return self.times
-        return self.times * self.g / (2.0 * math.pi)
 
 
 class _Recorder:
@@ -293,9 +290,9 @@ class _Recorder:
         if self.states is not None:
             self.states[block] = states.T if self.ref.is_pure else states
 
-    def trajectory(self, g: float | None, meta: dict) -> Trajectory:
+    def trajectory(self, meta: dict) -> Trajectory:
         return Trajectory(self.times, self.sigma_z, self.fidelity, self.n_mean, self.phonons,
-                          g=g, states=self.states, meta=meta)
+                          states=self.states, meta=meta)
 
 
 def _fidelity_raw(ref: QuantumState, state: np.ndarray) -> float:
@@ -325,7 +322,7 @@ def _check_times(times) -> np.ndarray:
 # evolution
 # ---------------------------------------------------------------------------
 
-def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = None,
+def evolve_unitary(H: Operator, psi0: QuantumState, times,
                    keep_states: bool = False) -> Trajectory:
     """psi(t) = exp(-iHt) psi0, sector by sector.
 
@@ -375,11 +372,10 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times, g: float | None = Non
             np.cumprod(phase, axis=2, out=phase)
             psi[rows] = (V @ phase).reshape(len(rows), len(t))
         rec.record(i, psi)
-    return rec.trajectory(g, {"method": "eigh", "n_times": len(times)})
+    return rec.trajectory({"method": "eigh", "n_times": len(times)})
 
 
-def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
-                      keep_states: bool = False) -> Trajectory:
+def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = False) -> Trajectory:
     """psi(t) for i d psi/dt = H(t) psi, with H(t) periodic in a rotating frame.
 
     `drive` supplies apply(t, X) = H(t) @ X for X of shape (D,) or (D, m), the
@@ -424,8 +420,6 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     cell = np.minimum((s / dt).astype(int), n_grid - 1)
     n_steps = 0
     drift = 0.0
-    last = (None, None)   # the last step's result and its column norms, reused when
-                          # the next step continues from that result
 
     def step(X, t, h, weight=1.0):
         nonlocal n_steps, drift, last
@@ -458,12 +452,14 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
     new_period = np.diff(k, prepend=-1) > 0    # times, so k, are sorted
     periods = k[new_period]
     col = np.cumsum(new_period) - 1
-    last = np.zeros(len(periods), dtype=int)
-    np.maximum.at(last, col[order], np.arange(len(times)))
-    by_last = np.argsort(-last, kind="stable")
-    slot = np.argsort(by_last, kind="stable")
+    final = np.zeros(len(periods), dtype=int)
+    np.maximum.at(final, col[order], np.arange(len(times)))
+    by_final = np.argsort(-final, kind="stable")
+    slot = np.argsort(by_final, kind="stable")
     col = slot[col]
-    needed = np.searchsorted(-last[by_last], -np.arange(len(times)), side="right")
+    needed = np.searchsorted(-final[by_final], -np.arange(len(times)), side="right")
+    last = (None, None)   # the last step's result and its column norms, reused when
+                          # the next step continues from that result
     if periods[-1] > 0:
         U = np.eye(D, dtype=complex)
         for j in range(n_grid):
@@ -491,8 +487,8 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, g: float | None = None,
             psi[:, i] = step(psi[:, i], t0 + j * dt, s[i] - j * dt)
     rec = _Recorder(psi0.space, psi0, times, PHONON_SUM_TOL, keep_states)
     rec.record(0, np.exp(1j * np.outer(drive.frame, k * period)) * psi)
-    return rec.trajectory(g, {"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
-                              "n_steps": n_steps, "norm_drift": drift})
+    return rec.trajectory({"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
+                           "n_steps": n_steps, "norm_drift": drift})
 
 
 def _column_pairs(key, cols, n):
@@ -565,8 +561,7 @@ def _min_eigenvalue(rho: np.ndarray, blocks: list) -> float:
 
 
 def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, times,
-                    dt_max: float | None = None, g: float | None = None,
-                    keep_states: bool = False) -> Trajectory:
+                    dt_max: float | None = None, keep_states: bool = False) -> Trajectory:
     """Fixed-step RK4 for drho/dt = -i[H,rho] + sum Gamma (C rho C^dag - {C^dag C, rho}/2).
 
     Steps only the elements of rho the generator can reach from rho0 (module
@@ -643,8 +638,8 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
         if not (min_eig >= -1e-6):
             raise PositivityLoss(f"min eigenvalue {min_eig:.3e} < -1e-6 at t={t}")
         rec.record(i, rho)
-    return rec.trajectory(g, {"method": "rk4_lindblad", "dt": dt_eff, "n_steps": n_steps,
-                              "trace_drift": rec.drift})
+    return rec.trajectory({"method": "rk4_lindblad", "dt": dt_eff, "n_steps": n_steps,
+                           "trace_drift": rec.drift})
 
 
 # ---------------------------------------------------------------------------
@@ -689,21 +684,18 @@ def phonon_distribution(state: QuantumState) -> np.ndarray:
 
 @dataclass
 class RwaReport:
-    """Outcome of the two-tone vs nonlinear-QRM comparison."""
+    """Outcome of the two-tone vs nonlinear-QRM comparison; the caller judges it."""
 
     max_deviation: float
-    tolerance: float
-    valid: bool
-    omega_over_nu: float
     top_population: float   # largest population of level n_max in the two-tone run
 
 
-def rwa_crosscheck(spec: ModelSpec, n_max: int, psi0: QuantumState | None = None,
-                   T: float | None = None, tolerance: float = 0.01,
+def rwa_crosscheck(spec: ModelSpec, n_max: int, T: float, psi0: QuantumState | None = None,
                    n_records: int = 61) -> RwaReport:
     """Evolve psi0 (default |down, 0>) at truncation n_max under the full
-    two-tone drive and under the nonlinear QRM it simulates, both keeping
-    their states, and report max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
+    two-tone drive and under the nonlinear QRM it simulates over [0, T] (units
+    of 1/H, n_records times), both keeping their states, and report
+    max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
 
     The two trajectories are compared in a common frame: the two-tone state
     is mapped by exp(-i H0 t) with H0 the free part of the simulated model
@@ -717,22 +709,15 @@ def rwa_crosscheck(spec: ModelSpec, n_max: int, psi0: QuantumState | None = None
     space = HilbertSpace(n_max)
     if psi0 is None:
         psi0 = fock_state(space, 0, "down")
-    if T is None:
-        T = 3.0 * 2.0 * math.pi / spec.g
     times = np.linspace(0.0, T, n_records)
 
-    full = evolve_unitary_td(TwoToneGenerator(spec, space), psi0, times, g=spec.g,
-                             keep_states=True)
+    full = evolve_unitary_td(TwoToneGenerator(spec, space), psi0, times, keep_states=True)
     H_sim = build_hamiltonian(spec.simulated(), space)
-    sim = evolve_unitary(H_sim, psi0, times, g=spec.g, keep_states=True)
+    sim = evolve_unitary(H_sim, psi0, times, keep_states=True)
 
     aligned = np.exp(-1j * np.outer(times, np.real(np.diag(H_sim.mat)))) * full.states
     overlap = np.einsum("ij,ij->i", aligned.conj(), sim.states)
-    max_dev = max(0.0, float(np.max(1.0 - np.abs(overlap) ** 2)))
     return RwaReport(
-        max_deviation=max_dev,
-        tolerance=tolerance,
-        valid=max_dev < tolerance,
-        omega_over_nu=spec.Omega / spec.nu,
+        max_deviation=max(0.0, float(np.max(1.0 - np.abs(overlap) ** 2))),
         top_population=float(full.phonons[:, -1].max()),
     )

@@ -19,8 +19,8 @@ i g (sigma+ B - sigma- B^dag); no sigma_x-style rephasing is substituted,
 since fidelity traces are sensitive to the convention.
 
 Units: every frequency-like parameter (g, Omega, nu, detunings, omega_R,
-omega0_R) is angular (rad/s, or any consistent unit; trajectories are
-recorded in cycles of 2*pi/g).
+omega0_R) is angular (rad/s, or any consistent unit), so times are in its
+inverse; only runner.simulate_scenario converts them to cycles of 2*pi/g.
 """
 from __future__ import annotations
 

@@ -91,9 +91,11 @@ def population_above(traj: Trajectory, n: int) -> np.ndarray:
 def revival_ratio(traj: Trajectory, t_revival: float) -> float:
     """max|<sigma_z>| in [0.8, 1.2] t_revival over the max in [0.3, 0.7]
     t_revival: the revival against the collapse plateau, both windows
-    relative to the linear revival time.  Times are in cycles (traj.cycles).
+    relative to the linear revival time.  t_revival is in traj.times' unit:
+    cycles of 2*pi/g for a trajectory from runner.simulate_scenario or read
+    back from its CSV.
     """
-    t = traj.cycles
+    t = traj.times
     peaks = []
     for lo, hi in ((0.8, 1.2), (0.3, 0.7)):
         mask = (t >= lo * t_revival) & (t <= hi * t_revival)

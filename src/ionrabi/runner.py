@@ -11,7 +11,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,9 +126,11 @@ def _barrier_index(eta: float, scan_to: int = 200) -> int | None:
 def auto_n_max(scenario: Scenario) -> int:
     """The scenario's `truncation`, else the largest of: 40; the initial
     state's own bound (_state_n_requirement); 2 n* for eta > 0, n* the
-    blockade level (_barrier_index); and, when omega_R != 0, ceil((|alpha| +
-    2g/|omega_R|)^2) + 20, as deep-strong coupling displaces the mode by up to
-    2g/omega_R beyond the initial radius (omega_R of the simulated model).
+    blockade level (_barrier_index); and, when omega_R != 0,
+    coherent_required_n_max(|alpha| + 2g/|omega_R|), the coherent start's
+    tail bound at the displaced radius, as deep-strong coupling displaces the
+    mode by up to 2g/omega_R beyond the initial radius (omega_R of the
+    simulated model).
     """
     if scenario.truncation is not None:
         return scenario.truncation
@@ -140,12 +142,17 @@ def auto_n_max(scenario: Scenario) -> int:
         candidates.append(2 * n_barrier)
     omega_R = spec.simulated().omega_R
     if omega_R:
-        candidates.append(math.ceil((alpha + 2.0 * spec.g / abs(omega_R)) ** 2) + 20)
+        candidates.append(coherent_required_n_max(alpha + 2.0 * spec.g / abs(omega_R)))
     return max(candidates)
 
 
 def simulate_scenario(scenario: Scenario, n_max: int | None = None):
-    """Run the scenario at the given (or auto) truncation; returns (Trajectory, n_max)."""
+    """Run the scenario at the given (or auto) truncation; returns (Trajectory, n_max).
+
+    The evolvers take the grid in units of 1/H; the trajectory comes back with
+    its times in cycles of 2*pi/g, the scenario's unit.  This is the only
+    conversion between the two.
+    """
     if n_max is None:
         n_max = auto_n_max(scenario)
     spec = scenario.model_spec()
@@ -159,13 +166,13 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
         H = build_hamiltonian(spec, space)
         _, _, sm, _ = qubit_ops(space)
         lb = LindbladSpec([(scenario.lindblad["gamma_ratio"] * g, sm)])
-        traj = evolve_lindblad(H, lb, state0.to_density(), times, g=g)
+        traj = evolve_lindblad(H, lb, state0.to_density(), times)
     elif spec.kind == "TwoTone":
-        traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times, g=g)
+        traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times)
     else:
         H = build_hamiltonian(spec, space)
-        traj = evolve_unitary(H, state0, times, g=g)
-    return traj, n_max
+        traj = evolve_unitary(H, state0, times)
+    return replace(traj, times=times * g / (2.0 * math.pi)), n_max
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +193,9 @@ def _write_csv(path, header, row_fmt, columns):
 
 
 def write_trajectory_csv(path, traj, observables):
-    """One row per time point; t in cycles of 2*pi/g, 18 significant digits."""
-    header, columns = ["t"], [traj.cycles]
+    """One row per time point; t is traj.times (cycles of 2*pi/g from
+    simulate_scenario), 18 significant digits."""
+    header, columns = ["t"], [traj.times]
     for obs in observables:
         if obs == "phonons":
             header += [f"P_{n}" for n in range(traj.phonons.shape[1])]

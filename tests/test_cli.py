@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from ionrabi.cli import main
-from ionrabi.fock import barrier_eta
+from ionrabi.fock import barrier_eta, f1_diagonal
 from ionrabi.models import ValidityWarning
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +77,24 @@ def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # anything written by mistake lands in ./runs here
     assert exit_code([bad_files.get(a, a) for a in argv]) == 2
     assert "error" in capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def _f1_rows(text):
+    header, *rows = text.splitlines()
+    assert header == "n,f1"
+    return [(int(n), float(v)) for n, v in (row.split(",") for row in rows)]
+
+
+def test_f1_table_to_stdout_and_file(tmp_path, capsys):
+    # %.17e round-trips a double, so both tables equal f1_diagonal exactly
+    want = list(enumerate(f1_diagonal(12, 0.45).tolist()))
+    assert exit_code(["f1", "--eta", "0.45", "--table", "--n-max", "12"]) == 0
+    assert _f1_rows(capsys.readouterr().out) == want
+    path = tmp_path / "f1.csv"
+    assert exit_code(["f1", "--eta", "0.45", "--table", "--n-max", "12",
+                      "--out-file", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert _f1_rows(path.read_text()) == want
 
 
 def test_landscape_flags_write_table(tmp_path):
@@ -169,7 +187,7 @@ def test_auto_truncation_passes_convergence(tmp_path):
     assert exit_code(["evolve", "--scenario", path, "--check-convergence",
                       "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / doc["name"] / "metadata.json").read_text())
-    assert meta["n_max"] == 84
+    assert meta["n_max"] == 121
 
 
 def test_fock_start_keeps_room_above_it(tmp_path):

@@ -226,11 +226,6 @@ class TestEvolveUnitary:
         e0 = energies[0]
         assert max(abs(e - e0) for e in energies) < 1e-9 * max(1.0, abs(e0))
 
-    def test_cycles_conversion(self, space):
-        H = _build(space, "JC", g=2.0)
-        traj = evolve_unitary(H, fock_state(space, 0), [0.0, math.pi], g=2.0)
-        assert traj.cycles[1] == pytest.approx(1.0)
-
     @pytest.mark.parametrize("times", _GRIDS)
     def test_blocks_match_expm(self, times):
         space = HilbertSpace(20)
@@ -886,7 +881,6 @@ class TestRwaCrosscheck:
                          delta_r=0.25, delta_b=-0.25)
         report = rwa_crosscheck(spec, T=2.0, n_max=12, n_records=9)
         assert report.max_deviation < 1e-12
-        assert report.valid
 
     def test_deviation_over_several_blocks(self):
         # fig6's drive over one cycle, 150 records: the nonlinear-QRM side takes
@@ -909,11 +903,11 @@ class TestRwaCrosscheck:
         nqrm = _fig6_nqrm()
         spec = _fig6_nqrm(omega_R=nqrm.g / g_over_omega_R).two_tone()
         psi0 = coherent_state(HilbertSpace(40), 1.0, "down")
-        report = rwa_crosscheck(spec, 40, psi0=psi0)
-        assert report.valid and report.max_deviation < 0.01
+        report = rwa_crosscheck(spec, 40, T=3.0 * 2.0 * math.pi / spec.g, psi0=psi0)
+        assert report.max_deviation < 0.01
         assert report.max_deviation == pytest.approx(deviation, abs=1e-10)
         assert report.top_population < 1e-26
 
     def test_requires_two_tone(self):
         with pytest.raises(ValueError):
-            rwa_crosscheck(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.0), 12)
+            rwa_crosscheck(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.0), 12, T=1.0)

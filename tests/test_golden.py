@@ -106,8 +106,8 @@ def test_evolved_figure(evolved, fig):
 
 def _at(traj, cycles):
     """Record indices at the given times in cycles, which must be on the grid."""
-    idx = np.abs(traj.cycles[:, None] - np.atleast_1d(cycles)).argmin(axis=0)
-    assert np.allclose(traj.cycles[idx], cycles, rtol=0.0, atol=1e-9)
+    idx = np.abs(traj.times[:, None] - np.atleast_1d(cycles)).argmin(axis=0)
+    assert np.allclose(traj.times[idx], cycles, rtol=0.0, atol=1e-9)
     return idx
 
 
@@ -136,8 +136,8 @@ CLAIMS = {
 
 
 def _read_trajectory(path):
-    """The Trajectory a trajectory.csv holds: its t column is in cycles, so
-    g is None; an observable the scenario does not record is None."""
+    """The Trajectory a trajectory.csv holds, its times the t column in
+    cycles; an observable the scenario does not record is None."""
     header, rows = _read_csv(path)
     columns = dict(zip(header, np.array(rows).T))
     levels = [name for name in header if name.startswith("P_")]

@@ -98,7 +98,7 @@ def _qrm_run(eta, g, n_max, cycles, n_points):
     sp = HilbertSpace(n_max)
     H = build_hamiltonian(ModelSpec(kind=kind, eta=eta, g=g, omega_R=1.0, omega0_R=0.0), sp)
     times = np.linspace(0.0, cycles * 2 * math.pi / g, n_points)
-    return evolve_unitary(H, coherent_state(sp, 1.0, "down"), times, g=g)
+    return evolve_unitary(H, coherent_state(sp, 1.0, "down"), times)
 
 
 class TestFilterAnalysis:
@@ -116,11 +116,49 @@ class TestFilterAnalysis:
         assert population_above(traj, 10).max() > 0.5
 
 
-def _trajectory(cycles, sigma_z, g=None):
-    times = np.asarray(cycles, dtype=float) * (2 * math.pi / g if g else 1.0)
+def _trajectory(cycles, sigma_z):
+    times = np.asarray(cycles, dtype=float)
     n = times.size
     return Trajectory(times=times, sigma_z=np.asarray(sigma_z, dtype=float),
-                      fidelity=np.ones(n), n_mean=np.zeros(n), phonons=np.ones((n, 4)), g=g)
+                      fidelity=np.ones(n), n_mean=np.zeros(n), phonons=np.ones((n, 4)))
+
+
+def _coherent_qrm(g_over_omega_R, eta):
+    """fig5's start (coherent alpha = 1, omega0_R = 0, omega_R = 11.31) over five
+    revival periods 2*pi/omega_R, g/omega_R cycles each, at the auto truncation."""
+    model = {"kind": "NonlinearQRM", "eta": eta} if eta else {"kind": "QRM"}
+    model.update(g=11.31 * g_over_omega_R, omega_R=11.31, omega0_R=0.0)
+    return scenario_from_dict({
+        "schema_version": 1,
+        "name": "qrm-regimes",
+        "model": model,
+        "initial": {"kind": "coherent", "alpha": 1.0, "qubit": "down"},
+        "times": {"t_end": 5 * g_over_omega_R, "n_points": 501},
+    })
+
+
+class TestLinearAgainstNonlinearQRM:
+    # The paper's comparison from ultrastrong to deep-strong coupling.  The
+    # bounds come from runs at auto_n_max + 20: linear revival fidelity
+    # 1 - 1.6e-15 at worst; nonlinear leakage above n = 10 beyond the
+    # initial tail 3.7e-20 at worst, least revival fidelity 0.9909 at
+    # g/omega_R = 0.1 and 0.0316-0.1277 from 0.5 on.
+
+    @pytest.mark.parametrize("g_over_omega_R, nonlinear_revives", [
+        (0.1, True), (0.5, False), (1.0, False), (2.0, False), (4.0, False)])
+    def test_linear_revives_nonlinear_stays_behind_barrier(self, g_over_omega_R,
+                                                           nonlinear_revives):
+        revivals = slice(100, None, 100)       # t = k g/omega_R cycles, k = 1..5
+        linear, _ = runner.simulate_scenario(_coherent_qrm(g_over_omega_R, 0.0))
+        assert np.allclose(linear.times[revivals], g_over_omega_R * np.arange(1, 6),
+                           rtol=0.0, atol=1e-12)
+        assert linear.fidelity[revivals].min() >= 1.0 - 1e-9
+
+        nonlinear, _ = runner.simulate_scenario(_coherent_qrm(g_over_omega_R, barrier_eta(10)))
+        above = population_above(nonlinear, 10)
+        assert above.max() - above[0] <= 1e-12
+        least = nonlinear.fidelity[revivals].min()
+        assert least >= 0.98 if nonlinear_revives else least <= 0.2
 
 
 class TestPopulationAbove:
@@ -150,7 +188,7 @@ class TestCollapseRevival:
         sz[(t > 1.5) & (t < 2.5)] = -0.5
         sz[np.isclose(t, 1.0)] = -0.2
         sz[np.isclose(t, 2.0)] = 0.8
-        assert revival_ratio(_trajectory(t, sz, g=3.0), 2.0) == pytest.approx(4.0, rel=1e-15)
+        assert revival_ratio(_trajectory(t, sz), 2.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_window_without_records(self):
         with pytest.raises(ValueError, match="no record"):

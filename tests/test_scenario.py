@@ -1,13 +1,14 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from ionrabi import Scenario, barrier_eta, parse_scenario, scenario_from_dict
-from ionrabi.dynamics import thermal_required_n_max
+from ionrabi.dynamics import coherent_required_n_max, thermal_required_n_max
 from ionrabi.errors import SchemaError
-from ionrabi.runner import _barrier_index, auto_n_max
+from ionrabi.runner import _barrier_index, auto_n_max, simulate_scenario
 from ionrabi.scenario import KHZ
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -72,6 +73,20 @@ class TestUnits:
         path = tmp_path / "exp.scenario"
         path.write_text(yaml.safe_dump(_minimal()).replace("45.24", "1e1"))
         assert parse_scenario(path).model["g"] == 10.0
+
+    @pytest.mark.parametrize("model, extra", [
+        ({"kind": "QRM", "g": 22.62, "omega_R": 11.31, "omega0_R": 0.0}, {}),
+        ({"kind": "NonlinearAntiJC", "g": 45.24, "eta": 0.4518},
+         {"lindblad": {"gamma_ratio": 2.0}}),
+        ({"kind": "TwoTone", "eta": 0.5, "Omega": 8.0, "nu": 80.0, "delta_r": 0.25,
+          "delta_b": -0.25}, {}),
+    ], ids=["eigh", "lindblad", "two-tone"])
+    def test_simulated_times_in_cycles(self, model, extra):
+        # each evolver takes 1/H units; simulate_scenario hands back cycles of 2*pi/g
+        sc = scenario_from_dict(_minimal(model=model, times={"t_end": 2.5, "n_points": 21},
+                                         truncation=8, **extra))
+        traj, _ = simulate_scenario(sc)
+        assert np.abs(traj.times - np.linspace(0.0, 2.5, 21)).max() < 1e-12
 
 
 class TestValidation:
@@ -201,6 +216,16 @@ class TestAutoTruncation:
             initial={"kind": "thermal", "nbar": nbar}, lindblad={"gamma_ratio": 2.0}))
         thermal = thermal_required_n_max(nbar) if nbar > 0 else 0
         assert auto_n_max(sc) == max(2 * target, 40, thermal)
+
+    @pytest.mark.parametrize("ratio, alpha, expected", [(2, 1.0, 63), (4, 1.0, 144),
+                                                        (4, 0.0, 121), (2, 3.0, 100)])
+    def test_deep_strong_tail_bound(self, ratio, alpha, expected):
+        # g/omega_R displaces the mode by 2 g/omega_R: the coherent start's
+        # tail bound at that radius, not a fixed margin
+        sc = scenario_from_dict(_minimal(
+            model={"kind": "QRM", "g": 11.31 * ratio, "omega_R": 11.31, "omega0_R": 0.0},
+            initial={"kind": "coherent", "alpha": alpha}))
+        assert auto_n_max(sc) == coherent_required_n_max(alpha + 2.0 * ratio) == expected
 
     @pytest.mark.parametrize("n, expected", [(0, 40), (39, 40), (40, 41), (60, 61)])
     def test_fock_start_keeps_one_level_of_room(self, n, expected):
