@@ -7,6 +7,7 @@ failure, 4 convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -55,6 +56,7 @@ def _at_least(kind, minimum, strict=False):
 _THREADS_HELP = "accepted for existing command lines; has no effect"
 
 
+@functools.cache   # built once per process: a build takes about 1.5 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionrabi",

@@ -14,7 +14,9 @@ Evolution strategies:
     e^{iKkT'} U(t0 + s) M^k psi0, so pass 2 steps the seeds M^k psi0 (or
     the identity, if there are more seeds than D) over the same grid in
     [t0, t0 + T'), and each record takes one more vector step to its
-    offset s.  This pays off when the span holds many drive periods.
+    offset s.  This pays off when the span holds many drive periods.  The
+    drive writes H(t) X into an array it is handed, so the RK4 stages reuse
+    a few arrays allocated once per call, not about 20 fresh ones a step.
     Nothing is renormalized; the summed norm drift and every record's norm
     are checked;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
@@ -378,8 +380,10 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
 def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = False) -> Trajectory:
     """psi(t) for i d psi/dt = H(t) psi, with H(t) periodic in a rotating frame.
 
-    `drive` supplies apply(t, X) = H(t) @ X for X of shape (D,) or (D, m), the
-    RK4 step bound dt_max, and a diagonal `frame` K and `period` T' such that
+    `drive` supplies apply(t, X, out), which writes H(t) @ X into `out` and
+    returns it, for X of shape (D,) or (D, m) and `out` a C-contiguous array
+    of X's shape that does not overlap X; the RK4 step bound dt_max; and a
+    diagonal `frame` K and `period` T' such that
     e^{-iKt} H(t) e^{iKt} + K repeats with period T' (TwoToneGenerator; a
     constant H has K = 0 and any T').  With t0 = times[0], U(t) the
     propagator from t0 and M = e^{-iKT'} U(t0 + T'), every record time
@@ -393,13 +397,19 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     Pass 2 steps the block of seeds over the grid, dropping each seed after
     its last record, or the identity when there are more seeds than D, so
     it is never wider than D; each record is read off at the grid point
-    below its offset and takes one more vector step of at most dt.
+    below its offset and takes one more vector step of at most dt.  The
+    steps write into four arrays allocated once: the state and the next
+    state, taken in turn, the slope K and the stage argument T, as
+    C-contiguous views at the block's width; the record vector steps have
+    four D-long arrays of their own.  States are bit-identical to a step
+    that allocates its stages (np.multiply(K, c, out=T); T += X gives
+    X + c*K).
 
     Cost: each pass is ceil(T'/dt_max) steps of a block at most D wide, plus
     one vector step per record, where stepping the span directly takes
     ceil(T'/dt_max) vector steps for every period in it.  So the route pays
     off when the span holds many more drive periods than a D-wide step costs
-    vector steps: about 5 at D = 82 and 17 at D = 152 for TwoToneGenerator
+    vector steps: about 4 at D = 82 and 15 at D = 152 for TwoToneGenerator
     at one BLAS thread on a 2-vCPU Xeon (fig6's drive has 238 periods per
     cycle).  A span of a few periods runs slower than stepping it directly.
 
@@ -421,19 +431,23 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     n_steps = 0
     drift = 0.0
 
-    def step(X, t, h, weight=1.0):
-        nonlocal n_steps, drift, last
-        k = drive.apply(t, X)
-        Y = X + (-1j * h / 6.0) * k
-        k = drive.apply(t + h / 2, X + (-0.5j * h) * k)
-        Y += (-1j * h / 3.0) * k
-        k = drive.apply(t + h / 2, X + (-0.5j * h) * k)
-        Y += (-1j * h / 3.0) * k
-        k = drive.apply(t + h, X + (-1j * h) * k)
-        Y += (-1j * h / 6.0) * k
-        norm = np.linalg.norm(Y, axis=0)
-        grown = norm - (last[1] if X is last[0] else np.linalg.norm(X, axis=0))
-        last = (Y, norm)
+    def step(X, Y, K, T, t, h, weight=1.0, norm=None):
+        """Y <- the RK4 step of X from t to t + h, with K and T (the stage
+        argument) of X's shape; returns Y's column norms, given X's as `norm`
+        when the step continues from the last one."""
+        nonlocal n_steps, drift
+        drive.apply(t, X, K)
+        np.multiply(K, -1j * h / 6.0, out=Y)
+        Y += X
+        for a, b, tk in ((-0.5j * h, -1j * h / 3.0, t + h / 2),
+                         (-0.5j * h, -1j * h / 3.0, t + h / 2), (-1j * h, -1j * h / 6.0, t + h)):
+            np.multiply(K, a, out=T)
+            T += X
+            drive.apply(tk, T, K)
+            np.multiply(K, b, out=T)
+            Y += T
+        norm_y = _column_norms(Y)
+        grown = norm_y - (_column_norms(X) if norm is None else norm)
         drift += weight * float(np.max(np.abs(grown)))
         n_steps += 1
         if not (drift <= 1e-6):
@@ -441,7 +455,7 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
                 f"accumulated norm drift {drift:.3e} > 1e-6 at t={t + h} "
                 f"(dt={h:.3e}); reduce dt_max"
             )
-        return Y
+        return norm_y
 
     D = psi0.data.shape[0]
     order = np.argsort(s, kind="stable")
@@ -458,13 +472,19 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     slot = np.argsort(by_final, kind="stable")
     col = slot[col]
     needed = np.searchsorted(-final[by_final], -np.arange(len(times)), side="right")
-    last = (None, None)   # the last step's result and its column norms, reused when
-                          # the next step continues from that result
+    wide = len(periods) > D
+    # rows for X, Y, K and T at the widest block, viewed at the width in use;
+    # the record vector steps take vec's rows, so they never write into the block
+    block = np.empty((4, D * (D if wide or periods[-1] > 0 else len(periods))), dtype=complex)
+    vec = np.empty((4, D), dtype=complex)
     if periods[-1] > 0:
-        U = np.eye(D, dtype=complex)
+        X, Y, K, T = (b[:D * D].reshape(D, D) for b in block)
+        X[...] = np.eye(D)
+        norm = None
         for j in range(n_grid):
-            U = step(U, t0 + j * dt, dt, weight=periods[-1])
-        M = np.exp(-1j * drive.frame * period)[:, None] * U
+            norm = step(X, Y, K, T, t0 + j * dt, dt, periods[-1], norm)
+            X, Y = Y, X
+        M = np.exp(-1j * drive.frame * period)[:, None] * X
     seeds = np.empty((D, len(periods)), dtype=complex)
     phi, done = psi0.data, 0
     for c, p in enumerate(periods):
@@ -472,23 +492,36 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
             phi = M @ phi
         seeds[:, slot[c]], done = phi, p
 
-    wide = len(periods) > D
-    X = np.eye(D, dtype=complex) if wide else seeds
-    j = 0
+    m = D if wide else len(periods)
+    X, Y, K, T = (b[:D * m].reshape(D, m) for b in block)
+    X[...] = np.eye(D) if wide else seeds
+    norm, j = None, 0
     psi = np.empty((D, len(times)), dtype=complex)
     for r, i in enumerate(order):
-        if not wide and X.shape[1] > needed[r]:   # a new view only when seeds drop
-            X = X[:, :needed[r]]
+        if not wide and m > needed[r]:   # seeds drop: copy the rest to Y's row
+            old, m, norm = X, needed[r], None
+            X, Y, K, T = (a.ravel()[:D * m].reshape(D, m) for a in (Y, X, K, T))
+            X[...] = old[:, :m]
         while j < cell[i]:
-            X = step(X, t0 + j * dt, dt)
+            norm = step(X, Y, K, T, t0 + j * dt, dt, norm=norm)
+            X, Y = Y, X
             j += 1
         psi[:, i] = X @ seeds[:, col[i]] if wide else X[:, col[i]]
         if s[i] > j * dt:
-            psi[:, i] = step(psi[:, i], t0 + j * dt, s[i] - j * dt)
+            vec[0] = psi[:, i]
+            step(*vec, t0 + j * dt, s[i] - j * dt)
+            psi[:, i] = vec[1]
     rec = _Recorder(psi0.space, psi0, times, PHONON_SUM_TOL, keep_states)
     rec.record(0, np.exp(1j * np.outer(drive.frame, k * period)) * psi)
     return rec.trajectory({"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
                            "n_steps": n_steps, "norm_drift": drift})
+
+
+def _column_norms(A):
+    """The column norms of a C-contiguous complex (D, m) block, or the norm of
+    a (D,) vector as a 1-array: one einsum over the interleaved float view."""
+    sq = np.einsum("ij,ij->j", *[A.view(float).reshape(len(A), -1)] * 2)
+    return np.sqrt(sq[0::2] + sq[1::2])
 
 
 def _column_pairs(key, cols, n):

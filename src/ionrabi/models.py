@@ -5,8 +5,8 @@ nonlinear quantum Rabi model.
 build_hamiltonian builds every time-independent kind.  A linear kind is its
 nonlinear form at eta = 0, where f1 is exactly 1, so JC/AntiJC/QRM take no
 eta.  The two-tone drive is time-dependent: TwoToneGenerator supplies
-apply(t, X), the RK4 step bound dt_max, and the rotating frame and period in
-which the drive repeats, for evolve_unitary_td.
+apply(t, X, out), the RK4 step bound dt_max, and the rotating frame and
+period in which the drive repeats, for evolve_unitary_td.
 
 The two-tone drive simulates the nonlinear QRM of the same eta and g with
 omega0_R = -(delta_r + delta_b)/2 and omega_R = (delta_r - delta_b)/2;
@@ -227,12 +227,15 @@ class TwoToneGenerator:
     The displacement argument i eta e^{i nu t} has constant modulus, so
     D(t) = P(t) D(i eta) P(t)^dag with P(t) = diag(e^{i nu n t}).  Every
     element <m|D(i eta)|n> is i^(m-n) times a real number, so
-    D(i eta) = S R S^dag with S = diag(i^n) and R real: apply(t, X) takes
-    each half of H(t) @ X as a phase multiply by q(t)^* = (P(t) S)^*, one
-    real matmul with R or R^T on the interleaved real and imaginary parts,
-    and a phase multiply by q(t) times the tone coefficient.  The phases of
-    the last t are kept on the instance, since RK4 calls t + h/2 twice in a
-    row, so one generator must not be shared between threads.
+    D(i eta) = S R S^dag with S = diag(i^n) and R real: apply(t, X, out)
+    takes each half of H(t) @ X as a phase multiply by q(t)^* = (P(t) S)^*
+    into one scratch array, one real matmul with R or R^T on the interleaved
+    real and imaginary parts into the caller's `out`, and a phase multiply
+    by q(t) times the tone coefficient.  The scratch array (grown to the
+    widest X) and the phases of the last t (RK4 calls t + h/2 twice in a
+    row) are kept on the instance, so one generator must not be shared
+    between threads.  matrix(t) builds the dense H(t) on its own, as a
+    reference.
 
     The drive is periodic in a rotating frame.  With W(t) = diag(e^{i K t}),
     K = nu n on the qubit-down block and nu n - (delta_r - nu) on the
@@ -251,7 +254,13 @@ class TwoToneGenerator:
         # S = diag(i^n), exact: S^dag D(i eta) S has imaginary part 0
         self.s = np.array([1, 1j, -1, -1j])[self.nb % 4]
         self.r = (self.s.conj()[:, None] * self.d0 * self.s[None, :]).real.copy()
+        # _phases' arrays, and apply's scratch for one half of X, grown to the widest call
         self._t = None
+        self._q = np.empty(space.dim_boson, dtype=complex)
+        self._pre = np.empty((space.dim_boson, 1), dtype=complex)
+        self._tones = np.empty((2, 1), dtype=complex)
+        self._post = np.empty((2, space.dim_boson, 1), dtype=complex)
+        self._z = np.empty(0, dtype=complex)
         self._full_r = spec.delta_r - spec.nu
         self._full_b = spec.delta_b + spec.nu
         self.frame = np.concatenate([spec.nu * self.nb, spec.nu * self.nb - self._full_r])
@@ -278,24 +287,32 @@ class TwoToneGenerator:
         return H
 
     def _phases(self, t: float):
-        """(q(t)^*, [conj(c) q(t), c q(t)]) as broadcastable columns, c = tone_coeff(t)."""
+        """(q(t)^*, [conj(c) q(t), c q(t)]) as broadcastable columns, c = tone_coeff(t),
+        written into arrays kept on the instance."""
         if t != self._t:
-            q = np.exp(1j * self.spec.nu * t * self.nb) * self.s
+            q = np.multiply(1j * self.spec.nu * t, self.nb, out=self._q)
+            np.multiply(np.exp(q, out=q), self.s, out=q)
             c = self.tone_coeff(t)
-            self._pre = q.conj()[:, None]
-            self._post = (np.array([[np.conj(c)], [c]]) * q)[:, :, None]
+            np.conjugate(q, out=self._pre[:, 0])
+            self._tones[:, 0] = np.conj(c), c
+            np.multiply(self._tones, q, out=self._post[:, :, 0])
             self._t = t
         return self._pre, self._post
 
-    def apply(self, t: float, X: np.ndarray) -> np.ndarray:
-        """H(t) @ X for X of shape (dim,) or (dim, m), without materializing H."""
+    def apply(self, t: float, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write H(t) @ X into `out` and return it, without materializing H: X of
+        shape (dim,) or (dim, m), `out` C-contiguous of X's shape and apart from X."""
         d = self.space.dim_boson
         pre, post = self._phases(t)
         halves = X.reshape(2, d, -1)    # [down block, up block]
-        # a fresh C-ordered Z, so each half views as (d, 2m) floats
-        Z = np.multiply(pre, halves, out=np.empty(halves.shape, dtype=complex))
-        out = np.empty_like(Z)
-        np.matmul(self.r, Z[0].view(float), out=out[1].view(float))
-        np.matmul(self.r.T, Z[1].view(float), out=out[0].view(float))
-        out *= post
-        return out.reshape(X.shape)
+        m = halves.shape[2]
+        if self._z.size < d * m:
+            self._z = np.empty(d * m, dtype=complex)
+        # C-ordered, so Z and each half of out view as (d, 2m) floats
+        Z = self._z[:d * m].reshape(d, m)
+        res = out.reshape(2, d, m)
+        np.matmul(self.r, np.multiply(pre, halves[0], out=Z).view(float), out=res[1].view(float))
+        np.matmul(self.r.T, np.multiply(pre, halves[1], out=Z).view(float),
+                  out=res[0].view(float))
+        res *= post
+        return out

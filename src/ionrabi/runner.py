@@ -52,9 +52,10 @@ OUTDIR_ENV = "IONRABI_OUTDIR"
 CONVERGENCE_BUMP = 20
 CONVERGENCE_TOL = 1e-6
 _FMT = "%.17e"
-# rows per np.column_stack in _write_csv: 16 x 401 values for a 201 x 400
-# landscape; 64 rows raised the peak RSS of a landscape-and-sweep run by 0.85 MB
-_CSV_ROWS = 16
+# values per chunk in _write_csv (whole rows, at least one): each chunk is one
+# np.column_stack and one % of row_fmt repeated over its rows; 5 rows of a
+# 201 x 400 landscape, 1,024 of a 2-column trajectory
+_CSV_VALUES = 2048
 
 
 def output_dir(explicit, name) -> str:
@@ -181,15 +182,17 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
 
 def _write_csv(path, header, row_fmt, columns):
     """The header, then one row per index of the (n,) and (n, m) arrays in
-    `columns`, side by side, each row formatted at once with row_fmt; CRLF
-    line ends, as csv.writer writes them."""
+    `columns`, side by side, formatted with row_fmt a chunk of rows at a
+    time; CRLF line ends, as csv.writer writes them."""
     n = len(columns[0])
+    rows = max(1, _CSV_VALUES // sum(1 if np.ndim(col) == 1 else np.shape(col)[1]
+                                     for col in columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         row_fmt += "\r\n"
-        for a in range(0, n, _CSV_ROWS):
-            block = np.column_stack([col[a:a + _CSV_ROWS] for col in columns])
-            fh.writelines(row_fmt % tuple(row) for row in block.tolist())
+        for a in range(0, n, rows):
+            block = np.column_stack([col[a:a + rows] for col in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(path, traj, observables):

@@ -388,8 +388,8 @@ class _ConstantDrive:
         self.period = period
         self.frame = np.zeros(H.shape[0])
 
-    def apply(self, t, X):
-        return self.H @ X
+    def apply(self, t, X, out):
+        return np.matmul(self.H, X, out=out)
 
 
 def _rk4_reference(apply, psi0, times, dt_max):
@@ -428,17 +428,21 @@ def _fig6_max_deviation(monkeypatch, steps_per_trap_period):
 
 
 class _Widths:
-    """Wraps a drive and keeps the largest block width handed to apply."""
+    """Wraps a drive and keeps the largest block width handed to apply, and
+    every `out` it is handed: a kept array cannot be freed, so its memory is
+    not handed out again, and distinct data pointers are distinct arrays."""
 
     def __init__(self, drive):
         self.drive = drive
         self.dt_max, self.period, self.frame = drive.dt_max, drive.period, drive.frame
         self.widest = 1
+        self.outs = []
 
-    def apply(self, t, X):
+    def apply(self, t, X, out):
         if X.ndim == 2:
             self.widest = max(self.widest, X.shape[1])
-        return self.drive.apply(t, X)
+        self.outs.append(out)
+        return self.drive.apply(t, X, out)
 
 
 class TestEvolveUnitaryTd:
@@ -470,8 +474,9 @@ class TestEvolveUnitaryTd:
             period = 1.3
             frame = np.zeros(space.dim_total)
 
-            def apply(self, t, X):
-                return X
+            def apply(self, t, X, out):
+                out[...] = X
+                return out
 
         with pytest.raises(AttributeError, match="dt_max"):
             evolve_unitary_td(NoStep(), fock_state(space, 0), np.linspace(0, 1, 3))
@@ -540,6 +545,20 @@ class TestEvolveUnitaryTd:
             runs[n] = evolve_unitary_td(drive, psi, times, keep_states=True).states
             assert drive.widest == gen.space.dim_total   # pass 1's identity
         assert np.abs(runs[5] - runs[13][::3]).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [5, 13], ids=["seed-block", "identity"])
+    def test_stage_arrays_allocated_once(self, n):
+        # about 400 steps over both passes, on the seed-block route (5 seeds)
+        # or the identity route (13 seeds > D = 6), and every apply writes
+        # into one of two arrays: the block's K and the record vector steps'
+        spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=8.0, nu=80.0,
+                         delta_r=0.3, delta_b=-0.1, phi_r=0.3, phi_b=-0.8)
+        drive = _Widths(TwoToneGenerator(spec, HilbertSpace(2)))
+        psi = QuantumState(drive.drive.space, np.array([0.6, 0.8j, 0, 0, 0, 0]), "pure")
+        traj = evolve_unitary_td(drive, psi, np.linspace(0.0, 0.48, n))
+        assert traj.meta["n_steps"] >= 100
+        assert len(drive.outs) == 4 * traj.meta["n_steps"]
+        assert len({out.__array_interface__["data"][0] for out in drive.outs}) <= 2
 
 
 class TestEvolveLindblad:

@@ -16,6 +16,7 @@ from ionrabi import (
     number_op,
     qubit_ops,
 )
+from ionrabi import fock
 from ionrabi.errors import NoSignChange
 from ionrabi.fock import displacement_boson, hermiticity_defect
 
@@ -249,6 +250,16 @@ class TestBarrierEta:
     ])
     def test_pinned_roots(self, n, root):
         assert barrier_eta(n) == root
+
+    @pytest.mark.parametrize("n", [3, 17, 60])
+    def test_few_f1_evaluations(self, n, monkeypatch):
+        # one scan of the grid and a few safeguarded Newton steps, where
+        # bisecting down to adjacent doubles took about 46 evaluations
+        calls = []
+        real = fock.f1_diagonal
+        monkeypatch.setattr(fock, "f1_diagonal", lambda *args: calls.append(args) or real(*args))
+        barrier_eta(n)
+        assert 2 <= len(calls) <= 10
 
     @pytest.mark.parametrize("n", [7, 17])
     def test_root_quality_and_sign_flip(self, n):

@@ -320,14 +320,14 @@ class TestTwoTone:
         psi = rng.normal(size=sp.dim_total) + 1j * rng.normal(size=sp.dim_total)
         psi /= np.linalg.norm(psi)
         for t in (0.0, 0.41, 2.3):
-            assert np.abs(gen.apply(t, psi) - gen.matrix(t) @ psi).max() < 1e-12
+            assert np.abs(gen.apply(t, psi, np.empty_like(psi)) - gen.matrix(t) @ psi).max() < 1e-12
 
     def test_generator_apply_block(self, rng):
         sp = HilbertSpace(15)
         gen = TwoToneGenerator(_two_tone_spec(), sp)
         X = rng.normal(size=(sp.dim_total, 3)) + 1j * rng.normal(size=(sp.dim_total, 3))
         for t in (0.0, 0.41):
-            assert np.abs(gen.apply(t, X) - gen.matrix(t) @ X).max() < 1e-12
+            assert np.abs(gen.apply(t, X, np.empty_like(X)) - gen.matrix(t) @ X).max() < 1e-12
 
     @pytest.mark.parametrize("n_max", [2, 15, 40, 60])
     @pytest.mark.parametrize("eta", [0.1, 0.45, 0.578, 1.2])
@@ -340,17 +340,17 @@ class TestTwoTone:
     @pytest.mark.parametrize("shape", ["vector", "block", "column-slice", "column"])
     def test_generator_apply_across_times(self, rng, shape):
         # t1, t1, t2, t1: the phases kept from the last time are reused only
-        # for that time.  pass 2 of evolve_unitary_td hands apply a leading
-        # column slice of a block and, for a record step, one column of it.
+        # for that time, and one `out` takes every result.  X may be strided:
+        # a leading column slice of a block, or one column of it.
         sp = HilbertSpace(40)
         gen = TwoToneGenerator(_two_tone_spec(eta=0.578, dr=0.3, db=-0.1,
                                               phi_r=0.7, phi_b=-1.9), sp)
         big = rng.normal(size=(sp.dim_total, 7)) + 1j * rng.normal(size=(sp.dim_total, 7))
         X = {"vector": big[:, 0].copy(), "block": big, "column-slice": big[:, :4],
              "column": big[:, 3]}[shape]
+        out = np.empty(X.shape, dtype=complex)
         for t in (0.013, 0.013, 0.41, 0.013):
-            out = gen.apply(t, X)
-            assert out.shape == X.shape
+            assert gen.apply(t, X, out) is out
             assert np.abs(out - gen.matrix(t) @ X).max() < 1e-12
 
     def test_frame_makes_drive_periodic(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ionrabi import Scenario, barrier_eta, parse_scenario, scenario_from_dict
+from ionrabi import Scenario, barrier_eta, parse_scenario, runner, scenario_from_dict
 from ionrabi.dynamics import coherent_required_n_max, thermal_required_n_max
 from ionrabi.errors import SchemaError
 from ionrabi.runner import _barrier_index, auto_n_max, simulate_scenario
@@ -233,3 +233,23 @@ class TestAutoTruncation:
         sc = scenario_from_dict(_minimal(model={"kind": "AntiJC", "g": 10.0},
                                          initial={"kind": "fock", "n": n}))
         assert auto_n_max(sc) == expected
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n,m", [(2401, 1), (201, 400)], ids=["trajectory", "landscape"])
+    def test_chunks_match_per_row_format(self, tmp_path, n, m):
+        # neither table is a whole number of chunks; each file must equal one
+        # % per row of the same format
+        rng = np.random.default_rng(3)
+        if m == 1:
+            columns, row_fmt = [np.linspace(0.0, 3.0, n), rng.normal(size=n)], "%.17e,%.17e"
+        else:
+            columns = [np.arange(n), rng.normal(size=(n, m))]
+            row_fmt = ",".join(["%d"] + ["%.17e"] * m)
+        assert n % (runner._CSV_VALUES // (m + 1)) != 0
+        header = ["c%d" % i for i in range(m + 1)]
+        path = tmp_path / "table.csv"
+        runner._write_csv(path, header, row_fmt, columns)
+        rows = np.column_stack(columns).tolist()
+        want = ",".join(header) + "\r\n" + "".join((row_fmt + "\r\n") % tuple(r) for r in rows)
+        assert path.read_bytes() == want.encode()
