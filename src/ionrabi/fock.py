@@ -236,14 +236,14 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
 
     Scans eta on a 1e-3 grid, 1000 points per f1_diagonal call, to bracket
     the first sign change, then narrows the bracket to the two adjacent
-    doubles between which f1 changes sign, as bisection would, and returns
-    their midpoint rounded (the same double bisection returns).  Each step
-    is Newton in x = eta^2 from the last point, on F_n(x) = f1(n, eta) with
-    dF_n/dx = -F_n/2 + n (F_n - F_{n-1})/x (both rows from one f1_diagonal
-    call), moved one double on towards the far end of the bracket, so that
-    a converged step still crosses the root; a step that leaves the bracket
-    bisects it instead.  For n = 1-150 that takes 5-7 f1_diagonal calls in
-    all, scan included, where bisecting took about 46.
+    doubles between which f1 changes sign and returns their rounded
+    midpoint, checked through f1_scalar.  Each step is Newton in x = eta^2
+    from the last point, on F_n(x) = f1(n, eta) with dF_n/dx = -F_n/2 +
+    n (F_n - F_{n-1})/x (both rows from one f1_diagonal call), moved one
+    double on towards the far end of the bracket, so that a converged step
+    still crosses the root; a step that leaves the bracket bisects it.  For
+    n = 1-150 that takes 6-8 f1_diagonal calls in all, where bisecting
+    took about 46.
     Zeros of f1 in eta are simple and well separated below eta = 1.5.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -289,8 +289,8 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
             b, fb = m, fe
         else:
             a, fa = m, fe
-    root = 0.5 * (a + b)   # a or b: the two are adjacent doubles
-    if abs(fa if root == a else fb) >= 1e-12:
+    root = 0.5 * (a + b)
+    if abs(f1_scalar(n, root)) >= 1e-12:
         raise NoSignChange(f"bracket search stalled for n={n} on [{a}, {b}]")
     return root
 
