@@ -258,7 +258,6 @@ class TwoToneGenerator:
         self._t = None
         self._q = np.empty(space.dim_boson, dtype=complex)
         self._pre = np.empty((space.dim_boson, 1), dtype=complex)
-        self._tones = np.empty((2, 1), dtype=complex)
         self._post = np.empty((2, space.dim_boson, 1), dtype=complex)
         self._z = np.empty(0, dtype=complex)
         self._full_r = spec.delta_r - spec.nu
@@ -294,8 +293,8 @@ class TwoToneGenerator:
             np.multiply(np.exp(q, out=q), self.s, out=q)
             c = self.tone_coeff(t)
             np.conjugate(q, out=self._pre[:, 0])
-            self._tones[:, 0] = np.conj(c), c
-            np.multiply(self._tones, q, out=self._post[:, :, 0])
+            np.multiply(np.conj(c), q, out=self._post[0, :, 0])
+            np.multiply(c, q, out=self._post[1, :, 0])
             self._t = t
         return self._pre, self._post
 
