@@ -27,7 +27,9 @@ Evolution strategies:
     (2 n_max + 2)^2 elements for the anti-JC with qubit decay from a thermal
     |down>, the weak U(1) symmetry of that generator).  One index-pairing
     pass, `_lindblad_coo`, finds the set and the generator's COO map L on
-    it; each step is RK4's polynomial p(dt L) as two sparse quadratics in L.
+    it; each step is RK4's polynomial p(dt L) as one sparse matrix, the
+    product of its two quadratic factors in L, when that has fewer nonzeros
+    than the pair (the JC-family ladders), and as the pair otherwise.
 Fixed steps keep golden outputs deterministic and reproducible.  Every
 evolver hands its records to one _Recorder, which checks each record's norm
 or trace once, keeps the states if asked (keep_states) and builds the Trajectory.
@@ -70,6 +72,8 @@ _BLOCK = 64
 # over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
 _RK4_FACTORS = ((0.08525331300540473, 0.15755219957394268),
                 (0.9147466869945958, 0.26446261479905014))
+# product cells (row x column) counted at a time in _product_pattern: a 1 MB mask
+_PAIR_CELLS = 1 << 20
 
 
 @dataclass
@@ -588,6 +592,87 @@ def _lindblad_coo(rho0, A, jumps):
     return flat, tgt[order], np.concatenate(src)[order], np.concatenate(val)[order]
 
 
+def _quadratic_pattern(tgt, src, val, s):
+    """I, L and L^2 on one (row, column) pattern, for L the COO map (tgt, src, val).
+
+    Returns (rows, cols, row_starts, Id, L, L2): the pattern's entries sorted
+    by row, then column, where each row's entries start, and each matrix's
+    values on it.  It holds every diagonal, so every row.
+    """
+    # L^2's terms pair entry p (i <- j) with each entry e (j <- k)
+    p, e = _column_pairs(src, tgt, s)
+    key = (np.concatenate([np.arange(s), tgt, tgt[p]]) * s
+           + np.concatenate([np.arange(s), src, src[e]]))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    rows, cols = np.divmod(key[first], s)
+    raw = np.concatenate([np.ones(s), val, val[p] * val[e]])[order]
+    power = np.repeat([0, 1, 2], [s, len(val), len(p)])[order]
+    Id, L, L2 = (np.add.reduceat(np.where(power == k, raw, 0), first) for k in range(3))
+    return rows, cols, np.flatnonzero(np.diff(rows, prepend=-1)), Id, L, L2
+
+
+def _product_pattern(rows, cols, s):
+    """The pattern of Q Q, for Q's entries (rows, cols) sorted by row, if it
+    has fewer than 2 nnz(Q) entries; None if not.
+
+    Returns (p, e, first, cols, row_starts): the pairs of an entry p of the
+    left factor (i <- j) with an entry e of the right one (j <- k), sorted by
+    their product entry (i <- k); where each product entry's pairs start; and
+    the product's columns and row starts.  The pairs are formed a band of
+    rows at a time, _PAIR_CELLS product cells, and each band's entries are
+    counted on a boolean mask of its cells.  Counting stops once the product
+    entries so far plus Q's entries in the rows not yet paired reach
+    2 nnz(Q): Q holds the identity, so each row of Q Q holds its row of Q,
+    and that sum is a lower bound.  A pattern that loses is neither sorted
+    nor paired in full (the QRM with qubit decay at s = 6,724 stops after
+    0.55 M of its 1.45 M pairs).
+    """
+    n = len(rows)
+    band = min(s, max(1, _PAIR_CELLS // s))
+    starts = np.arange(0, s + band, band)
+    bounds = np.searchsorted(rows, starts)
+    parts, found = [], 0
+    for r0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+        p, e = _column_pairs(cols[lo:hi], rows, s)
+        key = rows[lo + p] * s + cols[e]
+        seen = np.zeros(band * s, dtype=bool)
+        seen[key - r0 * s] = True
+        found += np.count_nonzero(seen)
+        if found + n - hi >= 2 * n:
+            return None
+        parts.append((lo + p, e, key))
+    p, e, key = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    prows, pcols = np.divmod(key[first], s)
+    return p[order], e[order], first, pcols, np.flatnonzero(np.diff(prows, prepend=-1))
+
+
+def _rk4_factors(tgt, src, val, s):
+    """p(hL), RK4's step on the s reachable elements, L the COO map (tgt, src,
+    val), as a function of h: the sparse factors (cols, row_starts, values) to
+    apply in turn, each x <- reduceat(values * x[cols], row_starts).
+
+    The two quadratic factors 1 + a hL + b h^2 L^2 (_RK4_FACTORS) share the
+    pattern Q of I, L and L^2; their product P is one factor instead when its
+    pattern, Q Q, has fewer entries than the two together (_product_pattern).
+    """
+    rows, cols, row_starts, Id, L, L2 = _quadratic_pattern(tgt, src, val, s)
+    product = _product_pattern(rows, cols, s)
+
+    def factors(h):
+        f1, f2 = (Id + (a * h) * L + (b * h * h) * L2 for a, b in _RK4_FACTORS)
+        if product is None:
+            return [(cols, row_starts, f1), (cols, row_starts, f2)]
+        p, e, first, pcols, prow_starts = product
+        return [(pcols, prow_starts, np.add.reduceat(f2[p] * f1[e], first))]
+
+    return factors
+
+
 def _min_eigenvalue(rho: np.ndarray, blocks: list) -> float:
     """Least eigenvalue of a rho that is block diagonal over `blocks` (_sectors)."""
     return float(min(np.linalg.eigvalsh(rho[b[:, :, None], b[:, None, :]]).min() for b in blocks))
@@ -600,11 +685,19 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     Steps only the elements of rho the generator can reach from rho0 (module
     docstring), with `_lindblad_coo`'s COO map L on them; rate-0 channels are
     left out, and collapse operators must live on rho0's space (SpaceMismatch).
-    With (||H|| + sum Gamma ||C||^2) dt <= 0.05, a step is x <- p(dt L) x, as
-    the factors 1 + a dt L + b dt^2 L^2 (_RK4_FACTORS) on one sparse pattern
-    of I, L and L^2, valued once per dt; no s x s matrix is built.  One BLAS
-    thread: 12-17 us a step at s = 161 (fig3), 0.8-1.0 ms at s = 6,724 (QRM,
-    qubit decay), where four right-hand sides took 61-73 us and 1.1-1.3 ms.
+    H must be hermitian (ValueError otherwise).  The default step obeys
+    (||H|| + sum Gamma ||C||^2) dt <= 0.05, with ||H|| = max |eig H| and
+    ||C||^2 the top eigenvalue of C^dag C.  A step is x <- p(dt L) x, RK4's
+    polynomial, as one gather-multiply-reduceat per sparse factor, valued
+    once per dt (_rk4_factors): the product P of the quadratic factors
+    1 + a dt L + b dt^2 L^2 (_RK4_FACTORS) when P has fewer entries than the
+    two together, as on the JC-family ladders (1,269 against 2 x 839 at
+    s = 161, fig3 at truncation 40), else the two factors on their shared
+    pattern of I, L and L^2 (the QRM with qubit decay, whose P would have
+    388,303 entries against 2 x 98,949).  No s x s matrix is built.  One
+    BLAS thread: 6-8 us a step at s = 161, where the two factors took
+    11-13 us and four right-hand sides 61-73 us; 0.8-1.0 ms at s = 6,724
+    (QRM, qubit decay), where four right-hand sides took 1.1-1.3 ms.
     Each record raises PositivityLoss on a non-finite entry or an eigenvalue
     below -1e-6 (one stacked eigvalsh per size of block of the set's
     pattern), and StepTooLarge at a t whose trace is more than 1e-6 from 1;
@@ -616,35 +709,24 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     for _, op in lindblad.terms:
         if op.space.n_max != rho0.space.n_max:
             raise SpaceMismatch("collapse operator and rho0 live on different spaces")
+    if not H.hermitian and hermiticity_defect(H.mat) > 1e-12:
+        raise ValueError("evolve_lindblad requires a hermitian Hamiltonian")
     times = _check_times(times)
     D = H.space.dim_total
-    norm_H = float(np.linalg.norm(H.mat, 2))
-    budget = norm_H + sum(rate * np.linalg.norm(op.mat, 2) ** 2
-                          for rate, op in lindblad.terms)
+    # drho/dt = A rho + rho A^dag + sum rate C rho C^dag, A = -iH - sum rate C^dag C / 2;
+    # the step bound's ||H|| is max |eig H| and ||C||^2 is the top eigenvalue of C^dag C
+    jumps = [(rate, op.mat) for rate, op in lindblad.terms if rate > 0]
+    A = -1j * H.mat
+    budget = float(np.abs(np.linalg.eigvalsh(H.mat)).max())
+    for rate, C in jumps:
+        CdC = C.conj().T @ C
+        A = A - 0.5 * rate * CdC
+        budget += rate * float(np.linalg.eigvalsh(CdC)[-1])
     bound = 0.05 / budget if budget > 0 else math.inf
     # explicit dt_max is trusted (and monitored); the default obeys the bound
     dt_eff = bound if dt_max is None else dt_max
-
-    # drho/dt = A rho + rho A^dag + sum rate C rho C^dag, A = -iH - sum rate C^dag C / 2
-    jumps = [(rate, op.mat) for rate, op in lindblad.terms if rate > 0]
-    A = -1j * H.mat
-    for rate, C in jumps:
-        A = A - 0.5 * rate * (C.conj().T @ C)
     flat, tgt, src, val = _lindblad_coo(rho0.data, A, jumps)
-    s = len(flat)
-    # L^2's terms pair entry p (i <- j) with each entry e (j <- k).  I, L and L^2 are
-    # summed onto one (row, column) pattern; it holds every diagonal, so every row.
-    p, e = _column_pairs(src, tgt, s)
-    key = (np.concatenate([np.arange(s), tgt, tgt[p]]) * s
-           + np.concatenate([np.arange(s), src, src[e]]))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    rows, cols = np.divmod(key[first], s)
-    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    raw = np.concatenate([np.ones(s), val, val[p] * val[e]])[order]
-    power = np.repeat([0, 1, 2], [s, len(val), len(p)])[order]
-    Id, L, L2 = (np.add.reduceat(np.where(power == k, raw, 0), first) for k in range(3))
+    factors = _rk4_factors(tgt, src, val, len(flat))
     # every index is live, so an index outside the set is a 1 x 1 block holding 0
     blocks = _sectors(np.bincount(flat, minlength=D * D).reshape(D, D), np.arange(D))
 
@@ -658,9 +740,10 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
         steps = max(1, math.ceil(span / dt_eff)) if span > 0 else 0
         if steps and span / steps != h:
             h = span / steps
-            v1, v2 = (Id + (a * h) * L + (b * h * h) * L2 for a, b in _RK4_FACTORS)
+            step = factors(h)
         for _ in range(steps):
-            x = np.add.reduceat(v2 * np.add.reduceat(v1 * x[cols], row_starts)[cols], row_starts)
+            for cols, row_starts, v in step:
+                x = np.add.reduceat(v * x[cols], row_starts)
         n_steps += steps
         t = times[i]
         if not np.all(np.isfinite(x.view(float))):

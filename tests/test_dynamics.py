@@ -37,6 +37,8 @@ from ionrabi.dynamics import (
     _RK4_FACTORS,
     _lindblad_coo,
     _min_eigenvalue,
+    _quadratic_pattern,
+    _rk4_factors,
     coherent_required_n_max,
     thermal_required_n_max,
 )
@@ -631,13 +633,24 @@ class TestEvolveLindblad:
             evolve_lindblad(H, LindbladSpec([(1.0, sm)]), rho0,
                             np.linspace(0, 40, 11), dt_max=4.0)
 
-    def test_trace_guard_names_first_time(self, space):
+    def test_trace_guard_names_first_time(self, space, monkeypatch):
         # an anti-hermitian part i eps I grows the trace as e^{2 eps t}: 1e-5 over
-        # the first record span, beyond PHONON_SUM_TOL, while rho stays positive
+        # the first record span, beyond PHONON_SUM_TOL, while rho stays positive.
+        # The hermiticity check refuses such an H, so it is let through here to
+        # reach the trace guard behind it.
         H = _build(space, "JC", g=1.0)
         H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total), hermitian=False)
         sm = qubit_ops(space)[2]
+        monkeypatch.setattr(dynamics, "hermiticity_defect", lambda mat: 0.0)
         with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
+            evolve_lindblad(H, LindbladSpec([(0.5, sm)]), thermal_state(space, 0.2, "down"),
+                            np.linspace(0, 1, 3))
+
+    def test_rejects_non_hermitian(self, space):
+        H = _build(space, "JC", g=1.0)
+        H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total), hermitian=False)
+        sm = qubit_ops(space)[2]
+        with pytest.raises(ValueError, match="hermitian"):
             evolve_lindblad(H, LindbladSpec([(0.5, sm)]), thermal_state(space, 0.2, "down"),
                             np.linspace(0, 1, 3))
 
@@ -701,6 +714,33 @@ def _asymmetric_thermal(sp, nbar):
     return QuantumState(sp, rho, "density")
 
 
+def _coo(H, terms, rho0):
+    """`_lindblad_coo` of evolve_lindblad's generator for H and (rate, C) terms."""
+    A = -1j * H.mat - 0.5 * sum(rate * C.mat.conj().T @ C.mat for rate, C in terms)
+    return _lindblad_coo(rho0.data, A, [(rate, C.mat) for rate, C in terms])
+
+
+def _large_set(case):
+    """H, terms and rho0 at truncation 40 from a coherent start with qubit decay:
+    the QRM reaches all of rho, the nonlinear JC all but |up,40>."""
+    sp = HilbertSpace(40)
+    if case == "qrm_sigma_minus":
+        H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
+    else:
+        H = _build(sp, "NonlinearJC", g=1.0, eta=0.4518)
+    return H, [(1.0, qubit_ops(sp)[2])], coherent_state(sp, 1.0, "down").to_density()
+
+
+def _traced_peak(run):
+    """run()'s result and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReducedLindblad:
     def _check_against_dense(self, H, terms, rho0, times):
         traj = evolve_lindblad(H, LindbladSpec(terms), rho0, times, keep_states=True)
@@ -741,24 +781,47 @@ class TestReducedLindblad:
         self._check_against_dense(H, [(2.0, sm)], thermal_state(space, 0.2, "down"),
                                   np.array([0.0, 0.013, 0.4, 0.4, 0.41, 1.3, 2.0]))
 
-    def test_large_set_builds_no_dense_generator(self):
-        # s = 82^2 = 6,724 stepped elements: one dense s x s complex matrix would
-        # be 723 MB; L, L^2 and the two factors stay sparse
-        sp = HilbertSpace(40)
-        H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
-        sm = qubit_ops(sp)[2]
-        rho0 = coherent_state(sp, 1.0, "down").to_density()
-        A = -1j * H.mat - 0.5 * sm.mat.conj().T @ sm.mat
-        assert len(_lindblad_coo(rho0.data, A, [(1.0, sm.mat)])[0]) == 6724
-        tracemalloc.start()
-        try:
-            traj = evolve_lindblad(H, LindbladSpec([(1.0, sm)]), rho0,
-                                   np.array([0.0, 3e-3]), dt_max=1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    @pytest.mark.parametrize("case", ["qrm_sigma_minus", "nonlinear_jc_coherent"])
+    def test_large_set_builds_no_dense_generator(self, case):
+        # about 6,600 stepped elements: one dense s x s complex matrix would be
+        # about 700 MB.  The QRM keeps the sparse factor pair; the JC ladder (no
+        # |up,40>) takes their product, merged from 168,810 pairs
+        H, terms, rho0 = _large_set(case)
+        size = {"qrm_sigma_minus": 82 * 82, "nonlinear_jc_coherent": 81 * 81}[case]
+        assert len(_coo(H, terms, rho0)[0]) == size
+        traj, peak = _traced_peak(lambda: evolve_lindblad(
+            H, LindbladSpec(terms), rho0, np.array([0.0, 3e-3]), dt_max=1e-3))
         assert traj.meta["n_steps"] == 3
         assert peak < 100e6
+
+    def test_ladder_step_is_one_matrix(self, rng):
+        # fig3's set at truncation 40: the product of the two quadratic factors
+        # has 1,269 entries, where the pair has 839 each
+        sp = HilbertSpace(40)
+        H = _build(sp, "NonlinearAntiJC", g=1.0, eta=0.4518)
+        terms = [(2.0, qubit_ops(sp)[2])]
+        flat, tgt, src, val = _coo(H, terms, thermal_state(sp, 1.0, "down"))
+        s, h = len(flat), 0.01
+        rows, qcols, qstarts, Id, L, L2 = _quadratic_pattern(tgt, src, val, s)
+        assert len(rows) == 839
+        (cols, row_starts, v), = _rk4_factors(tgt, src, val, s)(h)
+        assert len(v) == 1269
+        x = rng.normal(size=s) + 1j * rng.normal(size=s)
+        y = x
+        for a, b in _RK4_FACTORS:
+            y = np.add.reduceat((Id + a * h * L + b * h * h * L2) * y[qcols], qstarts)
+        assert np.abs(np.add.reduceat(v * x[cols], row_starts) - y).max() < 1e-14
+
+    def test_qrm_step_keeps_factor_pair(self):
+        # the QRM's product would have 388,303 entries against 2 x 98,949: the
+        # pair is kept, and the count stops before all 1.45 M pairs are formed
+        H, terms, rho0 = _large_set("qrm_sigma_minus")
+        factors = _rk4_factors(*_coo(H, terms, rho0)[1:], 82 * 82)(1e-3)
+        assert [len(v) for _, _, v in factors] == [98949, 98949]
+        traj, peak = _traced_peak(lambda: evolve_lindblad(
+            H, LindbladSpec(terms), rho0, np.array([0.0, 3e-3]), dt_max=1e-3))
+        assert traj.meta["n_steps"] == 3
+        assert peak < 45e6
 
     @pytest.mark.parametrize("case", ["anti_jc_thermal", "qrm_two_channels"])
     def test_block_minimum_matches_dense(self, case):
