@@ -713,8 +713,7 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
         raise ValueError("evolve_lindblad requires a hermitian Hamiltonian")
     times = _check_times(times)
     D = H.space.dim_total
-    # drho/dt = A rho + rho A^dag + sum rate C rho C^dag, A = -iH - sum rate C^dag C / 2;
-    # the step bound's ||H|| is max |eig H| and ||C||^2 is the top eigenvalue of C^dag C
+    # drho/dt = A rho + rho A^dag + sum rate C rho C^dag, A = -iH - sum rate C^dag C / 2
     jumps = [(rate, op.mat) for rate, op in lindblad.terms if rate > 0]
     A = -1j * H.mat
     budget = float(np.abs(np.linalg.eigvalsh(H.mat)).max())
