@@ -58,7 +58,7 @@ __all__ = [
     "phonon_distribution", "rwa_crosscheck", "RwaReport",
 ]
 
-_QUBIT_INDEX = {"down": 0, "g": 0, "up": 1, "e": 1}
+_QUBIT_INDEX = {"down": 0, "up": 1}
 
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-8
@@ -78,49 +78,44 @@ _PAIR_CELLS = 1 << 20
 
 @dataclass
 class QuantumState:
-    """Pure state vector or density matrix on a HilbertSpace."""
+    """A state on a HilbertSpace, D = space.dim_total: a pure state vector of
+    shape (D,), normalized within NORM_TOL, or a density matrix of shape
+    (D, D) with trace 1 within TRACE_TOL and a hermiticity defect of at most
+    1e-10.  Any other shape raises ValueError."""
 
     space: HilbertSpace
     data: np.ndarray
-    kind: str  # 'pure' | 'density'
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
         dim = self.space.dim_total
-        if self.kind == "pure":
-            if self.data.shape != (dim,):
-                raise ValueError(f"pure state must have shape ({dim},)")
+        if self.data.shape == (dim,):
             if abs(np.linalg.norm(self.data) ** 2 - 1.0) > NORM_TOL:
                 raise ValueError("pure state is not normalized")
-        elif self.kind == "density":
-            if self.data.shape != (dim, dim):
-                raise ValueError(f"density matrix must have shape ({dim},{dim})")
+        elif self.data.shape == (dim, dim):
             if abs(np.trace(self.data).real - 1.0) > TRACE_TOL:
                 raise ValueError("density matrix trace differs from 1")
             if hermiticity_defect(self.data) > 1e-10:
                 raise ValueError("density matrix is not hermitian")
         else:
-            raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
+            raise ValueError(f"state must have shape ({dim},) or ({dim}, {dim}), "
+                             f"got {self.data.shape}")
 
     @property
     def is_pure(self) -> bool:
-        return self.kind == "pure"
+        return self.data.ndim == 1
 
     def to_density(self) -> "QuantumState":
-        if self.kind == "density":
+        if not self.is_pure:
             return self
-        return QuantumState(self.space, np.outer(self.data, self.data.conj()), "density")
+        return QuantumState(self.space, np.outer(self.data, self.data.conj()))
 
 
 def _qubit_index(qubit) -> int:
-    if isinstance(qubit, str):
-        try:
-            return _QUBIT_INDEX[qubit.lower()]
-        except KeyError:
-            raise ValueError(f"qubit must be 'down' or 'up', got {qubit!r}") from None
-    if qubit in (0, 1):
-        return int(qubit)
-    raise ValueError(f"qubit must be 'down'/'up' or 0/1, got {qubit!r}")
+    try:
+        return _QUBIT_INDEX[qubit]
+    except (KeyError, TypeError):
+        raise ValueError(f"qubit must be 'down' or 'up', got {qubit!r}") from None
 
 
 def fock_state(space: HilbertSpace, n: int, qubit="down") -> QuantumState:
@@ -132,7 +127,7 @@ def fock_state(space: HilbertSpace, n: int, qubit="down") -> QuantumState:
                                  required_n_max=n)
     psi = np.zeros(space.dim_total, dtype=complex)
     psi[space.index(_qubit_index(qubit), n)] = 1.0
-    return QuantumState(space, psi, "pure")
+    return QuantumState(space, psi)
 
 
 def coherent_required_n_max(alpha: complex) -> int:
@@ -181,7 +176,7 @@ def coherent_state(space: HilbertSpace, alpha: complex, qubit="down") -> Quantum
     psi = np.zeros(space.dim_total, dtype=complex)
     q = _qubit_index(qubit)
     psi[q * space.dim_boson:(q + 1) * space.dim_boson] = amps
-    return QuantumState(space, psi, "pure")
+    return QuantumState(space, psi)
 
 
 def thermal_state(space: HilbertSpace, nbar: float, qubit="down") -> QuantumState:
@@ -209,7 +204,7 @@ def thermal_state(space: HilbertSpace, nbar: float, qubit="down") -> QuantumStat
     q = _qubit_index(qubit)
     sl = slice(q * space.dim_boson, (q + 1) * space.dim_boson)
     rho[sl, sl] = np.diag(weights)
-    return QuantumState(space, rho, "density")
+    return QuantumState(space, rho)
 
 
 @dataclass
@@ -345,15 +340,16 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
     _BLOCK - 1 rounded products from a direct exp; a linspace grid has a few
     distinct gaps a block, a grid whose gaps all differ one exp per time.
     A block holds at most three complex D x _BLOCK arrays (248 kB each at
-    D = 242) besides the kept states.  The recorder raises
-    StepTooLarge at the first t whose ||psi||^2 is more than 2 NORM_TOL from
-    1, that is ||psi|| more than NORM_TOL.
+    D = 242) besides the kept states.  psi0 must be pure and H have
+    hermiticity_defect(H.mat) <= 1e-12 (ValueError otherwise).  The
+    recorder raises StepTooLarge at the first t whose ||psi||^2 is more than
+    2 NORM_TOL from 1, that is ||psi|| more than NORM_TOL.
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary requires a pure initial state")
     if H.space.n_max != psi0.space.n_max:
         raise SpaceMismatch("H and psi0 live on different spaces")
-    if not H.hermitian and hermiticity_defect(H.mat) > 1e-12:
+    if hermiticity_defect(H.mat) > 1e-12:
         raise ValueError("evolve_unitary requires a hermitian Hamiltonian")
     times = _check_times(times)
     groups = []
@@ -685,23 +681,24 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     Steps only the elements of rho the generator can reach from rho0 (module
     docstring), with `_lindblad_coo`'s COO map L on them; rate-0 channels are
     left out, and collapse operators must live on rho0's space (SpaceMismatch).
-    H must be hermitian (ValueError otherwise).  The default step obeys
-    (||H|| + sum Gamma ||C||^2) dt <= 0.05, with ||H|| = max |eig H| and
-    ||C||^2 the top eigenvalue of C^dag C.  A step is x <- p(dt L) x, RK4's
-    polynomial, as one gather-multiply-reduceat per sparse factor, valued
-    once per dt (_rk4_factors): the product P of the quadratic factors
-    1 + a dt L + b dt^2 L^2 (_RK4_FACTORS) when P has fewer entries than the
-    two together, as on the JC-family ladders (1,269 against 2 x 839 at
-    s = 161, fig3 at truncation 40), else the two factors on their shared
-    pattern of I, L and L^2 (the QRM with qubit decay, whose P would have
-    388,303 entries against 2 x 98,949).  No s x s matrix is built.  One
-    BLAS thread: 6-8 us a step at s = 161, where the two factors took
-    11-13 us and four right-hand sides 61-73 us; 0.8-1.0 ms at s = 6,724
-    (QRM, qubit decay), where four right-hand sides took 1.1-1.3 ms.
-    Each record raises PositivityLoss on a non-finite entry or an eigenvalue
-    below -1e-6 (one stacked eigvalsh per size of block of the set's
-    pattern), and StepTooLarge at a t whose trace is more than 1e-6 from 1;
-    trace_drift is the largest over the records.  Nothing is projected back.
+    rho0 is a pure state or a density matrix; H must have
+    hermiticity_defect(H.mat) <= 1e-12 (ValueError otherwise).  The default
+    step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05, with ||H|| =
+    max |eig H| and ||C||^2 the top eigenvalue of C^dag C.  A step is
+    x <- p(dt L) x, RK4's polynomial, as one gather-multiply-reduceat per
+    sparse factor, valued once per dt (_rk4_factors): the product P of the
+    quadratic factors 1 + a dt L + b dt^2 L^2 (_RK4_FACTORS) when P has
+    fewer entries than the two together, as on the JC-family ladders (1,269
+    against 2 x 839 at s = 161, fig3 at truncation 40), else the two factors
+    on their shared pattern of I, L and L^2 (the QRM with qubit decay, whose
+    P would have 388,303 entries against 2 x 98,949).  No s x s matrix is
+    built.  One BLAS thread: 6-8 us a step at s = 161; 0.8-1.0 ms at
+    s = 6,724 (QRM, qubit decay).
+    Every record, rho0 at times[0] included (a span of zero steps), raises
+    PositivityLoss on a non-finite entry or an eigenvalue below -1e-6 (one
+    stacked eigvalsh per size of block of the set's pattern), and
+    StepTooLarge at a t whose trace is more than 1e-6 from 1; trace_drift is
+    the largest over the records.  Nothing is projected back.
     """
     rho0 = rho0.to_density()
     if H.space.n_max != rho0.space.n_max:
@@ -709,7 +706,7 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     for _, op in lindblad.terms:
         if op.space.n_max != rho0.space.n_max:
             raise SpaceMismatch("collapse operator and rho0 live on different spaces")
-    if not H.hermitian and hermiticity_defect(H.mat) > 1e-12:
+    if hermiticity_defect(H.mat) > 1e-12:
         raise ValueError("evolve_lindblad requires a hermitian Hamiltonian")
     times = _check_times(times)
     D = H.space.dim_total
@@ -733,8 +730,7 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     x = rho0.data.ravel()[flat]
     t, h = times[0], None
     n_steps = 0
-    rec.record(0, rho0.data)
-    for i in range(1, len(times)):
+    for i in range(len(times)):
         span = times[i] - t
         steps = max(1, math.ceil(span / dt_eff)) if span > 0 else 0
         if steps and span / steps != h:
@@ -817,10 +813,9 @@ def rwa_crosscheck(spec: ModelSpec, n_max: int, T: float, psi0: QuantumState | N
     spec.simulated(), omega0_R/2 sigma_z + omega_R a^dag a (the diagonal of
     its H), which aligns the interaction picture of the drive with the
     Schroedinger picture of the simulated model.  H0 is diagonal, so every
-    record is aligned and compared in one array step.
+    record is aligned and compared in one array step.  A spec of any other
+    kind than TwoTone raises ValueError (TwoToneGenerator).
     """
-    if spec.kind != "TwoTone":
-        raise ValueError("rwa_crosscheck requires a TwoTone ModelSpec")
     space = HilbertSpace(n_max)
     if psi0 is None:
         psi0 = fock_state(space, 0, "down")

@@ -37,7 +37,6 @@ __all__ = [
     "hermiticity_defect",
 ]
 
-HERMITICITY_TOL = 1e-12
 # default eta bracket of barrier_eta and `ionrabi f1 --find-zero`; it holds the
 # first zero of every n >= 1 (sqrt(2) for n = 1)
 BARRIER_BRACKET = (1e-3, 1.5)
@@ -71,13 +70,13 @@ class HilbertSpace:
 
 
 class Operator:
-    """Dense complex matrix on a HilbertSpace.
+    """Dense complex matrix on a HilbertSpace, its entries checked finite.
 
-    All entries are checked finite.  When hermitian=True the matrix is
-    verified against max|H - H^dag| < 1e-12 * max|H|.
+    Hermiticity is not checked here: evolve_unitary and evolve_lindblad check
+    that H has hermiticity_defect(H.mat) <= 1e-12.
     """
 
-    def __init__(self, space: HilbertSpace, mat: np.ndarray, hermitian: bool = False):
+    def __init__(self, space: HilbertSpace, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (space.dim_total, space.dim_total):
             raise ValueError(
@@ -85,13 +84,8 @@ class Operator:
             )
         if not np.all(np.isfinite(mat.view(float))):
             raise ValueError("operator entries must be finite")
-        if hermitian:
-            defect = hermiticity_defect(mat)
-            if defect > HERMITICITY_TOL:
-                raise ValueError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL}")
         self.space = space
         self.mat = mat
-        self.hermitian = hermitian
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
@@ -154,7 +148,7 @@ def creation_op(space: HilbertSpace) -> Operator:
 
 def number_op(space: HilbertSpace) -> Operator:
     diag = np.concatenate([np.arange(space.dim_boson)] * 2).astype(complex)
-    return Operator(space, np.diag(diag), hermitian=True)
+    return Operator(space, np.diag(diag))
 
 
 def qubit_ops(space: HilbertSpace):
@@ -162,21 +156,18 @@ def qubit_ops(space: HilbertSpace):
 
     sigma_z|up> = +|up>, sigma_z|down> = -|down>, sigma_plus = |up><down|.
     """
-    eye_b = np.eye(space.dim_boson)
-    sz = Operator(space, np.kron(np.diag([-1.0, 1.0]), eye_b), hermitian=True)
-    sp_mat = np.zeros((2, 2))
-    sp_mat[1, 0] = 1.0
-    sp = Operator(space, np.kron(sp_mat, eye_b))
-    sm = Operator(space, np.kron(sp_mat.T, eye_b))
-    sx = Operator(space, np.kron(sp_mat + sp_mat.T, eye_b), hermitian=True)
-    return sz, sp, sm, sx
+    d, dim = space.dim_boson, space.dim_total
+    sp = np.eye(dim, k=-d)    # |up, n><down, n|
+    sm = np.eye(dim, k=d)
+    return (Operator(space, np.diag(np.repeat([-1.0, 1.0], d))), Operator(space, sp),
+            Operator(space, sm), Operator(space, sp + sm))
 
 
 def parity_op(space: HilbertSpace) -> Operator:
     """sigma_z * (-1)^n, the conserved parity of the (nonlinear) Rabi models."""
     signs = (-1.0) ** np.arange(space.dim_boson)
     diag = np.concatenate([-signs, signs]).astype(complex)
-    return Operator(space, np.diag(diag), hermitian=True)
+    return Operator(space, np.diag(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +233,7 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
     n (F_n - F_{n-1})/x (both rows from one f1_diagonal call), moved one
     double on towards the far end of the bracket, so that a converged step
     still crosses the root; a step that leaves the bracket bisects it.  For
-    n = 1-150 that takes 6-8 f1_diagonal calls in all, where bisecting
-    took about 46.
+    n = 1-150 that takes 6-8 f1_diagonal calls in all.
     Zeros of f1 in eta are simple and well separated below eta = 1.5.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:

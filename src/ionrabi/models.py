@@ -201,7 +201,7 @@ def build_hamiltonian(spec: ModelSpec, space: HilbertSpace) -> Operator:
         block = fa if spec.kind in ("JC", "NonlinearJC") else a.conj().T * f1
         H[d:, :d] = 1j * spec.g * block
         H[:d, d:] = (1j * spec.g * block).conj().T
-    return Operator(space, H, hermitian=True)
+    return Operator(space, H)
 
 
 # ---------------------------------------------------------------------------

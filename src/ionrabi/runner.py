@@ -167,7 +167,7 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
         H = build_hamiltonian(spec, space)
         _, _, sm, _ = qubit_ops(space)
         lb = LindbladSpec([(scenario.lindblad["gamma_ratio"] * g, sm)])
-        traj = evolve_lindblad(H, lb, state0.to_density(), times)
+        traj = evolve_lindblad(H, lb, state0, times)
     elif spec.kind == "TwoTone":
         traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times)
     else:

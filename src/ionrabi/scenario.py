@@ -9,7 +9,9 @@ Conventions (matching the trapped-ion literature):
     snapshot_times is validated and echoed in the metadata only, since no
     output writes a state snapshot;
   - `truncation` (the phonon cutoff n_max) is optional; when it is absent,
-    runner.auto_n_max picks it from the model and the initial state.
+    runner.auto_n_max picks it from the model and the initial state;
+  - a thermal initial state is a density matrix, so it needs a `lindblad`
+    section (gamma_ratio 0 for none).
 
 Landscape configs (`ionrabi landscape --config`) share the header fields
 and hold one `landscape` section instead of model/initial/times.
@@ -218,6 +220,9 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
             _fail(f"{source}.lindblad", "dissipative evolution of the time-dependent "
                   "two-tone drive is not supported")
         clean_lindblad = {"gamma_ratio": ratio}
+    elif ikind == "thermal":
+        _fail(f"{source}.initial", "a thermal start is a density matrix and needs a "
+              "lindblad section; gamma_ratio: 0 runs it without dissipation")
 
     truncation = doc.get("truncation")
     if truncation is not None:

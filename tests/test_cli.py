@@ -129,6 +129,21 @@ FOCKPREP_3 = [
 ]
 
 
+def test_thermal_start_without_lindblad_exits_2(tmp_path, monkeypatch, capsys):
+    # a thermal start is a density matrix, which only the Lindblad evolver takes
+    doc = yaml.safe_load((SCENARIOS / "fig6.scenario").read_text())
+    doc.update(initial={"kind": "thermal", "nbar": 0.5, "qubit": "down"},
+               times={"t_end": 0.1, "n_points": 3}, truncation=21)
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(["evolve", "--scenario", _write(tmp_path / "hot.scenario", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "hot.scenario.initial:" in err and "lindblad" in err
+    assert not (tmp_path / "runs").exists()
+    # gamma_ratio 0 runs it without dissipation
+    doc["lindblad"] = {"gamma_ratio": 0}
+    assert exit_code(["evolve", "--scenario", _write(tmp_path / "hot.scenario", doc)]) == 0
+
+
 def test_fockprep_outputs(tmp_path):
     with pytest.warns(ValidityWarning, match="above target"):
         assert exit_code(["fockprep", "--target", "3", "--duration", "2", "--points", "5",

@@ -32,7 +32,7 @@ from ionrabi import (
     scenario_from_dict,
     thermal_state,
 )
-from ionrabi import dynamics
+from ionrabi import dynamics, fock
 from ionrabi.dynamics import (
     _RK4_FACTORS,
     _lindblad_coo,
@@ -49,13 +49,40 @@ from ionrabi.errors import (
     TruncationTooSmall,
 )
 from ionrabi.fock import _sectors
-from ionrabi.runner import _state_n_requirement
+from ionrabi.runner import _state_n_requirement, simulate_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _build(space, kind, **kw):
     return build_hamiltonian(ModelSpec(kind=kind, **kw), space)
+
+
+class TestQuantumState:
+    def test_shape_sets_purity(self, space):
+        psi = fock_state(space, 1, "up")
+        rho = psi.to_density()
+        assert psi.is_pure and not rho.is_pure
+        assert rho.to_density() is rho
+
+    @pytest.mark.parametrize("case", ["vector-length", "rectangular", "three-axes",
+                                      "not-normalized", "trace", "not-hermitian"])
+    def test_rejects(self, space, case):
+        D = space.dim_total
+        rho = np.zeros((D, D), dtype=complex)
+        rho[0, 0] = 1.0
+        skew = rho.copy()
+        skew[0, 1] = 0.5    # trace 1, no matching [1, 0] entry
+        data, match = {
+            "vector-length": (np.eye(D + 1)[0], "shape"),
+            "rectangular": (rho[:, :-1], "shape"),
+            "three-axes": (rho[None], "shape"),
+            "not-normalized": (np.full(D, 1.0), "not normalized"),
+            "trace": (2.0 * rho, "trace"),
+            "not-hermitian": (skew, "not hermitian"),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            QuantumState(space, data)
 
 
 class TestFockState:
@@ -80,6 +107,11 @@ class TestFockState:
     def test_rejects_negative_index(self, space):
         with pytest.raises(ValueError):
             fock_state(space, -1, "down")
+
+    @pytest.mark.parametrize("qubit", ["g", "e", "UP", 0, 1, None])
+    def test_qubit_is_down_or_up(self, space, qubit):
+        with pytest.raises(ValueError, match="'down' or 'up'"):
+            fock_state(space, 0, qubit)
 
 
 class TestCoherentState:
@@ -159,6 +191,7 @@ class TestThermalState:
             "model": {"kind": "JC", "g": 1.0},
             "initial": {"kind": "thermal", "nbar": nbar, "qubit": "down"},
             "times": {"t_end": 1.0, "n_points": 2},
+            "lindblad": {"gamma_ratio": 0.0},
         })
         assert _state_n_requirement(scenario)[0] == required
         thermal_state(HilbertSpace(required), nbar)
@@ -181,7 +214,7 @@ _GRIDS = [*(pytest.param(np.linspace(0.2, 6.0, n), id=str(n))
 
 class TestEvolveUnitary:
     def test_zero_hamiltonian(self, space):
-        H = Operator(space, np.zeros((space.dim_total,) * 2), hermitian=True)
+        H = Operator(space, np.zeros((space.dim_total,) * 2))
         psi = fock_state(space, 2, "up")
         traj = evolve_unitary(H, psi, np.linspace(0, 5, 11), keep_states=True)
         assert np.allclose(traj.fidelity, 1.0)
@@ -224,7 +257,7 @@ class TestEvolveUnitary:
         H = _build(sp, "QRM", g=1.0, omega_R=1.0, omega0_R=0.4)
         psi = coherent_state(sp, 1.0, "down")
         traj = evolve_unitary(H, psi, np.linspace(0, 10, 21), keep_states=True)
-        energies = [expectation(H, QuantumState(sp, s, "pure")) for s in traj.states]
+        energies = [expectation(H, QuantumState(sp, s)) for s in traj.states]
         e0 = energies[0]
         assert max(abs(e - e0) for e in energies) < 1e-9 * max(1.0, abs(e0))
 
@@ -304,7 +337,7 @@ def test_rejects_non_finite_times(space, route, times):
 def _random_hermitian(space, rng):
     d = space.dim_total
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return Operator(space, (a + a.conj().T) / (2.0 * math.sqrt(d)), hermitian=True)
+    return Operator(space, (a + a.conj().T) / (2.0 * math.sqrt(d)))
 
 
 def _parity_sectors(space):
@@ -372,7 +405,7 @@ class TestSectors:
         else:
             H = _random_hermitian(sp, rng)
             data = rng.normal(size=sp.dim_total) + 1j * rng.normal(size=sp.dim_total)
-            psi = QuantumState(sp, data / np.linalg.norm(data), "pure")
+            psi = QuantumState(sp, data / np.linalg.norm(data))
         times = np.linspace(0.0, 8.0, 2 * dynamics._BLOCK + 7)
         traj = evolve_unitary(H, psi, times, keep_states=True)
         for i, t in enumerate(times):
@@ -538,7 +571,7 @@ class TestEvolveUnitaryTd:
         spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=8.0, nu=80.0,
                          delta_r=0.3, delta_b=-0.1, phi_r=0.3, phi_b=-0.8)
         gen = TwoToneGenerator(spec, HilbertSpace(2))
-        psi = QuantumState(gen.space, np.array([0.6, 0.8j, 0, 0, 0, 0]), "pure")
+        psi = QuantumState(gen.space, np.array([0.6, 0.8j, 0, 0, 0, 0]))
         runs = {}
         for n in (5, 13):
             times = np.linspace(0.0, 0.48, n)
@@ -556,7 +589,7 @@ class TestEvolveUnitaryTd:
         spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=8.0, nu=80.0,
                          delta_r=0.3, delta_b=-0.1, phi_r=0.3, phi_b=-0.8)
         drive = _Widths(TwoToneGenerator(spec, HilbertSpace(2)))
-        psi = QuantumState(drive.drive.space, np.array([0.6, 0.8j, 0, 0, 0, 0]), "pure")
+        psi = QuantumState(drive.drive.space, np.array([0.6, 0.8j, 0, 0, 0, 0]))
         traj = evolve_unitary_td(drive, psi, np.linspace(0.0, 0.48, n))
         assert traj.meta["n_steps"] >= 100
         assert len(drive.outs) == 4 * traj.meta["n_steps"]
@@ -578,7 +611,7 @@ class TestEvolveLindblad:
 
     def test_amplitude_damping_analytic(self, space):
         gamma = 0.8
-        H = Operator(space, np.zeros((space.dim_total,) * 2), hermitian=True)
+        H = Operator(space, np.zeros((space.dim_total,) * 2))
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 0, "up").to_density()
         times = np.linspace(0, 4.0, 17)
@@ -626,7 +659,7 @@ class TestEvolveLindblad:
     def test_positivity_loss_on_unstable_step(self, space):
         # RK4 preserves the trace exactly even when unstable, so divergence
         # surfaces through the positivity monitor
-        H = Operator(space, np.zeros((space.dim_total,) * 2), hermitian=True)
+        H = Operator(space, np.zeros((space.dim_total,) * 2))
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 0, "up").to_density()
         with pytest.raises(PositivityLoss):
@@ -639,7 +672,7 @@ class TestEvolveLindblad:
         # The hermiticity check refuses such an H, so it is let through here to
         # reach the trace guard behind it.
         H = _build(space, "JC", g=1.0)
-        H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total), hermitian=False)
+        H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total))
         sm = qubit_ops(space)[2]
         monkeypatch.setattr(dynamics, "hermiticity_defect", lambda mat: 0.0)
         with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
@@ -648,11 +681,43 @@ class TestEvolveLindblad:
 
     def test_rejects_non_hermitian(self, space):
         H = _build(space, "JC", g=1.0)
-        H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total), hermitian=False)
+        H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total))
         sm = qubit_ops(space)[2]
         with pytest.raises(ValueError, match="hermitian"):
             evolve_lindblad(H, LindbladSpec([(0.5, sm)]), thermal_state(space, 0.2, "down"),
                             np.linspace(0, 1, 3))
+
+    def test_non_positive_start_raises_at_first_time(self, space):
+        # trace 1 and hermitian, so QuantumState takes it, with an eigenvalue
+        # of -0.5: record 0 meets the positivity guard before any step
+        D = space.dim_total
+        rho = np.zeros((D, D), dtype=complex)
+        rho[0, 0], rho[1, 1] = 1.5, -0.5
+        H = Operator(space, np.zeros((D, D)))
+        with pytest.raises(PositivityLoss, match=r"-5\.000e-01 < -1e-6 at t=0\.0$"):
+            evolve_lindblad(H, LindbladSpec([]), QuantumState(space, rho), [0.0, 1.0])
+
+    def test_hermiticity_checked_twice_a_run(self, monkeypatch):
+        # a scenario run checks H once in evolve_lindblad and rho0 once as a
+        # density QuantumState; build_hamiltonian and qubit_ops check nothing
+        calls = []
+
+        def counted(mat, real=fock.hermiticity_defect):
+            calls.append(mat.shape)
+            return real(mat)
+
+        monkeypatch.setattr(fock, "hermiticity_defect", counted)
+        monkeypatch.setattr(dynamics, "hermiticity_defect", counted)
+        scenario = scenario_from_dict({
+            "schema_version": 1, "name": "lindblad",
+            "model": {"kind": "NonlinearAntiJC", "g": 45.24, "eta": 0.4518},
+            "initial": {"kind": "thermal", "nbar": 1.0, "qubit": "down"},
+            "times": {"t_end": 0.5, "n_points": 3},
+            "lindblad": {"gamma_ratio": 2.0},
+            "truncation": 40,
+        })
+        simulate_scenario(scenario)
+        assert calls == [(82, 82), (82, 82)]
 
     def test_rejects_negative_rate(self, space):
         _, _, sm, _ = qubit_ops(space)
@@ -711,7 +776,7 @@ def _asymmetric_thermal(sp, nbar):
     symmetric: <down,0|rho|down,3> = 1e-12 but <down,3|rho|down,0> = 0."""
     rho = thermal_state(sp, nbar, "down").data.copy()
     rho[sp.index(0, 0), sp.index(0, 3)] = 1e-12
-    return QuantumState(sp, rho, "density")
+    return QuantumState(sp, rho)
 
 
 def _coo(H, terms, rho0):
@@ -942,7 +1007,7 @@ class TestObservables:
         psi_dn = fock_state(space, 1, "down").data
         psi_up = fock_state(space, 2, "up").data
         mix = (psi_dn + psi_up) / math.sqrt(2)
-        pn = phonon_distribution(QuantumState(space, mix, "pure"))
+        pn = phonon_distribution(QuantumState(space, mix))
         assert pn[1] == pytest.approx(0.5)
         assert pn[2] == pytest.approx(0.5)
 

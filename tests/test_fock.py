@@ -119,6 +119,15 @@ class TestQubitOps:
         down[space.index(0, 2)] = 1.0
         assert np.allclose(sz.mat @ down, -down)
 
+    def test_equal_to_kron_products(self, space):
+        # qubit (x) boson, qubit 0 = down: each is a 2 x 2 Pauli matrix (x) I
+        eye = np.eye(space.dim_boson)
+        plus = np.array([[0.0, 0.0], [1.0, 0.0]])
+        paulis = (np.diag([-1.0, 1.0]), plus, plus.T, plus + plus.T)
+        for op, pauli in zip(qubit_ops(space), paulis):
+            assert op.mat.dtype == complex
+            assert np.array_equal(op.mat, np.kron(pauli, eye))
+
 
 class TestOperatorWrapper:
     def test_rejects_nonfinite(self, space):
@@ -126,12 +135,6 @@ class TestOperatorWrapper:
         mat[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             Operator(space, mat)
-
-    def test_hermitian_flag_verified(self, space):
-        mat = np.zeros((space.dim_total, space.dim_total), dtype=complex)
-        mat[0, 1] = 1.0
-        with pytest.raises(ValueError, match="hermiticity"):
-            Operator(space, mat, hermitian=True)
 
 
 class TestF1:

@@ -31,7 +31,7 @@ def _build(space, kind, **kw):
 
 def _two_tone(spec, space, t):
     """Checked snapshot of the two-tone Hamiltonian at time t."""
-    return Operator(space, TwoToneGenerator(spec, space).matrix(t), hermitian=True)
+    return Operator(space, TwoToneGenerator(spec, space).matrix(t))
 
 
 class TestJC:

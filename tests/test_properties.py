@@ -84,7 +84,7 @@ def test_lindblad_preserves_trace(g, eta, gamma_ratio, phonon_loss, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(space.dim_total,) * 2) + 1j * rng.normal(size=(space.dim_total,) * 2)
     rho = A @ A.conj().T
-    rho0 = QuantumState(space, rho / np.trace(rho).real, "density")
+    rho0 = QuantumState(space, rho / np.trace(rho).real)
     # one right-hand side for sigma- alone and for sigma- with phonon loss
     terms = [(gamma_ratio * g, qubit_ops(space)[2])]
     if phonon_loss:
