@@ -46,7 +46,6 @@ from .models import (
     build_hamiltonian,
 )
 from .dynamics import (
-    LindbladSpec,
     QuantumState,
     RwaReport,
     Trajectory,

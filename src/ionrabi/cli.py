@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import yaml
 
-from .dynamics import rwa_crosscheck
+from .dynamics import fock_state, rwa_crosscheck
 from .errors import (
     ConvergenceFailure,
     NoSignChange,
@@ -24,7 +24,7 @@ from .errors import (
     StepTooLarge,
     TruncationTooSmall,
 )
-from .fock import BARRIER_BRACKET, barrier_eta, f1_diagonal, f1_scalar
+from .fock import BARRIER_BRACKET, HilbertSpace, barrier_eta, f1_diagonal, f1_scalar
 from .protocols import f1_landscape, run_fock_prep
 from .runner import (CONVERGENCE_BUMP, check_truncation_convergence, output_dir, run, sweep,
                      write_json, write_landscape_csv)
@@ -158,8 +158,9 @@ def _cmd_f1(args) -> int:
 def _cmd_evolve(args) -> int:
     scenario = parse_scenario(args.scenario)
     result = run(scenario, out_dir=args.out, check_convergence=args.check_convergence)
-    print(f"{result.name}: wrote {result.csv_path} ({result.wall_time_s:.2f}s, "
-          f"convergence {result.convergence})")
+    # run raises unless a requested check passes
+    print(f"{scenario.name}: wrote {result.csv_path} ({result.wall_time_s:.2f}s, "
+          f"convergence {'pass' if args.check_convergence else 'skipped'})")
     return EXIT_OK
 
 
@@ -256,7 +257,9 @@ def _cmd_validate(args) -> int:
     if tt.kind != "TwoTone":
         print("rwa cross-check: skipped (needs a NonlinearQRM with eta > 0 or a TwoTone model)")
     else:
-        rep = rwa_crosscheck(tt, n_max, T=args.t_cycles * 2.0 * math.pi / tt.g)
+        # |down, 0>, not the scenario's own start (ROADMAP item 1b)
+        psi0 = fock_state(HilbertSpace(n_max), 0, "down")
+        rep = rwa_crosscheck(tt, psi0, T=args.t_cycles * 2.0 * math.pi / tt.g)
         rwa_ok = rep.max_deviation < args.tolerance
         crosscheck_state = "pass" if rwa_ok else "fail"
         report["rwa_crosscheck"] = {

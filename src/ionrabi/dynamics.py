@@ -52,10 +52,10 @@ from .fock import HilbertSpace, Operator, _sectors, hermiticity_defect
 from .models import ModelSpec, TwoToneGenerator, build_hamiltonian
 
 __all__ = [
-    "QuantumState", "LindbladSpec", "Trajectory", "fock_state", "coherent_state",
-    "thermal_state", "coherent_required_n_max", "thermal_required_n_max", "evolve_unitary",
-    "evolve_unitary_td", "evolve_lindblad", "expectation", "overlap_fidelity",
-    "phonon_distribution", "rwa_crosscheck", "RwaReport",
+    "QuantumState", "Trajectory", "fock_state", "coherent_state", "thermal_state",
+    "coherent_required_n_max", "thermal_required_n_max", "evolve_unitary", "evolve_unitary_td",
+    "evolve_lindblad", "expectation", "overlap_fidelity", "phonon_distribution",
+    "rwa_crosscheck", "RwaReport",
 ]
 
 _QUBIT_INDEX = {"down": 0, "up": 1}
@@ -207,20 +207,6 @@ def thermal_state(space: HilbertSpace, nbar: float, qubit="down") -> QuantumStat
     return QuantumState(space, rho)
 
 
-@dataclass
-class LindbladSpec:
-    """Collapse channels: list of (rate Gamma >= 0, collapse Operator)."""
-
-    terms: list
-
-    def __post_init__(self):
-        for rate, op in self.terms:
-            if rate < 0:
-                raise ValueError(f"collapse rate must be >= 0, got {rate}")
-            if not isinstance(op, Operator):
-                raise TypeError("collapse operators must be Operator instances")
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -245,13 +231,13 @@ class Trajectory:
 
 
 class _Recorder:
-    """Observables of every record, and its state with keep_states; a record whose
-    ||psi||^2 or trace is more than `tol` from 1 (`drift`: the largest) raises StepTooLarge."""
+    """Observables of every record on ref's space, and its state with keep_states; a
+    record whose ||psi||^2 or trace is more than `tol` from 1 (`drift`: the largest)
+    raises StepTooLarge."""
 
-    def __init__(self, space: HilbertSpace, ref: QuantumState, times: np.ndarray, tol: float,
-                 keep_states: bool = False):
+    def __init__(self, ref: QuantumState, times: np.ndarray, tol: float, keep_states=False):
         n_times = len(times)
-        self.d = space.dim_boson
+        self.d = ref.space.dim_boson
         self.ref = ref
         self.times = times
         self.tol = tol
@@ -357,7 +343,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
         w, V = np.linalg.eigh(H.mat[idx[:, :, None], idx[:, None, :]])
         coeff = V.conj().swapaxes(1, 2) @ psi0.data[idx][:, :, None]
         groups.append((idx.ravel(), -1j * w[:, :, None], V, coeff))
-    rec = _Recorder(H.space, psi0, times, 2 * NORM_TOL, keep_states)
+    rec = _Recorder(psi0, times, 2 * NORM_TOL, keep_states)
     for i in range(0, len(times), _BLOCK):
         t = times[i:i + _BLOCK]
         # one gap per time, the first 0: its slot takes the direct exp at t[0]
@@ -511,7 +497,7 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
             vec[0] = psi[:, i]
             step(*vec, t0 + j * dt, s[i] - j * dt)
             psi[:, i] = vec[1]
-    rec = _Recorder(psi0.space, psi0, times, PHONON_SUM_TOL, keep_states)
+    rec = _Recorder(psi0, times, PHONON_SUM_TOL, keep_states)
     rec.record(0, np.exp(1j * np.outer(drive.frame, k * period)) * psi)
     return rec.trajectory({"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
                            "n_steps": n_steps, "norm_drift": drift})
@@ -674,13 +660,14 @@ def _min_eigenvalue(rho: np.ndarray, blocks: list) -> float:
     return float(min(np.linalg.eigvalsh(rho[b[:, :, None], b[:, None, :]]).min() for b in blocks))
 
 
-def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, times,
+def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
                     dt_max: float | None = None, keep_states: bool = False) -> Trajectory:
     """Fixed-step RK4 for drho/dt = -i[H,rho] + sum Gamma (C rho C^dag - {C^dag C, rho}/2).
 
+    `channels` yields (Gamma, C) pairs once; a negative Gamma raises ValueError,
+    a C that is no Operator TypeError and one off rho0's space SpaceMismatch.
     Steps only the elements of rho the generator can reach from rho0 (module
-    docstring), with `_lindblad_coo`'s COO map L on them; rate-0 channels are
-    left out, and collapse operators must live on rho0's space (SpaceMismatch).
+    docstring), with `_lindblad_coo`'s COO map L on them; rate-0 channels are left out.
     rho0 is a pure state or a density matrix; H must have
     hermiticity_defect(H.mat) <= 1e-12 (ValueError otherwise).  The default
     step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05, with ||H|| =
@@ -703,15 +690,21 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     rho0 = rho0.to_density()
     if H.space.n_max != rho0.space.n_max:
         raise SpaceMismatch("H and rho0 live on different spaces")
-    for _, op in lindblad.terms:
+    jumps = []
+    for rate, op in channels:
+        if not rate >= 0:   # also NaN, which would drop the channel
+            raise ValueError(f"collapse rate must be >= 0, got {rate}")
+        if not isinstance(op, Operator):
+            raise TypeError("collapse operators must be Operator instances")
         if op.space.n_max != rho0.space.n_max:
             raise SpaceMismatch("collapse operator and rho0 live on different spaces")
+        if rate > 0:
+            jumps.append((rate, op.mat))
     if hermiticity_defect(H.mat) > 1e-12:
         raise ValueError("evolve_lindblad requires a hermitian Hamiltonian")
     times = _check_times(times)
     D = H.space.dim_total
     # drho/dt = A rho + rho A^dag + sum rate C rho C^dag, A = -iH - sum rate C^dag C / 2
-    jumps = [(rate, op.mat) for rate, op in lindblad.terms if rate > 0]
     A = -1j * H.mat
     budget = float(np.abs(np.linalg.eigvalsh(H.mat)).max())
     for rate, C in jumps:
@@ -726,7 +719,7 @@ def evolve_lindblad(H: Operator, lindblad: LindbladSpec, rho0: QuantumState, tim
     # every index is live, so an index outside the set is a 1 x 1 block holding 0
     blocks = _sectors(np.bincount(flat, minlength=D * D).reshape(D, D), np.arange(D))
 
-    rec = _Recorder(H.space, rho0, times, PHONON_SUM_TOL, keep_states)
+    rec = _Recorder(rho0, times, PHONON_SUM_TOL, keep_states)
     x = rho0.data.ravel()[flat]
     t, h = times[0], None
     n_steps = 0
@@ -801,11 +794,11 @@ class RwaReport:
     top_population: float   # largest population of level n_max in the two-tone run
 
 
-def rwa_crosscheck(spec: ModelSpec, n_max: int, T: float, psi0: QuantumState | None = None,
+def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState, T: float,
                    n_records: int = 61) -> RwaReport:
-    """Evolve psi0 (default |down, 0>) at truncation n_max under the full
-    two-tone drive and under the nonlinear QRM it simulates over [0, T] (units
-    of 1/H, n_records times), both keeping their states, and report
+    """Evolve psi0, whose space sets the truncation, under the full two-tone
+    drive and under the nonlinear QRM it simulates over [0, T] (units of 1/H,
+    n_records times), both keeping their states, and report
     max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
 
     The two trajectories are compared in a common frame: the two-tone state
@@ -816,13 +809,10 @@ def rwa_crosscheck(spec: ModelSpec, n_max: int, T: float, psi0: QuantumState | N
     record is aligned and compared in one array step.  A spec of any other
     kind than TwoTone raises ValueError (TwoToneGenerator).
     """
-    space = HilbertSpace(n_max)
-    if psi0 is None:
-        psi0 = fock_state(space, 0, "down")
     times = np.linspace(0.0, T, n_records)
 
-    full = evolve_unitary_td(TwoToneGenerator(spec, space), psi0, times, keep_states=True)
-    H_sim = build_hamiltonian(spec.simulated(), space)
+    full = evolve_unitary_td(TwoToneGenerator(spec, psi0.space), psi0, times, keep_states=True)
+    H_sim = build_hamiltonian(spec.simulated(), psi0.space)
     sim = evolve_unitary(H_sim, psi0, times, keep_states=True)
 
     aligned = np.exp(-1j * np.outer(times, np.real(np.diag(H_sim.mat)))) * full.states

@@ -225,15 +225,17 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
 def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float:
     """Smallest eta in the bracket with f1(n, eta) = 0 (the blockade value).
 
-    Scans eta on a 1e-3 grid, 1000 points per f1_diagonal call, to bracket
-    the first sign change, then narrows the bracket to the two adjacent
-    doubles between which f1 changes sign and returns their rounded
-    midpoint, checked through f1_scalar.  Each step is Newton in x = eta^2
-    from the last point, on F_n(x) = f1(n, eta) with dF_n/dx = -F_n/2 +
-    n (F_n - F_{n-1})/x (both rows from one f1_diagonal call), moved one
-    double on towards the far end of the bracket, so that a converged step
-    still crosses the root; a step that leaves the bracket bisects it.  For
-    n = 1-150 that takes 6-8 f1_diagonal calls in all.
+    Scans eta on a 1e-3 grid, to one step past 2/sqrt(n + 1) in the first
+    f1_diagonal call (the first zero of L_n^(1) lies at x <= 4/(n + 1)) and
+    1000 points a call on, to bracket the first sign change, then narrows
+    the bracket to the two adjacent doubles between which f1 changes sign
+    and returns their rounded midpoint, checked through f1_scalar.  Each
+    step is Newton in x = eta^2 from the last point, on F_n(x) = f1(n, eta)
+    with dF_n/dx = -F_n/2 + n (F_n - F_{n-1})/x (both rows from one
+    f1_diagonal call), moved one double on towards the far end of the
+    bracket, so that a converged step still crosses the root; a step that
+    leaves the bracket bisects it.  For n = 1-150 that takes 6-8
+    f1_diagonal calls in all.
     Zeros of f1 in eta are simple and well separated below eta = 1.5.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -243,10 +245,11 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
         raise ValueError(f"invalid bracket {bracket}")
     step = 1e-3
     start = lo
+    count = max(1, math.ceil((min(hi, 2.0 / math.sqrt(n + 1)) - lo) / step) + 1)
     while True:
-        # up to 1000 steps of e_k = min(e_{k-1} + step, hi), summed in order
+        # up to `count` steps of e_k = min(e_{k-1} + step, hi), summed in order
         # so that the grid points do not depend on the chunking
-        grid = np.minimum(np.add.accumulate(np.r_[start, np.full(1000, step)]), hi)
+        grid = np.minimum(np.add.accumulate(np.r_[start, np.full(count, step)]), hi)
         grid = grid[:np.searchsorted(grid, hi) + 1]
         table = f1_diagonal(n, grid)
         f = table[n]
@@ -259,7 +262,7 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
             raise NoSignChange(
                 f"f1({n}, eta) does not change sign on eta in [{lo}, {hi}] (scanned step {step})"
             )
-        start = grid[-1]
+        start, count = grid[-1], 1000
     k = int(hit[0]) + 1
     a, fa, b, fb = float(grid[k - 1]), float(f[k - 1]), float(grid[k]), float(f[k])
     j = k - 1 if abs(fa) < abs(fb) else k

@@ -20,7 +20,7 @@ from .dynamics import Trajectory
 from .errors import SchemaError
 from .fock import f1_diagonal
 from .models import ValidityWarning
-from .runner import auto_n_max, run, write_json
+from .runner import BARRIER_SCAN, auto_n_max, run, write_json
 from .scenario import Scenario
 
 __all__ = [
@@ -44,7 +44,8 @@ def run_fock_prep(scenario: Scenario, target_n: int, out_dir=None) -> dict:
     auto_n_max(scenario), pinned as the scenario's truncation (so metadata.json
     echoes it); then measure the population at and above target_n, write it
     to report.json beside them and return that report.  A target above
-    auto_n_max raises SchemaError before anything is written.
+    auto_n_max raises SchemaError before anything is written, naming
+    BARRIER_SCAN as well when the target lies above it.
     """
     if target_n < 1:
         raise ValueError("target_n must be >= 1")
@@ -52,7 +53,9 @@ def run_fock_prep(scenario: Scenario, target_n: int, out_dir=None) -> dict:
         raise SchemaError(f"{scenario.name}: Fock-state preparation needs a lindblad section")
     n_max = auto_n_max(scenario)
     if target_n > n_max:
-        raise SchemaError(f"{scenario.name}: target n={target_n} lies above the "
+        scan = (f"n={BARRIER_SCAN}, the highest blockade level auto_n_max scans for, and "
+                if target_n > BARRIER_SCAN else "")
+        raise SchemaError(f"{scenario.name}: target n={target_n} lies above {scan}the "
                           f"truncation n_max={n_max}")
     # pinned, so run does not pick the truncation a second time
     result = run(replace(scenario, truncation=n_max), out_dir)

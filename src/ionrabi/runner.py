@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    LindbladSpec,
     Trajectory,
     coherent_required_n_max,
     coherent_state,
@@ -51,6 +50,7 @@ OUTDIR_ENV = "IONRABI_OUTDIR"
 # require every recorded observable to move by less than CONVERGENCE_TOL.
 CONVERGENCE_BUMP = 20
 CONVERGENCE_TOL = 1e-6
+BARRIER_SCAN = 200  # the highest level _barrier_index scans for a sign change of f1
 _FMT = "%.17e"
 # values per chunk in _write_csv (whole rows, at least one): each chunk is one
 # np.column_stack and one % of row_fmt repeated over its rows; 5 rows of a
@@ -75,11 +75,9 @@ def write_json(path, obj):
 
 @dataclass
 class RunResult:
-    name: str
     csv_path: str
     metadata_path: str
     wall_time_s: float
-    convergence: str  # 'skipped' | 'pass'
     trajectory: Trajectory
 
 
@@ -112,11 +110,11 @@ def _state_n_requirement(scenario: Scenario) -> tuple[int, float]:
     return thermal_required_n_max(nbar), math.sqrt(nbar)
 
 
-def _barrier_index(eta: float, scan_to: int = 200) -> int | None:
+def _barrier_index(eta: float) -> int | None:
     """The blockade level n* of eta: the first n >= 1 with f1(n, eta) <= 0, or
     the level below it when that one has the smaller |f1|.  None when f1
-    keeps its sign up to scan_to, as at eta = 0, where f1 is 1."""
-    f1 = f1_diagonal(scan_to, eta)
+    keeps its sign up to BARRIER_SCAN, as at eta = 0, where f1 is 1."""
+    f1 = f1_diagonal(BARRIER_SCAN, eta)
     crossed = np.nonzero(f1[1:] <= 0)[0]
     if not crossed.size:
         return None
@@ -166,8 +164,7 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
     if scenario.lindblad is not None:
         H = build_hamiltonian(spec, space)
         _, _, sm, _ = qubit_ops(space)
-        lb = LindbladSpec([(scenario.lindblad["gamma_ratio"] * g, sm)])
-        traj = evolve_lindblad(H, lb, state0, times)
+        traj = evolve_lindblad(H, [(scenario.lindblad["gamma_ratio"] * g, sm)], state0, times)
     elif spec.kind == "TwoTone":
         traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times)
     else:
@@ -232,7 +229,6 @@ def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> Ru
     and raises ConvergenceFailure when the truncation is not adequate.
     """
     started = time.perf_counter()
-    verdict = "skipped"
     if check_convergence:
         converged, delta, n_max, traj = check_truncation_convergence(scenario)
         if not converged:
@@ -240,7 +236,6 @@ def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> Ru
                 f"{scenario.name}: observables changed by {delta:.3e} >= "
                 f"{CONVERGENCE_TOL} when n_max {n_max} -> {n_max + CONVERGENCE_BUMP}"
             )
-        verdict = "pass"
     else:
         traj, n_max = simulate_scenario(scenario)
     base = output_dir(out_dir, scenario.name)
@@ -248,8 +243,7 @@ def run(scenario: Scenario, out_dir=None, check_convergence: bool = False) -> Ru
     meta_path = os.path.join(base, "metadata.json")
     write_trajectory_csv(csv_path, traj, scenario.outputs["observables"])
     write_metadata(meta_path, scenario, n_max, traj)
-    return RunResult(scenario.name, csv_path, meta_path,
-                     time.perf_counter() - started, verdict, traj)
+    return RunResult(csv_path, meta_path, time.perf_counter() - started, traj)
 
 
 def _trajectory_delta(a, b) -> float:
@@ -330,7 +324,7 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
                 _set_key_path(doc, path, value)
             doc["name"] = f"{template.name}/{tag}"
             res = run(scenario_from_dict(doc, source=f"sweep:{tag}"), out_dir=out_dir)
-            entry.update(status="ok", name=res.name, csv=res.csv_path,
+            entry.update(status="ok", name=doc["name"], csv=res.csv_path,
                          metadata=res.metadata_path)
             del res  # hold no trajectory while the next point runs
         except Exception as exc:  # preserved in the failure manifest

@@ -8,6 +8,8 @@ Conventions (matching the trapped-ion literature):
   - times.t_end and outputs.snapshot_times are in cycles of 2*pi/g;
     snapshot_times is validated and echoed in the metadata only, since no
     output writes a state snapshot;
+  - `name` is the output directory below --out: a relative path with no
+    empty, '.' or '..' part (a sweep point's is <name>/<tag>);
   - `truncation` (the phonon cutoff n_max) is optional; when it is absent,
     runner.auto_n_max picks it from the model and the initial state;
   - a thermal initial state is a density matrix, so it needs a `lindblad`
@@ -106,6 +108,8 @@ def _need_version(value, path: str) -> int:
 def _need_name(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(path, "expected a non-empty string")
+    if any(part in ("", ".", "..") for part in value.split("/")):
+        _fail(path, f"expected a relative path without empty, '.' or '..' parts, got {value!r}")
     return value
 
 
@@ -193,8 +197,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     n_points = _need_min(times["n_points"], 2, f"{source}.times.n_points", _need_int)
     clean_times = {"t_end": t_end, "n_points": n_points}
 
-    outputs = doc.get("outputs", {})
-    outputs = _need_mapping(outputs, f"{source}.outputs") if outputs else {}
+    outputs = doc.get("outputs")
+    outputs = {} if outputs is None else _need_mapping(outputs, f"{source}.outputs")
     _check_keys(outputs, {"observables", "snapshot_times"}, set(), f"{source}.outputs")
     observables = outputs.get("observables", list(OBSERVABLES))
     if not isinstance(observables, list) or not observables:

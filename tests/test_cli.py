@@ -38,9 +38,13 @@ def bad_files(tmp_path):
     fig4 = yaml.safe_load(Path(FIG4).read_text())
     nan_g = dict(fig4, model=dict(fig4["model"], g=math.nan))
     inf_t = dict(fig4, times=dict(fig4["times"], t_end=math.inf))
-    return {"CONFIG": _write(tmp_path / "bad.scenario", landscape),
-            "NAN_G": _write(tmp_path / "nan-g.scenario", nan_g),
-            "INF_T": _write(tmp_path / "inf-t.scenario", inf_t)}
+    files = {"CONFIG": _write(tmp_path / "bad.scenario", landscape),
+             "NAN_G": _write(tmp_path / "nan-g.scenario", nan_g),
+             "INF_T": _write(tmp_path / "inf-t.scenario", inf_t)}
+    # only an absent or null outputs section takes the default observables
+    for key, value in (("OUTPUTS_LIST", []), ("OUTPUTS_ZERO", 0), ("OUTPUTS_FALSE", False)):
+        files[key] = _write(tmp_path / f"{key.lower()}.scenario", dict(fig4, outputs=value))
+    return files
 
 
 @pytest.mark.parametrize("argv", [
@@ -58,6 +62,9 @@ def bad_files(tmp_path):
     ["sweep", "--template", FIG4, "--axis", "model.eta=0:inf:2"],
     ["evolve", "--scenario", "NAN_G"],
     ["evolve", "--scenario", "INF_T"],
+    ["evolve", "--scenario", "OUTPUTS_LIST"],
+    ["evolve", "--scenario", "OUTPUTS_ZERO"],
+    ["evolve", "--scenario", "OUTPUTS_FALSE"],
     ["fockprep", "--target", "3", "--duration", "inf", "--points", "3"],
     ["fockprep", "--target", "3", "--g-khz", "inf"],
     ["fockprep", "--target", "3", "--nbar", "inf"],
@@ -70,7 +77,8 @@ def bad_files(tmp_path):
         "f1-n-negative", "find-zero-0", "bracket-reversed",
         "fockprep-target-0", "axis-bool", "axis-string", "axis-inf", "axis-range-inf",
         "scenario-g-nan",
-        "scenario-t_end-inf", "fockprep-duration-inf", "fockprep-g-inf", "fockprep-nbar-inf",
+        "scenario-t_end-inf", "outputs-list", "outputs-zero", "outputs-false",
+        "fockprep-duration-inf", "fockprep-g-inf", "fockprep-nbar-inf",
         "f1-eta-inf", "validate-t-cycles-negative", "validate-tolerance-negative",
         "fockprep-duration-0", "fockprep-points-1"])
 def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
@@ -175,6 +183,33 @@ def test_fockprep_target_above_truncation_exits_2(tmp_path, monkeypatch, capsys)
                       "--points", "2", "--out", str(tmp_path / "out")]) == 2
     assert "n_max=40" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fockprep_target_above_barrier_scan_exits_2(tmp_path, monkeypatch, capsys):
+    # the blockade level of barrier_eta(201) lies above the levels auto_n_max
+    # scans, so the reason is the scan limit, not the fallback truncation
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(["fockprep", "--target", "201", "--duration", "1", "--points", "2",
+                      "--out", str(tmp_path / "out")]) == 2
+    assert "n=200" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evolve", "landscape"])
+@pytest.mark.parametrize("name", ["../escaped", "ABSOLUTE", "a//b", "./a", "a/."])
+def test_name_outside_out_exits_2(command, name, tmp_path, monkeypatch, capsys):
+    # a scenario's name is a directory below --out; nothing may land elsewhere
+    monkeypatch.chdir(tmp_path)
+    name = name.replace("ABSOLUTE", str(tmp_path / "abs"))
+    source = "fig1.scenario" if command == "landscape" else "fig5.scenario"
+    doc = dict(yaml.safe_load((SCENARIOS / source).read_text()), name=name)
+    path = _write(tmp_path / "named.scenario", doc)
+    out = tmp_path / "out" / "deeper"
+    argv = (["landscape", "--config", path] if command == "landscape"
+            else ["evolve", "--scenario", path])
+    assert exit_code(argv + ["--out", str(out)]) == 2
+    assert "named.scenario.name:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["named.scenario"]
 
 
 def test_fockprep_hot_start_widens_truncation(tmp_path):

@@ -9,7 +9,6 @@ from scipy.linalg import expm
 
 from ionrabi import (
     HilbertSpace,
-    LindbladSpec,
     ModelSpec,
     Operator,
     QuantumState,
@@ -330,7 +329,7 @@ def test_rejects_non_finite_times(space, route, times):
         elif route == "unitary_td":
             evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2e-3), psi, times)
         else:
-            evolve_lindblad(H, LindbladSpec([(1.0, qubit_ops(space)[2])]), psi.to_density(),
+            evolve_lindblad(H, [(1.0, qubit_ops(space)[2])], psi.to_density(),
                             times)
 
 
@@ -459,7 +458,8 @@ def _fig6_max_deviation(monkeypatch, steps_per_trap_period):
 
     monkeypatch.setattr(dynamics, "TwoToneGenerator", Stepped)
     spec = _fig6_nqrm().two_tone()
-    return rwa_crosscheck(spec, T=2 * math.pi / spec.g, n_max=40).max_deviation
+    return rwa_crosscheck(spec, fock_state(HilbertSpace(40), 0, "down"),
+                          T=2 * math.pi / spec.g).max_deviation
 
 
 class _Widths:
@@ -604,7 +604,7 @@ class TestEvolveLindblad:
         times = np.linspace(0, 5, 11)
         ref = evolve_unitary(H, psi, times)
         _, _, sm, _ = qubit_ops(space)
-        traj = evolve_lindblad(H, LindbladSpec([(0.0, sm)]), psi.to_density(), times,
+        traj = evolve_lindblad(H, [(0.0, sm)], psi.to_density(), times,
                                dt_max=5e-3)
         assert np.abs(traj.fidelity - ref.fidelity).max() < 1e-8
         assert traj.states is None
@@ -615,7 +615,7 @@ class TestEvolveLindblad:
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 0, "up").to_density()
         times = np.linspace(0, 4.0, 17)
-        traj = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0, times,
+        traj = evolve_lindblad(H, [(gamma, sm)], rho0, times,
                                dt_max=1e-2)
         assert np.abs(traj.sigma_z - (-1.0 + 2.0 * np.exp(-gamma * times))).max() < 1e-9
 
@@ -623,14 +623,14 @@ class TestEvolveLindblad:
         H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.5)
         _, _, sm, _ = qubit_ops(space)
         rho0 = thermal_state(space, 0.2, "down")
-        traj = evolve_lindblad(H, LindbladSpec([(2.0, sm)]), rho0,
+        traj = evolve_lindblad(H, [(2.0, sm)], rho0,
                                np.linspace(0, 10, 21))
         assert traj.meta["trace_drift"] < 1e-8
 
     def test_state_stays_hermitian_positive(self, space):
         H = _build(space, "NonlinearAntiJC", g=1.0, eta=0.6)
         _, _, sm, _ = qubit_ops(space)
-        traj = evolve_lindblad(H, LindbladSpec([(2.0, sm)]),
+        traj = evolve_lindblad(H, [(2.0, sm)],
                                thermal_state(space, 0.2, "down"),
                                np.linspace(0, 8, 9), keep_states=True)
         assert traj.states.shape == (9, space.dim_total, space.dim_total)
@@ -663,7 +663,7 @@ class TestEvolveLindblad:
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 0, "up").to_density()
         with pytest.raises(PositivityLoss):
-            evolve_lindblad(H, LindbladSpec([(1.0, sm)]), rho0,
+            evolve_lindblad(H, [(1.0, sm)], rho0,
                             np.linspace(0, 40, 11), dt_max=4.0)
 
     def test_trace_guard_names_first_time(self, space, monkeypatch):
@@ -676,7 +676,7 @@ class TestEvolveLindblad:
         sm = qubit_ops(space)[2]
         monkeypatch.setattr(dynamics, "hermiticity_defect", lambda mat: 0.0)
         with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
-            evolve_lindblad(H, LindbladSpec([(0.5, sm)]), thermal_state(space, 0.2, "down"),
+            evolve_lindblad(H, [(0.5, sm)], thermal_state(space, 0.2, "down"),
                             np.linspace(0, 1, 3))
 
     def test_rejects_non_hermitian(self, space):
@@ -684,7 +684,7 @@ class TestEvolveLindblad:
         H = Operator(space, H.mat + 1e-5j * np.eye(space.dim_total))
         sm = qubit_ops(space)[2]
         with pytest.raises(ValueError, match="hermitian"):
-            evolve_lindblad(H, LindbladSpec([(0.5, sm)]), thermal_state(space, 0.2, "down"),
+            evolve_lindblad(H, [(0.5, sm)], thermal_state(space, 0.2, "down"),
                             np.linspace(0, 1, 3))
 
     def test_non_positive_start_raises_at_first_time(self, space):
@@ -695,7 +695,7 @@ class TestEvolveLindblad:
         rho[0, 0], rho[1, 1] = 1.5, -0.5
         H = Operator(space, np.zeros((D, D)))
         with pytest.raises(PositivityLoss, match=r"-5\.000e-01 < -1e-6 at t=0\.0$"):
-            evolve_lindblad(H, LindbladSpec([]), QuantumState(space, rho), [0.0, 1.0])
+            evolve_lindblad(H, [], QuantumState(space, rho), [0.0, 1.0])
 
     def test_hermiticity_checked_twice_a_run(self, monkeypatch):
         # a scenario run checks H once in evolve_lindblad and rho0 once as a
@@ -721,8 +721,29 @@ class TestEvolveLindblad:
 
     def test_rejects_negative_rate(self, space):
         _, _, sm, _ = qubit_ops(space)
-        with pytest.raises(ValueError):
-            LindbladSpec([(-0.1, sm)])
+        for rate in (-0.1, math.nan):   # a NaN rate is no rate 0
+            with pytest.raises(ValueError, match="collapse rate"):
+                evolve_lindblad(_build(space, "JC", g=1.0), [(rate, sm)],
+                                thermal_state(space, 0.2, "down"), np.linspace(0, 1, 3))
+
+    def test_rejects_non_operator_channel(self, space):
+        _, _, sm, _ = qubit_ops(space)
+        with pytest.raises(TypeError, match="Operator"):
+            evolve_lindblad(_build(space, "JC", g=1.0), [(0.5, sm.mat)],
+                            thermal_state(space, 0.2, "down"), np.linspace(0, 1, 3))
+
+    def test_channel_generator_matches_list(self, space):
+        # the channels are read once, so a generator gives the list's trajectory
+        H = _build(space, "JC", g=1.0)
+        _, _, sm, _ = qubit_ops(space)
+        channels = [(0.3, sm), (0.0, sm), (0.2, annihilation_op(space))]
+        rho0 = fock_state(space, 1, "up").to_density()
+        times = np.linspace(0, 2, 5)
+        listed = evolve_lindblad(H, channels, rho0, times)
+        generated = evolve_lindblad(H, (c for c in channels), rho0, times)
+        np.testing.assert_array_equal(generated.phonons, listed.phonons)
+        np.testing.assert_array_equal(generated.sigma_z, listed.sigma_z)
+        assert generated.meta == listed.meta
 
     def test_split_rate_matches_single_channel(self, space):
         # qubit decay at rate gamma equals two identical channels at gamma/2
@@ -731,8 +752,8 @@ class TestEvolveLindblad:
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 1, "up").to_density()
         times = np.linspace(0, 3, 7)
-        single = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0, times)
-        split = evolve_lindblad(H, LindbladSpec([(gamma / 2, sm), (gamma / 2, sm)]),
+        single = evolve_lindblad(H, [(gamma, sm)], rho0, times)
+        split = evolve_lindblad(H, [(gamma / 2, sm), (gamma / 2, sm)],
                                 rho0, times)
         assert np.abs(single.sigma_z - split.sigma_z).max() < 1e-9
 
@@ -741,7 +762,7 @@ class TestEvolveLindblad:
         other = HilbertSpace(space.n_max + 3)
         C = qubit_ops(other)[2] if op == "sigma_minus" else annihilation_op(other)
         with pytest.raises(SpaceMismatch):
-            evolve_lindblad(_build(space, "JC", g=1.0), LindbladSpec([(0.5, C)]),
+            evolve_lindblad(_build(space, "JC", g=1.0), [(0.5, C)],
                             thermal_state(space, 0.2, "down"), np.linspace(0, 1, 3))
 
 
@@ -798,7 +819,7 @@ def _large_set(case):
 
 class TestReducedLindblad:
     def _check_against_dense(self, H, terms, rho0, times):
-        traj = evolve_lindblad(H, LindbladSpec(terms), rho0, times, keep_states=True)
+        traj = evolve_lindblad(H, terms, rho0, times, keep_states=True)
         ref = _dense_reference(H, terms, rho0, times, traj.meta["dt"])
         worst = np.abs(traj.states - np.array(ref)).max()
         assert worst <= 1e-12
@@ -848,7 +869,7 @@ class TestReducedLindblad:
         assert len(_coo(H, terms, rho0)[0]) == size
         tracemalloc.start()
         try:
-            traj = evolve_lindblad(H, LindbladSpec(terms), rho0, np.array([0.0, 3e-3]),
+            traj = evolve_lindblad(H, terms, rho0, np.array([0.0, 3e-3]),
                                    dt_max=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -899,7 +920,7 @@ class TestReducedLindblad:
         # rest pairs |down,n> with |up,n+1>.  The QRM set is all of rho.
         sizes = {"anti_jc_thermal": [(2, 1), (40, 2)], "qrm_two_channels": [(1, D)]}[case]
         assert [b.shape for b in blocks] == sizes
-        traj = evolve_lindblad(H, LindbladSpec(terms), rho0, np.linspace(0, 0.2, 3),
+        traj = evolve_lindblad(H, terms, rho0, np.linspace(0, 0.2, 3),
                                keep_states=True)
         for rho in traj.states:
             assert abs(_min_eigenvalue(rho, blocks) - np.linalg.eigvalsh(rho)[0]) < 1e-15
@@ -913,7 +934,7 @@ class TestReducedLindblad:
         A = -1j * H.mat - 0.5 * gamma * sm.mat.conj().T @ sm.mat
         flat = _lindblad_coo(rho0.data, A, [(gamma, sm.mat)])[0]
         assert len(flat) == 4 * sp.n_max + 1 == 161
-        traj = evolve_lindblad(H, LindbladSpec([(gamma, sm)]), rho0,
+        traj = evolve_lindblad(H, [(gamma, sm)], rho0,
                                np.linspace(0, 0.5, 2), keep_states=True)
         rho = traj.states[1]
         off_set = np.ones(rho.size, dtype=bool)
@@ -1018,14 +1039,16 @@ class TestRwaCrosscheck:
         # model's free evolution exactly, validating the sign convention
         spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=0.0, nu=80.0,
                          delta_r=0.25, delta_b=-0.25)
-        report = rwa_crosscheck(spec, T=2.0, n_max=12, n_records=9)
+        report = rwa_crosscheck(spec, fock_state(HilbertSpace(12), 0, "down"), T=2.0,
+                                n_records=9)
         assert report.max_deviation < 1e-12
 
     def test_deviation_over_several_blocks(self):
         # fig6's drive over one cycle, 150 records: the nonlinear-QRM side takes
         # three blocks, the last one partial; the value is the per-time route's
         spec = _fig6_nqrm().two_tone()
-        report = rwa_crosscheck(spec, T=2 * math.pi / spec.g, n_max=20, n_records=150)
+        report = rwa_crosscheck(spec, fock_state(HilbertSpace(20), 0, "down"),
+                                T=2 * math.pi / spec.g, n_records=150)
         assert report.max_deviation == pytest.approx(0.000609518190894387, abs=1e-12)
 
     @pytest.mark.parametrize("g_over_omega_R, deviation", [
@@ -1042,11 +1065,12 @@ class TestRwaCrosscheck:
         nqrm = _fig6_nqrm()
         spec = _fig6_nqrm(omega_R=nqrm.g / g_over_omega_R).two_tone()
         psi0 = coherent_state(HilbertSpace(40), 1.0, "down")
-        report = rwa_crosscheck(spec, 40, T=3.0 * 2.0 * math.pi / spec.g, psi0=psi0)
+        report = rwa_crosscheck(spec, psi0, T=3.0 * 2.0 * math.pi / spec.g)
         assert report.max_deviation < 0.01
         assert report.max_deviation == pytest.approx(deviation, abs=1e-10)
         assert report.top_population < 1e-26
 
     def test_requires_two_tone(self):
         with pytest.raises(ValueError):
-            rwa_crosscheck(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.0), 12, T=1.0)
+            rwa_crosscheck(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.0),
+                           fock_state(HilbertSpace(12), 0, "down"), T=1.0)

@@ -264,6 +264,23 @@ class TestBarrierEta:
         barrier_eta(n)
         assert 2 <= len(calls) <= 10
 
+    def test_first_zero_bound(self, monkeypatch):
+        # the first zero of L_n^(1) lies at x <= 4/(n + 1), so f1(n, eta) has
+        # reached 0 by eta = 2/sqrt(n + 1), an equality at n = 1 (0 up to rounding) ...
+        n = np.arange(1, 201)
+        f1 = f1_diagonal(200, 2.0 / np.sqrt(n + 1))[n, n - 1]
+        assert abs(f1[0]) < 1e-15
+        assert np.all(f1[1:] <= 0)
+        # ... and barrier_eta's first scan ends one grid step past that bound
+        grids = []
+        real = fock.f1_diagonal
+        monkeypatch.setattr(fock, "f1_diagonal",
+                            lambda n, eta: grids.append(np.atleast_1d(eta)) or real(n, eta))
+        for k in (1, 17, 60):
+            grids.clear()
+            barrier_eta(k)
+            assert 2 / math.sqrt(k + 1) < grids[0][-1] < 2 / math.sqrt(k + 1) + 2e-3
+
     @pytest.mark.parametrize("n", [7, 17])
     def test_root_quality_and_sign_flip(self, n):
         root = barrier_eta(n)

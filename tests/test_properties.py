@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ionrabi import (
     HilbertSpace,
-    LindbladSpec,
     ModelSpec,
     QuantumState,
     TwoToneGenerator,
@@ -89,7 +88,7 @@ def test_lindblad_preserves_trace(g, eta, gamma_ratio, phonon_loss, seed):
     terms = [(gamma_ratio * g, qubit_ops(space)[2])]
     if phonon_loss:
         terms.append((gamma_ratio * g, annihilation_op(space)))
-    traj = evolve_lindblad(_build(space, "NonlinearAntiJC", g, eta), LindbladSpec(terms), rho0,
+    traj = evolve_lindblad(_build(space, "NonlinearAntiJC", g, eta), terms, rho0,
                            np.linspace(0.0, 2.0 / g, 5))
     assert traj.meta["trace_drift"] < 1e-10
     assert np.abs(traj.phonons.sum(axis=1) - 1.0).max() < 1e-10
