@@ -135,8 +135,7 @@ def _cmd_f1(args) -> int:
         print(f"f1({args.find_zero}, eta) = {f1_scalar(args.find_zero, eta):.3e}")
         return EXIT_OK
     if args.eta is None:
-        print("f1: --eta is required unless --find-zero is used", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("f1: --eta is required unless --find-zero is used")
     if args.table:
         values = f1_diagonal(args.n_max, args.eta)
         lines = ["n,f1"] + [f"{n},{v:.17e}" for n, v in enumerate(values)]
@@ -149,8 +148,7 @@ def _cmd_f1(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     if args.n is None:
-        print("f1: provide --n or --table or --find-zero", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("f1: provide --n or --table or --find-zero")
     print(f"f1({args.n}, {args.eta}) = {f1_scalar(args.n, args.eta):.17e}")
     return EXIT_OK
 
@@ -186,9 +184,7 @@ def _cmd_landscape(args) -> int:
         name, grid = parse_landscape(args.config)
     else:
         if args.n_max is None or args.eta_min is None or args.eta_max is None or args.grid is None:
-            print("landscape: need --n-max --eta-min --eta-max --grid (or --config)",
-                  file=sys.stderr)
-            return EXIT_SCHEMA
+            raise SchemaError("landscape: need --n-max --eta-min --eta-max --grid (or --config)")
         name = "landscape"
         grid = landscape_from_dict({"n_min": args.n_min, "n_max": args.n_max,
                                     "eta_min": args.eta_min, "eta_max": args.eta_max,

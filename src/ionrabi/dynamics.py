@@ -29,7 +29,10 @@ Evolution strategies:
     pass, `_lindblad_coo`, finds the set and the generator's COO map L on
     it; each step is RK4's polynomial p(dt L) as one sparse matrix, the
     product of its two quadratic factors in L, when that has fewer nonzeros
-    than the pair (the JC-family ladders), and as the pair otherwise.
+    than the pair (the JC-family ladders), and as the pair otherwise.  One
+    sparse square, `_square_pattern`, pairs I + L with itself for the
+    factors' shared pattern, and that pattern with itself for the product.
+    The step is fixed by H and the channels (_STEP_BOUND).
 Fixed steps keep golden outputs deterministic and reproducible.  Every
 evolver hands its records to one _Recorder, which checks each record's norm
 or trace once, keeps the states if asked (keep_states) and builds the Trajectory.
@@ -72,8 +75,10 @@ _BLOCK = 64
 # over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
 _RK4_FACTORS = ((0.08525331300540473, 0.15755219957394268),
                 (0.9147466869945958, 0.26446261479905014))
-# product cells (row x column) counted at a time in _product_pattern: a 1 MB mask
+# product cells (row x column) paired at a time in _square_pattern: a 1 MB mask
 _PAIR_CELLS = 1 << 20
+# the Lindblad step obeys (||H|| + sum Gamma ||C||^2) dt <= _STEP_BOUND
+_STEP_BOUND = 0.05
 
 
 @dataclass
@@ -574,44 +579,24 @@ def _lindblad_coo(rho0, A, jumps):
     return flat, tgt[order], np.concatenate(src)[order], np.concatenate(val)[order]
 
 
-def _quadratic_pattern(tgt, src, val, s):
-    """I, L and L^2 on one (row, column) pattern, for L the COO map (tgt, src, val).
+def _square_pattern(rows, cols, s, limit=None):
+    """The pattern of M M, for M's entries (rows, cols) sorted by row, where M
+    holds the identity; None if a `limit` is given and M M has at least that
+    many entries.
 
-    Returns (rows, cols, row_starts, Id, L, L2): the pattern's entries sorted
-    by row, then column, where each row's entries start, and each matrix's
-    values on it.  It holds every diagonal, so every row.
+    Returns (p, e, first, rows, cols, row_starts): the pairs of an entry p of
+    the left factor (i <- j) with an entry e of the right one (j <- k), sorted
+    by their product entry (i <- k); where each product entry's pairs start;
+    the product's entries, sorted by row, then column; and where each row's
+    entries start, as M M too holds every row.  The pairs are formed a
+    band of rows at a time, _PAIR_CELLS product cells.  Given a limit, each
+    band's entries are counted on a boolean mask of its cells, and counting
+    stops once the product entries so far plus M's entries in the rows not
+    yet paired reach it: M holds the identity, so each row of M M holds its
+    row of M, and that sum is a lower bound.  A pattern that loses is neither
+    sorted nor paired in full (the QRM with qubit decay at s = 6,724 stops
+    after 0.55 M of its 1.45 M pairs).
     """
-    # L^2's terms pair entry p (i <- j) with each entry e (j <- k)
-    p, e = _column_pairs(src, tgt, s)
-    key = (np.concatenate([np.arange(s), tgt, tgt[p]]) * s
-           + np.concatenate([np.arange(s), src, src[e]]))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    rows, cols = np.divmod(key[first], s)
-    raw = np.concatenate([np.ones(s), val, val[p] * val[e]])[order]
-    power = np.repeat([0, 1, 2], [s, len(val), len(p)])[order]
-    Id, L, L2 = (np.add.reduceat(np.where(power == k, raw, 0), first) for k in range(3))
-    return rows, cols, np.flatnonzero(np.diff(rows, prepend=-1)), Id, L, L2
-
-
-def _product_pattern(rows, cols, s):
-    """The pattern of Q Q, for Q's entries (rows, cols) sorted by row, if it
-    has fewer than 2 nnz(Q) entries; None if not.
-
-    Returns (p, e, first, cols, row_starts): the pairs of an entry p of the
-    left factor (i <- j) with an entry e of the right one (j <- k), sorted by
-    their product entry (i <- k); where each product entry's pairs start; and
-    the product's columns and row starts.  The pairs are formed a band of
-    rows at a time, _PAIR_CELLS product cells, and each band's entries are
-    counted on a boolean mask of its cells.  Counting stops once the product
-    entries so far plus Q's entries in the rows not yet paired reach
-    2 nnz(Q): Q holds the identity, so each row of Q Q holds its row of Q,
-    and that sum is a lower bound.  A pattern that loses is neither sorted
-    nor paired in full (the QRM with qubit decay at s = 6,724 stops after
-    0.55 M of its 1.45 M pairs).
-    """
-    n = len(rows)
     band = min(s, max(1, _PAIR_CELLS // s))
     starts = np.arange(0, s + band, band)
     bounds = np.searchsorted(rows, starts)
@@ -619,18 +604,20 @@ def _product_pattern(rows, cols, s):
     for r0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
         p, e = _column_pairs(cols[lo:hi], rows, s)
         key = rows[lo + p] * s + cols[e]
-        seen = np.zeros(band * s, dtype=bool)
-        seen[key - r0 * s] = True
-        found += np.count_nonzero(seen)
-        if found + n - hi >= 2 * n:
-            return None
+        if limit is not None:
+            seen = np.zeros(band * s, dtype=bool)
+            seen[key - r0 * s] = True
+            found += np.count_nonzero(seen)
+            if found + len(rows) - hi >= limit:
+                return None
         parts.append((lo + p, e, key))
     p, e, key = (np.concatenate(a) for a in zip(*parts))
+    del parts   # free the bands' arrays before the sort allocates its own
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    prows, pcols = np.divmod(key[first], s)
-    return p[order], e[order], first, pcols, np.flatnonzero(np.diff(prows, prepend=-1))
+    rows, cols = np.divmod(key[first], s)
+    return p[order], e[order], first, rows, cols, np.flatnonzero(np.diff(rows, prepend=-1))
 
 
 def _rk4_factors(tgt, src, val, s):
@@ -639,17 +626,27 @@ def _rk4_factors(tgt, src, val, s):
     apply in turn, each x <- reduceat(values * x[cols], row_starts).
 
     The two quadratic factors 1 + a hL + b h^2 L^2 (_RK4_FACTORS) share the
-    pattern Q of I, L and L^2; their product P is one factor instead when its
-    pattern, Q Q, has fewer entries than the two together (_product_pattern).
+    pattern Q of (I + L)^2, whose I I, L I and L L pairs sum to I, L and L^2
+    on it; their product P is one factor instead when its pattern, Q Q, has
+    fewer entries than the two together.  _square_pattern pairs both.
     """
-    rows, cols, row_starts, Id, L, L2 = _quadratic_pattern(tgt, src, val, s)
-    product = _product_pattern(rows, cols, s)
+    # I's entries, then L's, stably sorted by row: each row's diagonal first
+    order = np.argsort(np.concatenate([np.arange(s), tgt]), kind="stable")
+    rows, cols = (np.concatenate([np.arange(s), a])[order] for a in (tgt, src))
+    v = np.concatenate([np.zeros(s), val])[order]
+    p, e, first, rows, cols, row_starts = _square_pattern(rows, cols, s)
+    # v is 0 on I's entries: the pairs whose right entry is I's sum to L, the
+    # rest to L^2, and I is Q's diagonal
+    Id = (rows == cols).astype(float)
+    L = np.add.reduceat(np.where(order[e] >= s, 0, v[p]), first)
+    L2 = np.add.reduceat(v[p] * v[e], first)
+    product = _square_pattern(rows, cols, s, limit=2 * len(rows))
 
     def factors(h):
         f1, f2 = (Id + (a * h) * L + (b * h * h) * L2 for a, b in _RK4_FACTORS)
         if product is None:
             return [(cols, row_starts, f1), (cols, row_starts, f2)]
-        p, e, first, pcols, prow_starts = product
+        p, e, first, _, pcols, prow_starts = product
         return [(pcols, prow_starts, np.add.reduceat(f2[p] * f1[e], first))]
 
     return factors
@@ -661,7 +658,7 @@ def _min_eigenvalue(rho: np.ndarray, blocks: list) -> float:
 
 
 def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
-                    dt_max: float | None = None, keep_states: bool = False) -> Trajectory:
+                    keep_states: bool = False) -> Trajectory:
     """Fixed-step RK4 for drho/dt = -i[H,rho] + sum Gamma (C rho C^dag - {C^dag C, rho}/2).
 
     `channels` yields (Gamma, C) pairs once; a negative Gamma raises ValueError,
@@ -669,18 +666,19 @@ def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
     Steps only the elements of rho the generator can reach from rho0 (module
     docstring), with `_lindblad_coo`'s COO map L on them; rate-0 channels are left out.
     rho0 is a pure state or a density matrix; H must have
-    hermiticity_defect(H.mat) <= 1e-12 (ValueError otherwise).  The default
-    step obeys (||H|| + sum Gamma ||C||^2) dt <= 0.05, with ||H|| =
-    max |eig H| and ||C||^2 the top eigenvalue of C^dag C.  A step is
-    x <- p(dt L) x, RK4's polynomial, as one gather-multiply-reduceat per
-    sparse factor, valued once per dt (_rk4_factors): the product P of the
-    quadratic factors 1 + a dt L + b dt^2 L^2 (_RK4_FACTORS) when P has
-    fewer entries than the two together, as on the JC-family ladders (1,269
-    against 2 x 839 at s = 161, fig3 at truncation 40), else the two factors
-    on their shared pattern of I, L and L^2 (the QRM with qubit decay, whose
-    P would have 388,303 entries against 2 x 98,949).  No s x s matrix is
-    built.  One BLAS thread: 6-8 us a step at s = 161; 0.8-1.0 ms at
-    s = 6,724 (QRM, qubit decay).
+    hermiticity_defect(H.mat) <= 1e-12 (ValueError otherwise).  Each record
+    span takes the fewest equal steps dt with (||H|| + sum Gamma ||C||^2) dt
+    <= _STEP_BOUND, with ||H|| = max |eig H| and ||C||^2 the top eigenvalue
+    of C^dag C.  A step is x <- p(dt L) x, RK4's polynomial, as one
+    gather-multiply-reduceat per sparse factor, valued once per dt
+    (_rk4_factors): the product P of the quadratic factors
+    1 + a dt L + b dt^2 L^2 (_RK4_FACTORS) when P has fewer entries than the
+    two together, as on the JC-family ladders (1,269 against 2 x 839 at
+    s = 161, fig3 at truncation 40), else the two factors on their shared
+    pattern of I, L and L^2 (the QRM with qubit decay, whose P would have
+    388,303 entries against 2 x 98,949).  No s x s matrix is built.  One
+    BLAS thread: 6-8 us a step at s = 161; 0.8-1.0 ms at s = 6,724 (QRM,
+    qubit decay).
     Every record, rho0 at times[0] included (a span of zero steps), raises
     PositivityLoss on a non-finite entry or an eigenvalue below -1e-6 (one
     stacked eigvalsh per size of block of the set's pattern), and
@@ -711,9 +709,7 @@ def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
         CdC = C.conj().T @ C
         A = A - 0.5 * rate * CdC
         budget += rate * float(np.linalg.eigvalsh(CdC)[-1])
-    bound = 0.05 / budget if budget > 0 else math.inf
-    # explicit dt_max is trusted (and monitored); the default obeys the bound
-    dt_eff = bound if dt_max is None else dt_max
+    dt = _STEP_BOUND / budget if budget > 0 else math.inf
     flat, tgt, src, val = _lindblad_coo(rho0.data, A, jumps)
     factors = _rk4_factors(tgt, src, val, len(flat))
     # every index is live, so an index outside the set is a 1 x 1 block holding 0
@@ -725,7 +721,7 @@ def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
     n_steps = 0
     for i in range(len(times)):
         span = times[i] - t
-        steps = max(1, math.ceil(span / dt_eff)) if span > 0 else 0
+        steps = max(1, math.ceil(span / dt)) if span > 0 else 0
         if steps and span / steps != h:
             h = span / steps
             step = factors(h)
@@ -735,14 +731,14 @@ def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
         n_steps += steps
         t = times[i]
         if not np.all(np.isfinite(x.view(float))):
-            raise PositivityLoss(f"density matrix diverged before t={t}; reduce dt_max")
+            raise PositivityLoss(f"density matrix diverged before t={t}")
         rho = np.zeros((D, D), dtype=complex)
         rho.ravel()[flat] = x
         min_eig = _min_eigenvalue(rho, blocks)
         if not (min_eig >= -1e-6):
             raise PositivityLoss(f"min eigenvalue {min_eig:.3e} < -1e-6 at t={t}")
         rec.record(i, rho)
-    return rec.trajectory({"method": "rk4_lindblad", "dt": dt_eff, "n_steps": n_steps,
+    return rec.trajectory({"method": "rk4_lindblad", "dt": dt, "n_steps": n_steps,
                            "trace_drift": rec.drift})
 
 

@@ -227,7 +227,11 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
 
     Scans eta on a 1e-3 grid, to one step past 2/sqrt(n + 1) in the first
     f1_diagonal call (the first zero of L_n^(1) lies at x <= 4/(n + 1)) and
-    1000 points a call on, to bracket the first sign change, then narrows
+    1000 points a call on, to bracket the first sign change.  The scan ends
+    one step past eta = 2 sqrt(n + 1), or at the bracket's end if that comes
+    first: every zero of L_n^(1) lies below x = 4n + 4 (Szego, Orthogonal
+    Polynomials, ch. 6), so no sign change lies beyond, and an infinite or
+    huge bracket ends there, not in overflow or never.  It then narrows
     the bracket to the two adjacent doubles between which f1 changes sign
     and returns their rounded midpoint, checked through f1_scalar.  Each
     step is Newton in x = eta^2 from the last point, on F_n(x) = f1(n, eta)
@@ -244,13 +248,15 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
     if not 0 < lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
     step = 1e-3
+    end = min(hi, 2.0 * math.sqrt(n + 1) + step)
     start = lo
     count = max(1, math.ceil((min(hi, 2.0 / math.sqrt(n + 1)) - lo) / step) + 1)
     while True:
-        # up to `count` steps of e_k = min(e_{k-1} + step, hi), summed in order
-        # so that the grid points do not depend on the chunking
-        grid = np.minimum(np.add.accumulate(np.r_[start, np.full(count, step)]), hi)
-        grid = grid[:np.searchsorted(grid, hi) + 1]
+        # up to `count` steps of e_k = min(e_{k-1} + step, end), summed in order
+        # so that the grid points do not depend on the chunking (a lo past
+        # `end` leaves the one point `end`)
+        grid = np.minimum(np.add.accumulate(np.r_[start, np.full(count, step)]), end)
+        grid = grid[:np.searchsorted(grid, end) + 1]
         table = f1_diagonal(n, grid)
         f = table[n]
         # strict: f is exactly 0 where exp(-eta^2/2) underflows (eta > 38.6),
@@ -258,7 +264,7 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
         hit = np.nonzero(f[:-1] * f[1:] < 0)[0]
         if hit.size:
             break
-        if grid[-1] == hi:
+        if grid[-1] == end:
             raise NoSignChange(
                 f"f1({n}, eta) does not change sign on eta in [{lo}, {hi}] (scanned step {step})"
             )

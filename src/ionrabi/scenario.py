@@ -40,16 +40,15 @@ KHZ = 2.0 * math.pi * 1e3  # config value 1.0 == 2*pi kHz, in rad/s
 
 OBSERVABLES = ("sigma_z", "fidelity", "n_mean", "phonons")
 
+# each kind's required model fields; TwoTone also takes g, phi_r and phi_b
 _MODEL_FIELDS = {
-    "JC": ({"kind", "g"}, {"kind", "g"}),
-    "AntiJC": ({"kind", "g"}, {"kind", "g"}),
-    "NonlinearJC": ({"kind", "g", "eta"}, {"kind", "g", "eta"}),
-    "NonlinearAntiJC": ({"kind", "g", "eta"}, {"kind", "g", "eta"}),
-    "QRM": ({"kind", "g", "omega_R", "omega0_R"}, {"kind", "g", "omega_R", "omega0_R"}),
-    "NonlinearQRM": ({"kind", "g", "eta", "omega_R", "omega0_R"},
-                     {"kind", "g", "eta", "omega_R", "omega0_R"}),
-    "TwoTone": ({"kind", "eta", "Omega", "nu", "delta_r", "delta_b"},
-                {"kind", "eta", "Omega", "nu", "delta_r", "delta_b", "g", "phi_r", "phi_b"}),
+    "JC": {"kind", "g"},
+    "AntiJC": {"kind", "g"},
+    "NonlinearJC": {"kind", "g", "eta"},
+    "NonlinearAntiJC": {"kind", "g", "eta"},
+    "QRM": {"kind", "g", "omega_R", "omega0_R"},
+    "NonlinearQRM": {"kind", "g", "eta", "omega_R", "omega0_R"},
+    "TwoTone": {"kind", "eta", "Omega", "nu", "delta_r", "delta_b"},
 }
 
 _FREQ_FIELDS = ("g", "Omega", "nu", "delta_r", "delta_b", "omega_R", "omega0_R")
@@ -164,8 +163,9 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     kind = model.get("kind")
     if kind not in MODEL_KINDS:
         _fail(f"{source}.model.kind", f"expected one of {MODEL_KINDS}, got {kind!r}")
-    required, allowed = _MODEL_FIELDS[kind]
-    _check_keys(model, allowed, required, f"{source}.model")
+    required = _MODEL_FIELDS[kind]
+    optional = {"g", "phi_r", "phi_b"} if kind == "TwoTone" else set()
+    _check_keys(model, required | optional, required, f"{source}.model")
     clean_model = {"kind": kind}
     for key in sorted(set(model) - {"kind"}):
         clean_model[key] = _need_number(model[key], f"{source}.model.{key}")

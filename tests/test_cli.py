@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from ionrabi import fock
 from ionrabi.cli import main
 from ionrabi.fock import barrier_eta, f1_diagonal
 from ionrabi.models import ValidityWarning
@@ -73,6 +74,9 @@ def bad_files(tmp_path):
     ["validate", "--scenario", FIG4, "--tolerance", "-1"],
     ["fockprep", "--target", "3", "--duration", "0"],
     ["fockprep", "--target", "3", "--points", "1"],
+    ["f1"],
+    ["f1", "--eta", "0.5"],
+    ["landscape", "--n-max", "10"],
 ], ids=["config-n_max-string", "eta-min-negative", "grid-zero", "f1-eta-negative",
         "f1-n-negative", "find-zero-0", "bracket-reversed",
         "fockprep-target-0", "axis-bool", "axis-string", "axis-inf", "axis-range-inf",
@@ -80,7 +84,8 @@ def bad_files(tmp_path):
         "scenario-t_end-inf", "outputs-list", "outputs-zero", "outputs-false",
         "fockprep-duration-inf", "fockprep-g-inf", "fockprep-nbar-inf",
         "f1-eta-inf", "validate-t-cycles-negative", "validate-tolerance-negative",
-        "fockprep-duration-0", "fockprep-points-1"])
+        "fockprep-duration-0", "fockprep-points-1", "f1-no-eta", "f1-no-n",
+        "landscape-missing-flags"])
 def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # anything written by mistake lands in ./runs here
     assert exit_code([bad_files.get(a, a) for a in argv]) == 2
@@ -276,6 +281,23 @@ def test_no_sign_change_exits_3():
     assert exit_code(["f1", "--find-zero", "1", "--bracket", "0.001", "1.0"]) == 3
     # nor on [2, 50], though f1 underflows to -0 near eta = 38.6
     assert exit_code(["f1", "--find-zero", "1", "--bracket", "2", "50"]) == 3
+
+
+@pytest.mark.parametrize("n,lo,hi", [("1", "50", "inf"), ("1", "2", "1e300"),
+                                     ("150", "30", "1000")])
+def test_bracket_past_last_zero_exits_3(n, lo, hi, monkeypatch):
+    # no zero of f1(n, eta) lies past eta = 2 sqrt(n + 1), so the scan ends
+    # there: these ran forever, or 23 s with overflow warnings
+    calls = []
+    real = fock.f1_diagonal
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 2, "the scan ran past 2 sqrt(n + 1)"
+        return real(*args)
+
+    monkeypatch.setattr(fock, "f1_diagonal", counted)
+    assert exit_code(["f1", "--find-zero", n, "--bracket", lo, hi]) == 3
 
 
 def test_find_zero_default_bracket_holds_target_1(capsys):

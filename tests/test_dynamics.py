@@ -36,7 +36,6 @@ from ionrabi.dynamics import (
     _RK4_FACTORS,
     _lindblad_coo,
     _min_eigenvalue,
-    _quadratic_pattern,
     _rk4_factors,
     coherent_required_n_max,
     thermal_required_n_max,
@@ -597,26 +596,30 @@ class TestEvolveUnitaryTd:
 
 
 class TestEvolveLindblad:
-    def test_closed_system_limit(self, space):
+    def test_closed_system_limit(self, space, monkeypatch):
+        # a quarter of the default step: at the default the RK4 error in the
+        # fidelity reaches 2.2e-8
+        monkeypatch.setattr(dynamics, "_STEP_BOUND", dynamics._STEP_BOUND / 4)
         g = 1.0
         H = _build(space, "JC", g=g)
         psi = fock_state(space, 1, "down")
         times = np.linspace(0, 5, 11)
         ref = evolve_unitary(H, psi, times)
         _, _, sm, _ = qubit_ops(space)
-        traj = evolve_lindblad(H, [(0.0, sm)], psi.to_density(), times,
-                               dt_max=5e-3)
+        traj = evolve_lindblad(H, [(0.0, sm)], psi.to_density(), times)
         assert np.abs(traj.fidelity - ref.fidelity).max() < 1e-8
         assert traj.states is None
 
-    def test_amplitude_damping_analytic(self, space):
+    def test_amplitude_damping_analytic(self, space, monkeypatch):
+        # a quarter of the default step: at the default the RK4 error in
+        # sigma_z reaches 4.0e-8
+        monkeypatch.setattr(dynamics, "_STEP_BOUND", dynamics._STEP_BOUND / 4)
         gamma = 0.8
         H = Operator(space, np.zeros((space.dim_total,) * 2))
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 0, "up").to_density()
         times = np.linspace(0, 4.0, 17)
-        traj = evolve_lindblad(H, [(gamma, sm)], rho0, times,
-                               dt_max=1e-2)
+        traj = evolve_lindblad(H, [(gamma, sm)], rho0, times)
         assert np.abs(traj.sigma_z - (-1.0 + 2.0 * np.exp(-gamma * times))).max() < 1e-9
 
     def test_trace_preserved(self, space):
@@ -656,15 +659,16 @@ class TestEvolveLindblad:
                           - 0.5 * (sm.conj().T @ sm @ rho + rho @ sm.conj().T @ sm)))
         assert np.linalg.norm(rhs) < 1e-10 * g
 
-    def test_positivity_loss_on_unstable_step(self, space):
+    def test_positivity_loss_on_unstable_step(self, space, monkeypatch):
         # RK4 preserves the trace exactly even when unstable, so divergence
-        # surfaces through the positivity monitor
+        # surfaces through the positivity monitor.  The step is the bound over
+        # ||H|| + Gamma ||C||^2 = 1 here, so a bound of 4 steps dt = 4
         H = Operator(space, np.zeros((space.dim_total,) * 2))
         _, _, sm, _ = qubit_ops(space)
         rho0 = fock_state(space, 0, "up").to_density()
+        monkeypatch.setattr(dynamics, "_STEP_BOUND", 4.0)
         with pytest.raises(PositivityLoss):
-            evolve_lindblad(H, [(1.0, sm)], rho0,
-                            np.linspace(0, 40, 11), dt_max=4.0)
+            evolve_lindblad(H, [(1.0, sm)], rho0, np.linspace(0, 40, 11))
 
     def test_trace_guard_names_first_time(self, space, monkeypatch):
         # an anti-hermitian part i eps I grows the trace as e^{2 eps t}: 1e-5 over
@@ -869,31 +873,38 @@ class TestReducedLindblad:
         assert len(_coo(H, terms, rho0)[0]) == size
         tracemalloc.start()
         try:
-            traj = evolve_lindblad(H, terms, rho0, np.array([0.0, 3e-3]),
-                                   dt_max=1e-3)
+            traj = evolve_lindblad(H, terms, rho0, np.array([0.0, 3e-3]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.meta["n_steps"] == 3
+        # the default step: 4 steps on the QRM, 1 on the JC ladder
+        assert traj.meta["n_steps"] == math.ceil(3e-3 / traj.meta["dt"])
         assert peak < {"qrm_sigma_minus": 40e6, "nonlinear_jc_coherent": 100e6}[case]
 
-    def test_ladder_step_is_one_matrix(self, rng):
-        # fig3's set at truncation 40: the product of the two quadratic factors
-        # has 1,269 entries, where the pair has 839 each
+    def test_ladder_step_is_one_matrix(self):
+        # fig3's set at truncation 40: the pattern Q of I, L and L^2 has 839
+        # entries and the product of the two quadratic factors on it 1,269,
+        # fewer than the pair's 2 x 839, so the step is that one matrix: p(hL)
+        # of the dense reduced generator
         sp = HilbertSpace(40)
         H = _build(sp, "NonlinearAntiJC", g=1.0, eta=0.4518)
         terms = [(2.0, qubit_ops(sp)[2])]
         flat, tgt, src, val = _coo(H, terms, thermal_state(sp, 1.0, "down"))
         s, h = len(flat), 0.01
-        rows, qcols, qstarts, Id, L, L2 = _quadratic_pattern(tgt, src, val, s)
-        assert len(rows) == 839
+        assert s == 161
+        hL = np.zeros((s, s), dtype=complex)
+        np.add.at(hL, (tgt, src), h * val)
+        eye = np.eye(s)
+        want = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
+        pattern = np.eye(s, dtype=int)
+        pattern[tgt, src] = 1
+        Q = (pattern @ pattern > 0).astype(int)
+        assert np.count_nonzero(Q) == 839
         (cols, row_starts, v), = _rk4_factors(tgt, src, val, s)(h)
-        assert len(v) == 1269
-        x = rng.normal(size=s) + 1j * rng.normal(size=s)
-        y = x
-        for a, b in _RK4_FACTORS:
-            y = np.add.reduceat((Id + a * h * L + b * h * h * L2) * y[qcols], qstarts)
-        assert np.abs(np.add.reduceat(v * x[cols], row_starts) - y).max() < 1e-14
+        assert len(v) == np.count_nonzero(Q @ Q) == 1269
+        got = np.zeros((s, s), dtype=complex)
+        got[np.repeat(np.arange(s), np.diff(row_starts, append=len(v))), cols] = v
+        assert np.abs(got - want).max() < 1e-14
 
     def test_qrm_step_keeps_factor_pair(self):
         # the QRM's product would have 388,303 entries against 2 x 98,949

@@ -296,6 +296,32 @@ class TestBarrierEta:
         with pytest.raises(NoSignChange):
             barrier_eta(1, (2.0, 50.0))
 
+    def test_last_zero_bound(self):
+        # the zeros of L_n^(1) are the eigenvalues of its Jacobi matrix
+        # (diagonal 2k + 2, off-diagonal sqrt(k (k + 1))): all lie below
+        # x = 4n + 4, where barrier_eta's scan ends
+        for n in range(1, 201):
+            k = np.arange(1, n)
+            jacobi = np.diag(2.0 * np.arange(n) + 2) + np.diag(np.sqrt(k * (k + 1.0)), 1)
+            assert np.linalg.eigvalsh(jacobi, UPLO="U")[-1] < 4 * n + 4
+
+    @pytest.mark.parametrize("n,bracket", [(1, (50.0, math.inf)), (1, (2.0, 1e300)),
+                                           (150, (30.0, 1000.0))])
+    def test_scan_ends_past_last_zero(self, n, bracket, monkeypatch):
+        # no zero lies past eta = 2 sqrt(n + 1): the scan ends one step beyond
+        # in at most two f1_diagonal calls, where it ran on to hi, or forever
+        calls = []
+        real = fock.f1_diagonal
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 2, "the scan ran past 2 sqrt(n + 1)"
+            return real(*args)
+
+        monkeypatch.setattr(fock, "f1_diagonal", counted)
+        with pytest.raises(NoSignChange):
+            barrier_eta(n, bracket)
+
     @pytest.mark.parametrize("n,root", [
         (1, math.sqrt(2.0)),                       # L_1^(1)(x) = 2 - x
         (2, math.sqrt(3.0 - math.sqrt(3.0))),      # L_2^(1)(x) = (x^2 - 6x + 6)/2
