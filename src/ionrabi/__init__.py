@@ -13,63 +13,17 @@ Lindblad RK4.  Drives dissipative Fock-state preparation, enabled by the
 zeros of the nonlinear sideband function f1, and measures the figure claims
 on a Trajectory: the population above a blockade level (population_above)
 and the collapse-revival ratio of <sigma_z> (revival_ratio).
+
+The package namespace is each module's __all__, re-exported below: each
+module's list is the one record of its public names.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConvergenceFailure,
-    IonRabiError,
-    NoSignChange,
-    PositivityLoss,
-    SchemaError,
-    SpaceMismatch,
-    StepTooLarge,
-    TruncationTooSmall,
-)
-from .fock import (
-    HilbertSpace,
-    Operator,
-    annihilation_op,
-    barrier_eta,
-    creation_op,
-    f1_diagonal,
-    f1_scalar,
-    number_op,
-    parity_op,
-    qubit_ops,
-)
-from .models import (
-    ModelSpec,
-    TwoToneGenerator,
-    ValidityWarning,
-    build_hamiltonian,
-)
-from .dynamics import (
-    QuantumState,
-    RwaReport,
-    Trajectory,
-    coherent_state,
-    evolve_lindblad,
-    evolve_unitary,
-    evolve_unitary_td,
-    expectation,
-    fock_state,
-    overlap_fidelity,
-    phonon_distribution,
-    rwa_crosscheck,
-    thermal_state,
-)
-from .protocols import (
-    f1_landscape,
-    population_above,
-    revival_ratio,
-    run_fock_prep,
-)
-from .scenario import Scenario, parse_scenario, scenario_from_dict
-from .runner import (
-    RunResult,
-    check_truncation_convergence,
-    run,
-    sweep,
-)
+from .errors import *
+from .fock import *
+from .models import *
+from .dynamics import *
+from .protocols import *
+from .scenario import *
+from .runner import *

@@ -85,18 +85,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fockprep", help="dissipative Fock-state preparation; writes "
                        "trajectory.csv, metadata.json and report.json")
+    # barrier_eta reads --target before a scenario exists; the schema checks the rest
     p.add_argument("--target", type=_at_least(int, 1), required=True, metavar="N")
-    p.add_argument("--eta", type=_at_least(float, 0), help="override the blockade eta "
+    p.add_argument("--eta", type=float, help="override the blockade eta "
                    "barrier_eta(N); the truncation is the larger of 40, the thermal "
                    "start's bound and twice this eta's blockade level, and must reach N")
-    p.add_argument("--nbar", type=_at_least(float, 0), default=1.0,
-                   help="initial thermal occupation")
-    p.add_argument("--g-khz", type=_at_least(float, 0, strict=True), default=45.24,
+    p.add_argument("--nbar", type=float, default=1.0, help="initial thermal occupation")
+    p.add_argument("--g-khz", type=float, default=45.24,
                    help="coupling g in 2*pi*kHz (default 45.24)")
-    p.add_argument("--gamma-ratio", type=_at_least(float, 0), default=2.0)
-    p.add_argument("--duration", type=_at_least(float, 0, strict=True), default=100.0,
-                   help="cycles of 2*pi/g")
-    p.add_argument("--points", type=_at_least(int, 2), default=201)
+    p.add_argument("--gamma-ratio", type=float, default=2.0)
+    p.add_argument("--duration", type=float, default=100.0, help="cycles of 2*pi/g")
+    p.add_argument("--points", type=int, default=201)
     p.add_argument("--out")
 
     p = sub.add_parser("landscape", help="log10|f1| heat-map table over (n, eta)")

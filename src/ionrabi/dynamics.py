@@ -14,9 +14,9 @@ Evolution strategies:
     e^{iKkT'} U(t0 + s) M^k psi0, so pass 2 steps the seeds M^k psi0 (or
     the identity, if there are more seeds than D) over the same grid in
     [t0, t0 + T'), and each record takes one more vector step to its
-    offset s.  This pays off when the span holds many drive periods.  The
-    drive writes H(t) X into an array it is handed, so the RK4 stages reuse
-    a few arrays allocated once per call, not about 20 fresh ones a step.
+    offset s.  This pays off when the span holds many drive periods, and pass
+    1 runs even if it holds none.  The drive writes H(t) X into an array it
+    is handed, so the RK4 stages reuse a few arrays allocated once per call.
     Nothing is renormalized; the summed norm drift and every record's norm
     are checked;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PositivityLoss, SpaceMismatch, StepTooLarge, TruncationTooSmall
-from .fock import HilbertSpace, Operator, _sectors, hermiticity_defect
+from .fock import HilbertSpace, Operator, _log_factorials, _sectors, hermiticity_defect
 from .models import ModelSpec, TwoToneGenerator, build_hamiltonian
 
 __all__ = [
@@ -136,18 +136,17 @@ def fock_state(space: HilbertSpace, n: int, qubit="down") -> QuantumState:
 
 
 def coherent_required_n_max(alpha: complex) -> int:
-    """Smallest n_max with Poisson(|alpha|^2) mass beyond it below 1e-10."""
+    """Smallest n_max with Poisson(|alpha|^2) mass beyond it below 1e-10 (1 at
+    alpha = 0): the weights' tail in log space, as coherent_state builds them,
+    summed from the top of a table to n = |alpha|^2 + t, t = 10 |alpha| + 30,
+    where the Poisson tail bound exp(-t^2 / (2 |alpha|^2 + 2t/3)) is below e^-45."""
     lam = abs(alpha) ** 2
     if lam == 0:
         return 1
-    p = math.exp(-lam)
-    acc = p
-    n = 0
-    while 1.0 - acc >= 1e-10 and n < 100000:
-        n += 1
-        p *= lam / n
-        acc += p
-    return n
+    n = np.arange(math.ceil(lam + 10.0 * abs(alpha) + 30.0) + 1)
+    weights = np.exp(n * math.log(lam) - lam - _log_factorials(len(n)))
+    tail = np.cumsum(weights[::-1])[::-1]   # tail[m]: the mass at m and above
+    return int(np.argmax(tail < 1e-10)) - 1
 
 
 def thermal_required_n_max(nbar: float) -> int:
@@ -171,7 +170,7 @@ def coherent_state(space: HilbertSpace, alpha: complex, qubit="down") -> Quantum
             required_n_max=required,
         )
     n = np.arange(space.dim_boson)
-    logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, space.dim_boson)))])
+    logfact = _log_factorials(space.dim_boson)
     if lam > 0:
         logw = -lam / 2.0 + n * math.log(abs(alpha)) - logfact / 2.0
         amps = np.exp(logw) * np.exp(1j * np.angle(alpha) * n)
@@ -402,16 +401,20 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     off when the span holds many more drive periods than a D-wide step costs
     vector steps: about 4 at D = 82 and 15 at D = 152 for TwoToneGenerator
     at one BLAS thread on a 2-vCPU Xeon (fig6's drive has 238 periods per
-    cycle).  A span of a few periods runs slower than stepping it directly.
+    cycle).  A span of a few periods runs slower than stepping it directly;
+    one shorter than a period still pays a period of D-wide steps.
 
     Nothing is renormalized: the per-step change of the largest column norm
     is summed, pass 1's once for every period used, and a sum > 1e-6 raises
     StepTooLarge, as does a record whose ||psi||^2 is more than 1e-6 from 1
     (the recorder's check, on all records in time order, so it names the
-    earliest).
+    earliest).  psi0 must be pure (ValueError) and span len(drive.frame)
+    amplitudes (SpaceMismatch).
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary_td requires a pure initial state")
+    if len(drive.frame) != psi0.space.dim_total:
+        raise SpaceMismatch("drive and psi0 live on different spaces")
     times = _check_times(times)
     t0, period = times[0], drive.period
     k = np.floor((times - t0) / period).astype(int)
@@ -464,18 +467,17 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     col = slot[col]
     needed = np.searchsorted(-final[by_final], -np.arange(len(times)), side="right")
     wide = len(periods) > D
-    # rows for X, Y, K and T at the widest block, viewed at the width in use;
+    # rows for X, Y, K and T at pass 1's width D, viewed at the width in use;
     # the record vector steps take vec's rows, so they never write into the block
-    block = np.empty((4, D * (D if wide or periods[-1] > 0 else len(periods))), dtype=complex)
+    block = np.empty((4, D * D), dtype=complex)
     vec = np.empty((4, D), dtype=complex)
-    if periods[-1] > 0:
-        X, Y, K, T = (b[:D * D].reshape(D, D) for b in block)
-        X[...] = np.eye(D)
-        norm = None
-        for j in range(n_grid):
-            norm = step(X, Y, K, T, t0 + j * dt, dt, periods[-1], norm)
-            X, Y = Y, X
-        M = np.exp(-1j * drive.frame * period)[:, None] * X
+    X, Y, K, T = (b.reshape(D, D) for b in block)
+    X[...] = np.eye(D)
+    norm = None
+    for j in range(n_grid):
+        norm = step(X, Y, K, T, t0 + j * dt, dt, periods[-1], norm)
+        X, Y = Y, X
+    M = np.exp(-1j * drive.frame * period)[:, None] * X
     seeds = np.empty((D, len(periods)), dtype=complex)
     phi, done = psi0.data, 0
     for c, p in enumerate(periods):

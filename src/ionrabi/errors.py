@@ -1,5 +1,8 @@
 """Exception types shared across the simulator."""
 
+__all__ = ["IonRabiError", "SpaceMismatch", "TruncationTooSmall", "NoSignChange",
+           "StepTooLarge", "PositivityLoss", "SchemaError", "ConvergenceFailure"]
+
 
 class IonRabiError(Exception):
     """Base class for all package errors."""

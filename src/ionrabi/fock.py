@@ -311,6 +311,12 @@ def _laguerre_table(n_max: int, x: float) -> np.ndarray:
     return L
 
 
+def _log_factorials(dim: int) -> np.ndarray:
+    """log n! for 0 <= n < dim, one cumulative sum of logs: the table of
+    coherent_required_n_max, coherent_state and displacement_boson."""
+    return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])
+
+
 def displacement_boson(n_max: int, beta: complex) -> np.ndarray:
     """<m|D(beta)|n> on the truncated boson space, D(beta) = exp(beta a^dag - beta* a).
 
@@ -325,7 +331,7 @@ def displacement_boson(n_max: int, beta: complex) -> np.ndarray:
     x = abs(beta) ** 2
     phase = beta / abs(beta)
     L = _laguerre_table(n_max, x)
-    logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])
+    logfact = _log_factorials(dim)
     log_absbeta = math.log(abs(beta))
     D = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):

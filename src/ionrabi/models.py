@@ -39,6 +39,7 @@ from .fock import (
 )
 
 __all__ = [
+    "MODEL_FIELDS",
     "MODEL_KINDS",
     "ValidityWarning",
     "ModelSpec",
@@ -47,20 +48,21 @@ __all__ = [
     "DEFAULT_NU",
 ]
 
-MODEL_KINDS = (
-    "JC",
-    "AntiJC",
-    "NonlinearJC",
-    "NonlinearAntiJC",
-    "QRM",
-    "NonlinearQRM",
-    "TwoTone",
-)
+# each kind's required parameters besides `kind`; TwoTone may add TWO_TONE_OPTIONAL
+MODEL_FIELDS = {
+    "JC": {"g"},
+    "AntiJC": {"g"},
+    "NonlinearJC": {"g", "eta"},
+    "NonlinearAntiJC": {"g", "eta"},
+    "QRM": {"g", "omega_R", "omega0_R"},
+    "NonlinearQRM": {"g", "eta", "omega_R", "omega0_R"},
+    "TwoTone": {"eta", "Omega", "nu", "delta_r", "delta_b"},
+}
+TWO_TONE_OPTIONAL = {"g", "phi_r", "phi_b"}
+MODEL_KINDS = tuple(MODEL_FIELDS)
 
 _JC_FAMILY = ("JC", "AntiJC", "NonlinearJC", "NonlinearAntiJC")
 _QRM_FAMILY = ("QRM", "NonlinearQRM")
-_LINEAR_KINDS = ("JC", "AntiJC", "QRM")
-_NONLINEAR_KINDS = ("NonlinearJC", "NonlinearAntiJC", "NonlinearQRM", "TwoTone")
 
 # Default trap frequency for two-tone cross-checks: 2*pi * 5 MHz, so that the
 # paper-scale Omega = 2*pi * 133.26 kHz satisfies Omega/nu ~ 0.027 << 1.
@@ -96,9 +98,10 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
-        if self.kind in _LINEAR_KINDS and self.eta > 0:
+        takes_eta = "eta" in MODEL_FIELDS[self.kind]   # the linear kinds take none
+        if not takes_eta and self.eta > 0:
             raise ValueError(f"{self.kind} is the eta = 0 limit; use Nonlinear{self.kind}")
-        if self.kind in _NONLINEAR_KINDS and self.kind != "TwoTone" and self.eta == 0.0:
+        if takes_eta and self.kind != "TwoTone" and self.eta == 0.0:
             # eta = 0 is the exact linear limit; allowed, but flag the intent
             warnings.warn(f"{self.kind} with eta=0 is the linear model", ValidityWarning)
         if self.kind in _JC_FAMILY:

@@ -1,6 +1,8 @@
 """Scenario files: a strict, versioned YAML schema describing one simulation.
 
 Conventions (matching the trapped-ion literature):
+  - the model section holds `kind` and the parameters models.MODEL_FIELDS
+    requires of that kind (TwoTone may add models.TWO_TONE_OPTIONAL);
   - every frequency-like field (g, Omega, nu, delta_r, delta_b, omega_R,
     omega0_R) is given in units of 2*pi*kHz, i.e. the file value 11.31 means
     an angular frequency 2*pi * 11.31 kHz;
@@ -30,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .errors import SchemaError
-from .models import MODEL_KINDS, ModelSpec
+from .models import MODEL_FIELDS, MODEL_KINDS, TWO_TONE_OPTIONAL, ModelSpec
 
 __all__ = ["Scenario", "parse_scenario", "scenario_from_dict", "landscape_from_dict",
            "parse_landscape", "KHZ", "SCHEMA_VERSION"]
@@ -39,17 +41,6 @@ SCHEMA_VERSION = 1
 KHZ = 2.0 * math.pi * 1e3  # config value 1.0 == 2*pi kHz, in rad/s
 
 OBSERVABLES = ("sigma_z", "fidelity", "n_mean", "phonons")
-
-# each kind's required model fields; TwoTone also takes g, phi_r and phi_b
-_MODEL_FIELDS = {
-    "JC": {"kind", "g"},
-    "AntiJC": {"kind", "g"},
-    "NonlinearJC": {"kind", "g", "eta"},
-    "NonlinearAntiJC": {"kind", "g", "eta"},
-    "QRM": {"kind", "g", "omega_R", "omega0_R"},
-    "NonlinearQRM": {"kind", "g", "eta", "omega_R", "omega0_R"},
-    "TwoTone": {"kind", "eta", "Omega", "nu", "delta_r", "delta_b"},
-}
 
 _FREQ_FIELDS = ("g", "Omega", "nu", "delta_r", "delta_b", "omega_R", "omega0_R")
 
@@ -163,8 +154,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     kind = model.get("kind")
     if kind not in MODEL_KINDS:
         _fail(f"{source}.model.kind", f"expected one of {MODEL_KINDS}, got {kind!r}")
-    required = _MODEL_FIELDS[kind]
-    optional = {"g", "phi_r", "phi_b"} if kind == "TwoTone" else set()
+    required = {"kind"} | MODEL_FIELDS[kind]
+    optional = TWO_TONE_OPTIONAL if kind == "TwoTone" else set()
     _check_keys(model, required | optional, required, f"{source}.model")
     clean_model = {"kind": kind}
     for key in sorted(set(model) - {"kind"}):

@@ -11,6 +11,7 @@ from ionrabi import fock
 from ionrabi.cli import main
 from ionrabi.fock import barrier_eta, f1_diagonal
 from ionrabi.models import ValidityWarning
+from ionrabi.runner import OUTDIR_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -74,6 +75,13 @@ def bad_files(tmp_path):
     ["validate", "--scenario", FIG4, "--tolerance", "-1"],
     ["fockprep", "--target", "3", "--duration", "0"],
     ["fockprep", "--target", "3", "--points", "1"],
+    ["fockprep", "--target", "3", "--nbar", "-1"],
+    ["fockprep", "--target", "3", "--eta", "-0.5"],
+    ["fockprep", "--target", "3", "--g-khz", "0"],
+    ["fockprep", "--target", "3", "--gamma-ratio", "-1"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=[1]: 2"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=[]"],
     ["f1"],
     ["f1", "--eta", "0.5"],
     ["landscape", "--n-max", "10"],
@@ -84,12 +92,16 @@ def bad_files(tmp_path):
         "scenario-t_end-inf", "outputs-list", "outputs-zero", "outputs-false",
         "fockprep-duration-inf", "fockprep-g-inf", "fockprep-nbar-inf",
         "f1-eta-inf", "validate-t-cycles-negative", "validate-tolerance-negative",
-        "fockprep-duration-0", "fockprep-points-1", "f1-no-eta", "f1-no-n",
+        "fockprep-duration-0", "fockprep-points-1", "fockprep-nbar-negative",
+        "fockprep-eta-negative", "fockprep-g-0", "fockprep-gamma-ratio-negative",
+        "axis-no-equals", "axis-mapping", "axis-empty-list", "f1-no-eta", "f1-no-n",
         "landscape-missing-flags"])
 def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # anything written by mistake lands in ./runs here
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
     assert exit_code([bad_files.get(a, a) for a in argv]) == 2
     assert "error" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not (tmp_path / "runs").exists()
 
 
 def _f1_rows(text):
@@ -322,6 +334,28 @@ def test_unconverged_truncation_exits_4(tmp_path):
     path = _write(tmp_path / "fig5-short.scenario", doc)
     assert exit_code(["evolve", "--scenario", path, "--check-convergence",
                       "--out", str(tmp_path)]) == 4
+
+
+def test_validate_exit_codes(tmp_path, capsys):
+    # over 0.1 cycles fig6's drive deviates by 7e-4 from its nonlinear QRM
+    assert exit_code(["validate", "--scenario", str(SCENARIOS / "fig6.scenario"),
+                      "--t-cycles", "0.1", "--tolerance", "1e-9", "--out", str(tmp_path)]) == 3
+    # fig5's displaced state needs more than 20 levels (the rerun moves by 8.2),
+    # and its linear QRM has no two-tone drive to cross-check
+    doc = yaml.safe_load((SCENARIOS / "fig5.scenario").read_text())
+    doc["truncation"] = 20
+    assert exit_code(["validate", "--scenario", _write(tmp_path / "fig5.scenario", doc),
+                      "--out", str(tmp_path)]) == 4
+    assert "rwa cross-check: skipped" in capsys.readouterr().out
+
+
+def test_sweep_range_axis_runs_every_point(tmp_path):
+    assert exit_code(["sweep", "--template", str(SCENARIOS / "fig2b.scenario"),
+                      "--axis", "model.eta=0.3:0.5:3", "--out", str(tmp_path)]) == 0
+    index = json.loads((tmp_path / "fig2b-nonlinear-jc-no-revival" / "index.json").read_text())
+    assert [(entry["status"], entry["point"]) for entry in index] == [
+        ("ok", {"model.eta": eta}) for eta in (0.3, 0.4, 0.5)]
+    assert all(Path(entry["csv"]).is_file() for entry in index)
 
 
 def test_sweep_integer_axis_runs_every_point(tmp_path):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import poisson
 
 from ionrabi import (
     HilbertSpace,
@@ -142,6 +143,18 @@ class TestCoherentState:
         with pytest.raises(TruncationTooSmall) as err:
             coherent_state(HilbertSpace(required - 1), alpha)
         assert err.value.required_n_max == required
+
+    @pytest.mark.parametrize("alpha, required", [
+        (0.5, 8), (1, 12), (3, 34), (5.5, 71),
+        # a running sum of linear-space weights misses the next six: 1 - sum
+        # cancels, and exp(-|alpha|^2) is subnormal past |alpha|^2 = 708
+        (15.481, 344), (24.154, 744), (26.9, 901), (27, 907), (27.25, 922), (28, 969),
+        (30, 1097), (50, 2825), (100, 10643)])
+    def test_required_n_max_is_poisson_sf_bound(self, alpha, required):
+        # the smallest n_max whose Poisson(|alpha|^2) tail is below 1e-10
+        assert coherent_required_n_max(alpha) == required
+        assert poisson.sf(required, alpha ** 2) < 1e-10 <= poisson.sf(required - 1, alpha ** 2)
+        coherent_state(HilbertSpace(required), alpha)
 
     def test_poisson_distribution(self):
         sp = HilbertSpace(40)
@@ -330,6 +343,39 @@ def test_rejects_non_finite_times(space, route, times):
         else:
             evolve_lindblad(H, [(1.0, qubit_ops(space)[2])], psi.to_density(),
                             times)
+
+
+def _evolve(route, H, state, times):
+    """Evolve `state` under the constant H on one of the three routes."""
+    if route == "unitary":
+        return evolve_unitary(H, state, times)
+    if route == "unitary_td":
+        return evolve_unitary_td(_ConstantDrive(H.mat, dt_max=2e-3), state, times)
+    return evolve_lindblad(H, [], state, times)
+
+
+@pytest.mark.parametrize("times, match", [([[0.0, 1.0]], "non-empty 1-d grid"),
+                                          ([1.0, 0.0], "non-decreasing")],
+                         ids=["2-d", "decreasing"])
+@pytest.mark.parametrize("route", ["unitary", "unitary_td", "lindblad"])
+def test_rejects_bad_grid(space, route, times, match):
+    with pytest.raises(ValueError, match=match):
+        _evolve(route, _build(space, "JC", g=1.0), fock_state(space, 2), times)
+
+
+@pytest.mark.parametrize("route", ["unitary", "unitary_td", "lindblad"])
+def test_rejects_state_on_another_space(route):
+    # each evolver raises before it steps, where a drive's apply would fail on a shape
+    H = _build(HilbertSpace(10), "JC", g=1.0)
+    with pytest.raises(SpaceMismatch):
+        _evolve(route, H, fock_state(HilbertSpace(12), 0), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("route", ["unitary", "unitary_td"])
+def test_rejects_density_start(space, route):
+    with pytest.raises(ValueError, match="requires a pure initial state"):
+        _evolve(route, _build(space, "JC", g=1.0), fock_state(space, 0).to_density(),
+                [0.0, 1.0])
 
 
 def _random_hermitian(space, rng):

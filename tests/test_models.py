@@ -280,6 +280,15 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="TwoTone", eta=0.3, Omega=1.0, delta_r=0.1, delta_b=-0.1)
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"kind": "NonlinearJC", "g": 1.0, "eta": -0.1}, "eta must be >= 0"),
+        ({"kind": "TwoTone", "eta": 0.0, "Omega": 1.0, "nu": 100.0}, "requires eta > 0"),
+        ({"kind": "TwoTone", "eta": 0.3, "nu": 100.0}, r"requires Omega \(or g\)"),
+    ], ids=["eta-negative", "two-tone-eta-0", "two-tone-no-omega-nor-g"])
+    def test_rejects(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            ModelSpec(**kw)
+
     @pytest.mark.parametrize("kind", ["JC", "AntiJC", "QRM"])
     def test_linear_kinds_reject_eta(self, kind):
         with pytest.raises(ValueError, match="eta = 0"):

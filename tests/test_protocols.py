@@ -89,6 +89,10 @@ class TestFockPrep:
         del doc["lindblad"]
         with pytest.raises(SchemaError, match="lindblad"):
             run_fock_prep(scenario_from_dict(doc), 3, out_dir=tmp_path)
+        # a pure start parses without one, and the protocol refuses it
+        doc["initial"] = {"kind": "fock", "n": 0}
+        with pytest.raises(SchemaError, match="preparation needs a lindblad section"):
+            run_fock_prep(scenario_from_dict(doc), 3, out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
 

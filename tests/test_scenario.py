@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,22 @@ class TestUnits:
         assert np.abs(traj.times - np.linspace(0.0, 2.5, 21)).max() < 1e-12
 
 
+# a minimal model of each kind, and the sorted keys its section allows
+_MODEL_KEYS = [
+    ({"kind": "JC", "g": 1.0}, "['g', 'kind']"),
+    ({"kind": "AntiJC", "g": 1.0}, "['g', 'kind']"),
+    ({"kind": "NonlinearJC", "g": 1.0, "eta": 0.5}, "['eta', 'g', 'kind']"),
+    ({"kind": "NonlinearAntiJC", "g": 1.0, "eta": 0.5}, "['eta', 'g', 'kind']"),
+    ({"kind": "QRM", "g": 1.0, "omega_R": 1.0, "omega0_R": 0.0},
+     "['g', 'kind', 'omega0_R', 'omega_R']"),
+    ({"kind": "NonlinearQRM", "g": 1.0, "eta": 0.5, "omega_R": 1.0, "omega0_R": 0.0},
+     "['eta', 'g', 'kind', 'omega0_R', 'omega_R']"),
+    ({"kind": "TwoTone", "eta": 0.1, "Omega": 133.26, "nu": 5000.0, "delta_r": 11.31,
+      "delta_b": -11.31},
+     "['Omega', 'delta_b', 'delta_r', 'eta', 'g', 'kind', 'nu', 'phi_b', 'phi_r']"),
+]
+
+
 class TestValidation:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.scenario"
@@ -151,6 +168,28 @@ class TestValidation:
             scenario_from_dict(_minimal(times={"t_end": -1.0, "n_points": 5}))
         with pytest.raises(SchemaError, match="n_points"):
             scenario_from_dict(_minimal(times={"t_end": 1.0, "n_points": 1}))
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"name": 7}, r"\.name: expected a non-empty string"),
+        ({"outputs": {"observables": "sigma_z"}}, r"\.observables: expected a non-empty list"),
+        ({"outputs": {"snapshot_times": 0.5}}, r"\.snapshot_times: expected a list"),
+    ], ids=["name-number", "observables-string", "snapshot_times-number"])
+    def test_wrong_type(self, overrides, match):
+        with pytest.raises(SchemaError, match=match):
+            scenario_from_dict(_minimal(**overrides))
+
+    @pytest.mark.parametrize("model, allowed", _MODEL_KEYS, ids=[m["kind"] for m, _ in _MODEL_KEYS])
+    def test_model_keys_of_each_kind(self, model, allowed):
+        # the required keys alone parse; a key more or less is named
+        assert scenario_from_dict(_minimal(model=model)).model == model
+        with pytest.raises(SchemaError, match=re.escape(
+                f"<dict>.model: unknown key(s) ['x']; allowed: {allowed}")):
+            scenario_from_dict(_minimal(model=dict(model, x=1.0)))
+        for key in set(model) - {"kind"}:
+            less = {k: v for k, v in model.items() if k != key}
+            with pytest.raises(SchemaError, match=re.escape(
+                    f"<dict>.model: missing required key(s) ['{key}']")):
+                scenario_from_dict(_minimal(model=less))
 
     def test_unknown_observable(self):
         with pytest.raises(SchemaError, match="unknown observable"):
@@ -217,8 +256,10 @@ class TestAutoTruncation:
         thermal = thermal_required_n_max(nbar) if nbar > 0 else 0
         assert auto_n_max(sc) == max(2 * target, 40, thermal)
 
+    # ratio 14 displaces vacuum to radius 28, where exp(-|alpha|^2) underflows
     @pytest.mark.parametrize("ratio, alpha, expected", [(2, 1.0, 63), (4, 1.0, 144),
-                                                        (4, 0.0, 121), (2, 3.0, 100)])
+                                                        (4, 0.0, 121), (2, 3.0, 100),
+                                                        (14, 0.0, 969)])
     def test_deep_strong_tail_bound(self, ratio, alpha, expected):
         # g/omega_R displaces the mode by 2 g/omega_R: the coherent start's
         # tail bound at that radius, not a fixed margin
