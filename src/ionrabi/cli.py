@@ -13,7 +13,6 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from .dynamics import fock_state, rwa_crosscheck
 from .errors import (
@@ -161,16 +160,30 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
+# the flag that sets each field of fockprep's scenario, so that a schema error
+# names the flag; the model's own check (a "fockprep.model" error) names g or eta
+_FOCKPREP_FLAGS = {"model.g": "--g-khz", "model.eta": "--eta", "initial.nbar": "--nbar",
+                   "times.t_end": "--duration", "times.n_points": "--points",
+                   "lindblad.gamma_ratio": "--gamma-ratio"}
+
+
 def _cmd_fockprep(args) -> int:
     eta = args.eta if args.eta is not None else barrier_eta(args.target)
-    scenario = scenario_from_dict({
-        "schema_version": SCHEMA_VERSION,
-        "name": f"fockprep-n{args.target}",
-        "model": {"kind": "NonlinearAntiJC", "g": args.g_khz, "eta": eta},
-        "initial": {"kind": "thermal", "nbar": args.nbar, "qubit": "down"},
-        "times": {"t_end": args.duration, "n_points": args.points},
-        "lindblad": {"gamma_ratio": args.gamma_ratio},
-    }, source="fockprep")
+    try:
+        scenario = scenario_from_dict({
+            "schema_version": SCHEMA_VERSION,
+            "name": f"fockprep-n{args.target}",
+            "model": {"kind": "NonlinearAntiJC", "g": args.g_khz, "eta": eta},
+            "initial": {"kind": "thermal", "nbar": args.nbar, "qubit": "down"},
+            "times": {"t_end": args.duration, "n_points": args.points},
+            "lindblad": {"gamma_ratio": args.gamma_ratio},
+        }, source="fockprep")
+    except SchemaError as exc:
+        path, _, message = str(exc).partition(": ")
+        field = path.removeprefix("fockprep.")
+        if field == "model":
+            field += ".eta" if message.startswith("eta ") else ".g"
+        raise SchemaError(f"{_FOCKPREP_FLAGS.get(field, path)}: {message}") from exc
     report = run_fock_prep(scenario, args.target, out_dir=args.out)
     csv_path = os.path.join(output_dir(args.out, scenario.name), "trajectory.csv")
     print(f"fockprep target {args.target}: eta={eta:.6f} "
@@ -202,12 +215,15 @@ def _parse_axis(text: str):
     path, spec = text.split("=", 1)
     spec = spec.strip()
     if spec.startswith("["):
-        # read as YAML, as the field would be in a scenario file: 0 stays an int
+        import yaml
+
+        # read as YAML, as the field would be in a scenario file: 0 stays an
+        # int.  Text that starts with "[" loads as a list or not at all
         try:
-            values = yaml.load(spec, Loader=YamlLoader)
+            values = yaml.load(spec, Loader=YamlLoader())
         except yaml.YAMLError as exc:
             raise SchemaError(f"axis {text!r}: expected a list such as [0, 1]") from exc
-        if not isinstance(values, list) or not values:
+        if not values:
             raise SchemaError(f"axis {text!r}: expected a non-empty list")
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):

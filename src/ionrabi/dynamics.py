@@ -4,9 +4,11 @@ Evolution strategies:
   - time-independent H: one stacked hermitian eigendecomposition per size of
     sector, the connected blocks of H's nonzero pattern that psi0 touches,
     then the record times in blocks of _BLOCK: the phases e^{-iwt} from one
-    exp per eigenvalue at the block's first time and one per distinct gap,
-    and a cumulative product over the block; one batched matmul per size and
-    block (evolve_unitary; exact up to linear algebra);
+    table of exps per call and size, a cumulative product over the gaps in
+    the first block of each chain of _CHAIN blocks, and in every later block
+    the block before's phases times one exp per jump of _BLOCK times; one
+    batched matmul per size and block (evolve_unitary; exact up to linear
+    algebra);
   - time-dependent H: a drive that repeats with period T' in a rotating
     frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
     Pass 1 steps the identity over one period with fixed-step RK4 to get
@@ -66,11 +68,17 @@ _QUBIT_INDEX = {"down": 0, "up": 1}
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-8
 PHONON_SUM_TOL = 1e-6
-# record times per matmul in evolve_unitary.  The fig2b eta sweep plus its
-# convergence reruns (D = 242 and 282), one BLAS thread on a 2-vCPU Xeon, best
-# of three (range over three runs): 0.27-0.30 s at 16, 0.19-0.20 s at 32,
-# 0.15-0.16 s at 64, 0.15-0.17 s at 128, where 128 adds 0.5 MB of peak RSS
+# record times per matmul and record in evolve_unitary.  Its ten calls in the
+# fig2b eta sweep plus its convergence reruns (D = 242 and 282), one BLAS
+# thread on a shared 2-vCPU Xeon, best of five passes (range over three to
+# six runs): 0.18-0.20 s at 16, 0.12-0.13 s at 32, 0.10-0.11 s at 64,
+# 0.10-0.12 s at 128, where 128 doubles the block's four D x _BLOCK arrays
+# (1.2 MB more at D = 282)
 _BLOCK = 64
+# blocks per chain of phases in evolve_unitary: a chain's first block starts
+# from a direct exp, so no phase is more than _CHAIN + _BLOCK - 2 rounded
+# products from one
+_CHAIN = 64
 # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 step, is the product of 1 + a z + b z^2
 # over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
 _RK4_FACTORS = ((0.08525331300540473, 0.15755219957394268),
@@ -251,16 +259,17 @@ class _Recorder:
         self.phonons = np.empty((n_times, self.d))
         self.states = np.empty((n_times,) + ref.data.shape, dtype=complex) if keep_states else None
         self._nb = np.arange(self.d)
+        self._ref_conj = ref.data.conj() if ref.is_pure else None
         self.drift = 0.0
 
     def record(self, i: int, states: np.ndarray):
-        """Record from record i on: against a pure reference, a block of pure
-        states, one column per record i, i+1, ...; against a density
-        reference, one density matrix for record i."""
+        """Record from record i on: against a pure reference, a C-contiguous
+        block of pure states, one column per record i, i+1, ...; against a
+        density reference, one density matrix for record i."""
         d = self.d
         if self.ref.is_pure:
-            prob = np.abs(states) ** 2
-            fid = np.abs(self.ref.data.conj() @ states) ** 2
+            prob = _abs2(states)
+            fid = _abs2(self._ref_conj @ states)
         else:
             prob = np.real(np.diag(states))[:, None]
             fid = _fidelity_raw(self.ref, states)
@@ -284,6 +293,15 @@ class _Recorder:
     def trajectory(self, meta: dict) -> Trajectory:
         return Trajectory(self.times, self.sigma_z, self.fidelity, self.n_mean, self.phonons,
                           states=self.states, meta=meta)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a C-contiguous complex array as re^2 + im^2 on its interleaved
+    float view."""
+    v = z.view(float)
+    out = np.square(v[..., 0::2])
+    out += np.square(v[..., 1::2])
+    return out
 
 
 def _fidelity_raw(ref: QuantumState, state: np.ndarray) -> float:
@@ -323,17 +341,24 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
     An exactly zero coupling decouples them, so every other amplitude stays
     exactly 0.  Sectors of one size share a stacked eigh H = V diag(w) V^dag;
     the record times go in blocks of _BLOCK, each one batched matmul
-    V (e^{-i w t^T} * V^dag psi0) per size, scattered into a zeroed D x _BLOCK
-    block of states.  The phases take one exp per eigenvalue at the block's
-    first time (times V^dag psi0) and one per distinct gap between its times,
-    and a cumulative product along the block, so no phase is more than
-    _BLOCK - 1 rounded products from a direct exp; a linspace grid has a few
-    distinct gaps a block, a grid whose gaps all differ one exp per time.
-    A block holds at most three complex D x _BLOCK arrays (248 kB each at
-    D = 242) besides the kept states.  psi0 must be pure and H have
-    hermiticity_defect(H.mat) <= 1e-12 (ValueError otherwise).  The
-    recorder raises StepTooLarge at the first t whose ||psi||^2 is more than
-    2 NORM_TOL from 1, that is ||psi|| more than NORM_TOL.
+    V (e^{-i w t^T} * V^dag psi0) per size, scattered into a D x _BLOCK block
+    of states whose other rows stay 0.  The phases come from one table per
+    call and size, e^{-i w a} for each distinct exponent a, and the blocks
+    run in chains of _CHAIN.  The first block of a chain gathers the
+    columns of its first time, which it multiplies by V^dag psi0, and of
+    the gaps between its times, and takes a cumulative product along the
+    block.  Each later block gathers the columns of the jumps from the times
+    _BLOCK records earlier and multiplies the block before's phases by
+    them, one product a phase and no dependent chain, so no phase is more
+    than _CHAIN + _BLOCK - 2 rounded products from a direct exp.  fig2b's
+    2,401-point linspace grid (38 blocks) has 17 distinct exponents: its
+    first time, 7 gaps and 9 jumps; a grid whose gaps all differ has about
+    one per time.  A block holds at most four complex D x _BLOCK arrays
+    (248 kB each at D = 242) besides the table and the kept states.  psi0
+    must be pure and H have hermiticity_defect(H.mat) <= 1e-12 (ValueError
+    otherwise).  The recorder raises StepTooLarge at the first t whose
+    ||psi||^2 is more than 2 NORM_TOL from 1, that is ||psi|| more than
+    NORM_TOL.
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary requires a pure initial state")
@@ -342,27 +367,43 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
     if hermiticity_defect(H.mat) > 1e-12:
         raise ValueError("evolve_unitary requires a hermitian Hamiltonian")
     times = _check_times(times)
+    n, chain = len(times), _CHAIN * _BLOCK
+    # each time's exponent: the jump from the time _BLOCK records earlier; in
+    # the first block of a chain, the gap to the time before, and at its first
+    # time that time itself (the direct exp).  The distinct exponents, and each
+    # time's index among them (stable: numpy's default sort pages in its SIMD
+    # kernels, which peak RSS counts)
+    arg = np.empty(n)
+    arg[_BLOCK:] = times[_BLOCK:] - times[:-_BLOCK]
+    fresh = np.arange(n) % chain < _BLOCK
+    arg[fresh] = np.diff(times, prepend=times[0])[fresh]
+    arg[::chain] = times[::chain]
+    step = np.sort(arg, kind="stable")
+    step = step[np.diff(step, prepend=-np.inf) > 0]
+    which = np.searchsorted(step, arg)
     groups = []
     for idx in _sectors(H.mat, np.flatnonzero(psi0.data)):
         w, V = np.linalg.eigh(H.mat[idx[:, :, None], idx[:, None, :]])
         coeff = V.conj().swapaxes(1, 2) @ psi0.data[idx][:, :, None]
-        groups.append((idx.ravel(), -1j * w[:, :, None], V, coeff))
+        groups.append((idx.ravel(), np.exp(-1j * w[:, :, None] * step), V, coeff[:, :, 0]))
+    last = [None] * len(groups)    # each group's phases of the block before
     rec = _Recorder(psi0, times, 2 * NORM_TOL, keep_states)
-    for i in range(0, len(times), _BLOCK):
-        t = times[i:i + _BLOCK]
-        # one gap per time, the first 0: its slot takes the direct exp at t[0]
-        gaps = np.diff(t, prepend=t[0])
-        # the distinct gaps, and each gap's index among them (stable: numpy's
-        # default sort pages in its SIMD kernels, which peak RSS counts)
-        step = np.sort(gaps, kind="stable")
-        step = step[np.diff(step, prepend=-np.inf) > 0]
-        which = np.searchsorted(step, gaps)
-        psi = np.zeros((len(psi0.data), len(t)), dtype=complex)
-        for rows, minus_iw, V, coeff in groups:
-            phase = np.exp(minus_iw * step)[:, :, which]
-            phase[:, :, :1] = np.exp(minus_iw * t[0]) * coeff
-            np.cumprod(phase, axis=2, out=phase)
-            psi[rows] = (V @ phase).reshape(len(rows), len(t))
+    # one block of states for all blocks but a shorter last: rows outside the
+    # sectors stay 0, and the recorder copies what it keeps
+    psi = np.zeros((len(psi0.data), min(n, _BLOCK)), dtype=complex)
+    for i in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - i)
+        if m < psi.shape[1]:
+            psi = np.zeros((len(psi0.data), m), dtype=complex)
+        for j, (rows, table, V, coeff) in enumerate(groups):
+            phase = table[:, :, which[i:i + m]]
+            if i % chain == 0:
+                phase[:, :, 0] *= coeff
+                np.cumprod(phase, axis=2, out=phase)
+            else:
+                phase *= last[j][:, :, :m]
+            last[j] = phase
+            psi[rows] = (V @ phase).reshape(len(rows), m)
         rec.record(i, psi)
     return rec.trajectory({"method": "eigh", "n_times": len(times)})
 

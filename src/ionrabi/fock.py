@@ -191,9 +191,12 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
     """f1(0..n_max, eta) from exp(-eta^2/2) L_n^{(1)}(eta^2) / (n+1).
 
     eta is a float or a 1-d array; the result has shape
-    (n_max + 1,) + shape(eta).  L_n^{(1)} comes from the three-term upward
-    recurrence in double-double, run elementwise over all eta at once; it
-    avoids factorial overflow up to n ~ 200.
+    (n_max + 1,) + shape(eta).  y_n = L_n^{(1)}(x) / (n+1), x = eta^2, comes
+    from the three-term upward recurrence of L_n^{(1)}, written in y_n and
+    divided through by n + 1,
+        (n+2) y_{n+1} = (2n+2-x) y_n - n y_{n-1},   y_0 = 1,
+    in double-double, run elementwise over all eta at once: one division a
+    level, and no factorial to overflow up to n ~ 200.
     """
     x = np.asarray(eta, dtype=float)
     if x.ndim > 1:
@@ -206,18 +209,17 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
     pref = np.array([math.exp(v) for v in np.ravel(-0.5 * x * x)]).reshape(np.shape(x))
     out = np.empty((n_max + 1,) + np.shape(x))
     out[0] = 1.0
-    lm_h, lm_l = 0.0, 0.0  # L_{-1}
-    lc_h, lc_l = 1.0, 0.0  # L_0
+    ym_h, ym_l = 0.0, 0.0  # y_{-1}
+    yc_h, yc_l = 1.0, 0.0  # y_0
     for k in range(n_max):
-        # (k+1) L_{k+1} = (2k+2-x) L_k - (k+1) L_{k-1}
+        # (k+2) y_{k+1} = (2k+2-x) y_k - k y_{k-1}
         ah, al = dd_add(float(2 * k + 2), 0.0, -xh, -xl)
-        ah, al = dd_mul(ah, al, lc_h, lc_l)
-        bh, bl = dd_mul(lm_h, lm_l, float(k + 1), 0.0)
+        ah, al = dd_mul(ah, al, yc_h, yc_l)
+        bh, bl = dd_mul(ym_h, ym_l, float(k), 0.0)
         nh, nl = dd_add(ah, al, -bh, -bl)
-        nh, nl = dd_div_scalar(nh, nl, float(k + 1))
-        lm_h, lm_l, lc_h, lc_l = lc_h, lc_l, nh, nl
-        vh, vl = dd_div_scalar(lc_h, lc_l, float(k + 2))
-        out[k + 1] = vh + vl
+        nh, nl = dd_div_scalar(nh, nl, float(k + 2))
+        ym_h, ym_l, yc_h, yc_l = yc_h, yc_l, nh, nl
+        out[k + 1] = nh
     out *= pref
     return out
 

@@ -25,11 +25,10 @@ offending key path.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import asdict, dataclass, field
-
-import yaml
 
 from .errors import SchemaError
 from .models import MODEL_FIELDS, MODEL_KINDS, TWO_TONE_OPTIONAL, ModelSpec
@@ -45,15 +44,22 @@ OBSERVABLES = ("sigma_z", "fidelity", "n_mean", "phonons")
 _FREQ_FIELDS = ("g", "Omega", "nu", "delta_r", "delta_b", "omega_R", "omega0_R")
 
 
-class YamlLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e1 and 1e-3, which
-    YAML 1.1 takes as strings.  The global SafeLoader is left unchanged."""
+@functools.cache
+def YamlLoader():
+    """The yaml.SafeLoader subclass that also reads YAML 1.2 floats such as
+    1e1 and 1e-3, which YAML 1.1 takes as strings; the global SafeLoader is
+    left unchanged.  Built on the first call, which imports yaml, so that
+    importing the package does not."""
+    import yaml
 
+    class Loader(yaml.SafeLoader):
+        pass
 
-YamlLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+.0123456789"))
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"))
+    return Loader
 
 
 def _fail(path: str, message: str):
@@ -241,9 +247,11 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
 
 def _load_yaml(path):
+    import yaml
+
     try:
         with open(path) as fh:
-            doc = yaml.load(fh, Loader=YamlLoader)
+            doc = yaml.load(fh, Loader=YamlLoader())
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -81,6 +81,9 @@ def bad_files(tmp_path):
     ["fockprep", "--target", "3", "--gamma-ratio", "-1"],
     ["sweep", "--template", FIG4, "--axis", "model.eta"],
     ["sweep", "--template", FIG4, "--axis", "model.eta=[1]: 2"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=[1]x"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=[1], 2"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=[1]\n--- 2"],
     ["sweep", "--template", FIG4, "--axis", "model.eta=[]"],
     ["f1"],
     ["f1", "--eta", "0.5"],
@@ -94,7 +97,8 @@ def bad_files(tmp_path):
         "f1-eta-inf", "validate-t-cycles-negative", "validate-tolerance-negative",
         "fockprep-duration-0", "fockprep-points-1", "fockprep-nbar-negative",
         "fockprep-eta-negative", "fockprep-g-0", "fockprep-gamma-ratio-negative",
-        "axis-no-equals", "axis-mapping", "axis-empty-list", "f1-no-eta", "f1-no-n",
+        "axis-no-equals", "axis-mapping", "axis-trailing-text", "axis-list-and-scalar",
+        "axis-two-documents", "axis-empty-list", "f1-no-eta", "f1-no-n",
         "landscape-missing-flags"])
 def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # anything written by mistake lands in ./runs here
@@ -102,6 +106,21 @@ def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
     assert exit_code([bad_files.get(a, a) for a in argv]) == 2
     assert "error" in capsys.readouterr().err.strip().splitlines()[-1]
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--g-khz", "0", "NonlinearAntiJC requires g > 0"),
+    ("--g-khz", "inf", "expected a finite number, got inf"),
+    ("--nbar", "-1", "must be >= 0"),
+    ("--duration", "0", "must be > 0"),
+    ("--points", "1", "must be >= 2"),
+    ("--gamma-ratio", "-1", "must be >= 0"),
+    ("--eta", "-0.5", "eta must be >= 0"),
+])
+def test_fockprep_range_error_names_flag(flag, value, message, tmp_path, capsys):
+    assert exit_code(["fockprep", "--target", "3", flag, value, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == f"schema error: {flag}: {message}"
+    assert not any(tmp_path.iterdir())
 
 
 def _f1_rows(text):

@@ -293,8 +293,8 @@ class TestEvolveUnitary:
         assert traj.meta == {"method": "eigh", "n_times": len(times)}
 
     def test_long_phases_match_direct_exp(self):
-        # fig2b's H and grid: |w t| reaches 192 rad, and each block's phases
-        # are a running product over up to _BLOCK - 1 gaps
+        # fig2b's H and grid: |w t| reaches 192 rad, and the phases of each of
+        # its 38 blocks are the block before's times the jumps of _BLOCK times
         sp = HilbertSpace(120)
         H = _build(sp, "NonlinearJC", g=45.24, eta=0.5)
         psi = coherent_state(sp, math.sqrt(30), "down")
@@ -303,6 +303,22 @@ class TestEvolveUnitary:
         w, V = np.linalg.eigh(H.mat)
         ref = V @ (np.exp(-1j * np.outer(w, times)) * (V.conj().T @ psi.data)[:, None])
         assert np.abs(w).max() * times[-1] > 150
+        assert np.abs(traj.states - ref.T).max() < 1e-12
+
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.linspace(0.0, 40.0, 2 * dynamics._CHAIN * dynamics._BLOCK + 7),
+                     id="linspace"),
+        pytest.param(np.sort(np.random.default_rng(25).uniform(
+            0.0, 40.0, dynamics._CHAIN * dynamics._BLOCK + 3 * dynamics._BLOCK)), id="random")])
+    def test_chains_match_direct_exp(self, times):
+        # grids longer than a chain of _CHAIN blocks: the chains after the
+        # first restart from direct exps
+        sp = HilbertSpace(20)
+        H = _build(sp, "NonlinearQRM", g=1.0, eta=0.4, omega_R=0.7, omega0_R=0.3)
+        psi = coherent_state(sp, 1.2, "down")
+        traj = evolve_unitary(H, psi, times, keep_states=True)
+        w, V = np.linalg.eigh(H.mat)
+        ref = V @ (np.exp(-1j * np.outer(w, times)) * (V.conj().T @ psi.data)[:, None])
         assert np.abs(traj.states - ref.T).max() < 1e-12
 
     def test_states_across_blocks(self, space):
@@ -1088,6 +1104,24 @@ class TestObservables:
         pn = phonon_distribution(QuantumState(space, mix))
         assert pn[1] == pytest.approx(0.5)
         assert pn[2] == pytest.approx(0.5)
+
+
+    def test_recorder_matches_observables(self, space, rng):
+        # records 2..8 of a block of random pure states against a random pure reference
+        D, m = space.dim_total, 7
+        block = rng.normal(size=(D, m)) + 1j * rng.normal(size=(D, m))
+        block /= np.linalg.norm(block, axis=0)
+        ref = rng.normal(size=D) + 1j * rng.normal(size=D)
+        ref = QuantumState(space, ref / np.linalg.norm(ref))
+        rec = dynamics._Recorder(ref, np.arange(m + 2.0), 1e-12)
+        rec.record(2, block)
+        sz, n = qubit_ops(space)[0], number_op(space)
+        for j in range(m):
+            psi = QuantumState(space, block[:, j].copy())
+            assert abs(rec.sigma_z[2 + j] - expectation(sz, psi)) <= 1e-14
+            assert abs(rec.n_mean[2 + j] - expectation(n, psi)) <= 1e-14
+            assert np.abs(rec.phonons[2 + j] - phonon_distribution(psi)).max() <= 1e-14
+            assert abs(rec.fidelity[2 + j] - overlap_fidelity(ref, psi)) <= 1e-14
 
 
 class TestRwaCrosscheck:

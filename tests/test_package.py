@@ -1,5 +1,9 @@
 """The package namespace: each module's __all__, re-exported by ionrabi."""
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +32,12 @@ def test_module_exports_are_package_exports(name):
 
 def test_listed_names_still_exported():
     assert [n for n in LISTED if not hasattr(ionrabi, n)] == []
+
+
+def test_cli_import_loads_no_yaml():
+    # scenario.YamlLoader imports yaml on its first call, not at package import
+    src = str(Path(ionrabi.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ionrabi.cli, ionrabi.runner; sys.exit('yaml' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0
