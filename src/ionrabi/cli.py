@@ -26,7 +26,7 @@ from .errors import (
 from .fock import BARRIER_BRACKET, HilbertSpace, barrier_eta, f1_diagonal, f1_scalar
 from .protocols import f1_landscape, run_fock_prep
 from .runner import (CONVERGENCE_BUMP, check_truncation_convergence, output_dir, run, sweep,
-                     write_json, write_landscape_csv)
+                     time_grid, write_json, write_landscape_csv)
 from .scenario import (SCHEMA_VERSION, YamlLoader, landscape_from_dict, parse_landscape,
                        parse_scenario, scenario_from_dict)
 
@@ -268,9 +268,9 @@ def _cmd_validate(args) -> int:
     if tt.kind != "TwoTone":
         print("rwa cross-check: skipped (needs a NonlinearQRM with eta > 0 or a TwoTone model)")
     else:
-        # |down, 0>, not the scenario's own start (ROADMAP item 1b)
+        # |down, 0>, not the scenario's own start (ROADMAP item 9), over 61 times
         psi0 = fock_state(HilbertSpace(n_max), 0, "down")
-        rep = rwa_crosscheck(tt, psi0, T=args.t_cycles * 2.0 * math.pi / tt.g)
+        rep = rwa_crosscheck(tt, psi0, time_grid(tt.g, args.t_cycles, 61))
         rwa_ok = rep.max_deviation < args.tolerance
         crosscheck_state = "pass" if rwa_ok else "fail"
         report["rwa_crosscheck"] = {

@@ -3,12 +3,12 @@
 Evolution strategies:
   - time-independent H: one stacked hermitian eigendecomposition per size of
     sector, the connected blocks of H's nonzero pattern that psi0 touches,
-    then the record times in blocks of _BLOCK: the phases e^{-iwt} from one
-    table of exps per call and size, a cumulative product over the gaps in
-    the first block of each chain of _CHAIN blocks, and in every later block
-    the block before's phases times one exp per jump of _BLOCK times; one
-    batched matmul per size and block (evolve_unitary; exact up to linear
-    algebra);
+    then the record times in blocks of _BLOCK: each block's phases are
+    exps from one table per call and size times a start, V^dag psi0 in the
+    first block of each chain of _CHAIN blocks (its own times' exps) and the
+    block before's phases in every later one (the exps of the jumps of
+    _BLOCK times); one batched matmul per size and block (evolve_unitary;
+    exact up to linear algebra);
   - time-dependent H: a drive that repeats with period T' in a rotating
     frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
     Pass 1 steps the identity over one period with fixed-step RK4 to get
@@ -75,9 +75,8 @@ PHONON_SUM_TOL = 1e-6
 # 0.10-0.12 s at 128, where 128 doubles the block's four D x _BLOCK arrays
 # (1.2 MB more at D = 282)
 _BLOCK = 64
-# blocks per chain of phases in evolve_unitary: a chain's first block starts
-# from a direct exp, so no phase is more than _CHAIN + _BLOCK - 2 rounded
-# products from one
+# blocks per chain of phases in evolve_unitary: a chain's first block takes
+# direct exps, so no phase is more than _CHAIN - 1 rounded products from one
 _CHAIN = 64
 # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 step, is the product of 1 + a z + b z^2
 # over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
@@ -272,7 +271,7 @@ class _Recorder:
             fid = _abs2(self._ref_conj @ states)
         else:
             prob = np.real(np.diag(states))[:, None]
-            fid = _fidelity_raw(self.ref, states)
+            fid = _trace_product(self.ref.data, states).real
         pg, pe = prob[:d], prob[d:]
         pn = pg + pe
         total = pn.sum(axis=0)
@@ -304,15 +303,9 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fidelity_raw(ref: QuantumState, state: np.ndarray) -> float:
-    if ref.is_pure:
-        if state.ndim == 1:
-            return float(abs(np.vdot(ref.data, state)) ** 2)
-        return float(np.real(np.vdot(ref.data, state @ ref.data)))
-    # mixed reference: overlap Tr(rho_ref rho)
-    if state.ndim == 1:
-        return float(np.real(np.vdot(state, ref.data @ state)))
-    return float(np.real(np.vdot(ref.data.conj().T, state)))
+def _trace_product(A: np.ndarray, B: np.ndarray) -> complex:
+    """Tr(A B) of two D x D matrices: the sum of A^T * B, elementwise."""
+    return complex(np.vdot(A.conj().T, B))
 
 
 def _check_times(times) -> np.ndarray:
@@ -344,21 +337,19 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
     V (e^{-i w t^T} * V^dag psi0) per size, scattered into a D x _BLOCK block
     of states whose other rows stay 0.  The phases come from one table per
     call and size, e^{-i w a} for each distinct exponent a, and the blocks
-    run in chains of _CHAIN.  The first block of a chain gathers the
-    columns of its first time, which it multiplies by V^dag psi0, and of
-    the gaps between its times, and takes a cumulative product along the
-    block.  Each later block gathers the columns of the jumps from the times
-    _BLOCK records earlier and multiplies the block before's phases by
-    them, one product a phase and no dependent chain, so no phase is more
-    than _CHAIN + _BLOCK - 2 rounded products from a direct exp.  fig2b's
-    2,401-point linspace grid (38 blocks) has 17 distinct exponents: its
-    first time, 7 gaps and 9 jumps; a grid whose gaps all differ has about
-    one per time.  A block holds at most four complex D x _BLOCK arrays
-    (248 kB each at D = 242) besides the table and the kept states.  psi0
-    must be pure and H have hermiticity_defect(H.mat) <= 1e-12 (ValueError
-    otherwise).  The recorder raises StepTooLarge at the first t whose
-    ||psi||^2 is more than 2 NORM_TOL from 1, that is ||psi|| more than
-    NORM_TOL.
+    run in chains of _CHAIN.  Every block gathers its columns of the table
+    and multiplies them by a start: the first block of a chain the columns
+    of its own times by V^dag psi0, each later block the columns of the
+    jumps from the times _BLOCK records earlier by the block before's
+    phases, one product a phase, so no phase is more than _CHAIN - 1
+    rounded products from a direct exp.  fig2b's 2,401-point linspace grid
+    (38 blocks) has 73 distinct exponents: the 64 times of its first block
+    and 9 jumps; a grid whose gaps all differ has about one per time.  A
+    block holds at most four complex D x _BLOCK arrays (248 kB each at
+    D = 242) besides the table and the kept states.  psi0 must be pure and
+    H have hermiticity_defect(H.mat) <= 1e-12 (ValueError otherwise).  The
+    recorder raises StepTooLarge at the first t whose ||psi||^2 is more than
+    2 NORM_TOL from 1, that is ||psi|| more than NORM_TOL.
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary requires a pure initial state")
@@ -368,16 +359,14 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
         raise ValueError("evolve_unitary requires a hermitian Hamiltonian")
     times = _check_times(times)
     n, chain = len(times), _CHAIN * _BLOCK
-    # each time's exponent: the jump from the time _BLOCK records earlier; in
-    # the first block of a chain, the gap to the time before, and at its first
-    # time that time itself (the direct exp).  The distinct exponents, and each
-    # time's index among them (stable: numpy's default sort pages in its SIMD
-    # kernels, which peak RSS counts)
-    arg = np.empty(n)
-    arg[_BLOCK:] = times[_BLOCK:] - times[:-_BLOCK]
-    fresh = np.arange(n) % chain < _BLOCK
-    arg[fresh] = np.diff(times, prepend=times[0])[fresh]
-    arg[::chain] = times[::chain]
+    # each time's exponent: its own time in the first block of a chain, else
+    # the jump from the time _BLOCK records earlier.  The distinct exponents,
+    # and each time's index among them (stable: numpy's default sort pages in
+    # its SIMD kernels, which peak RSS counts)
+    arg = times.copy()
+    arg[_BLOCK:] -= times[:-_BLOCK]
+    head = np.arange(n) % chain < _BLOCK
+    arg[head] = times[head]
     step = np.sort(arg, kind="stable")
     step = step[np.diff(step, prepend=-np.inf) > 0]
     which = np.searchsorted(step, arg)
@@ -385,7 +374,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
     for idx in _sectors(H.mat, np.flatnonzero(psi0.data)):
         w, V = np.linalg.eigh(H.mat[idx[:, :, None], idx[:, None, :]])
         coeff = V.conj().swapaxes(1, 2) @ psi0.data[idx][:, :, None]
-        groups.append((idx.ravel(), np.exp(-1j * w[:, :, None] * step), V, coeff[:, :, 0]))
+        groups.append((idx.ravel(), np.exp(-1j * w[:, :, None] * step), V, coeff))
     last = [None] * len(groups)    # each group's phases of the block before
     rec = _Recorder(psi0, times, 2 * NORM_TOL, keep_states)
     # one block of states for all blocks but a shorter last: rows outside the
@@ -397,11 +386,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
             psi = np.zeros((len(psi0.data), m), dtype=complex)
         for j, (rows, table, V, coeff) in enumerate(groups):
             phase = table[:, :, which[i:i + m]]
-            if i % chain == 0:
-                phase[:, :, 0] *= coeff
-                np.cumprod(phase, axis=2, out=phase)
-            else:
-                phase *= last[j][:, :, :m]
+            phase *= coeff if i % chain == 0 else last[j][:, :, :m]
             last[j] = phase
             psi[rows] = (V @ phase).reshape(len(rows), m)
         rec.record(i, psi)
@@ -790,34 +775,28 @@ def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
 # ---------------------------------------------------------------------------
 
 def expectation(op: Operator, state: QuantumState) -> float:
-    """<O> for a hermitian operator; rejects a residual imaginary part > 1e-10."""
+    """<O> = Tr(O rho) for a hermitian operator; rejects a residual imaginary
+    part > 1e-10."""
     if op.space.n_max != state.space.n_max:
         raise SpaceMismatch("operator and state live on different spaces")
-    if state.is_pure:
-        val = complex(np.vdot(state.data, op.mat @ state.data))
-    else:
-        val = complex(np.trace(op.mat @ state.data))
+    val = _trace_product(op.mat, state.to_density().data)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
         raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not hermitian?")
     return val.real
 
 
 def overlap_fidelity(ref: QuantumState, state: QuantumState) -> float:
-    """|<psi0|psi>|^2 for pure states, <psi0|rho|psi0> against a density.
-
-    For two densities this is the overlap Tr(rho_ref rho) (not Uhlmann).
-    """
+    """The overlap Tr(rho_ref rho) (not Uhlmann): |<psi0|psi>|^2 for pure
+    states, <psi0|rho|psi0> when one of them is pure."""
     if ref.space.n_max != state.space.n_max:
         raise SpaceMismatch("states live on different spaces")
-    return _fidelity_raw(ref, state.data)
+    return _trace_product(ref.to_density().data, state.to_density().data).real
 
 
 def phonon_distribution(state: QuantumState) -> np.ndarray:
-    """P_n summed over the two qubit sectors."""
+    """P_n summed over the two qubit sectors: rho's diagonal."""
     d = state.space.dim_boson
-    if state.is_pure:
-        return np.abs(state.data[:d]) ** 2 + np.abs(state.data[d:]) ** 2
-    diag = np.real(np.diag(state.data))
+    diag = np.real(np.diag(state.to_density().data))
     return diag[:d] + diag[d:]
 
 
@@ -833,11 +812,10 @@ class RwaReport:
     top_population: float   # largest population of level n_max in the two-tone run
 
 
-def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState, T: float,
-                   n_records: int = 61) -> RwaReport:
+def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState, times) -> RwaReport:
     """Evolve psi0, whose space sets the truncation, under the full two-tone
-    drive and under the nonlinear QRM it simulates over [0, T] (units of 1/H,
-    n_records times), both keeping their states, and report
+    drive and under the nonlinear QRM it simulates over the grid `times`
+    (units of 1/H), both keeping their states, and report
     max_t (1 - |<psi_full(t)|psi_NQRM(t)>|^2).
 
     The two trajectories are compared in a common frame: the two-tone state
@@ -848,13 +826,11 @@ def rwa_crosscheck(spec: ModelSpec, psi0: QuantumState, T: float,
     record is aligned and compared in one array step.  A spec of any other
     kind than TwoTone raises ValueError (TwoToneGenerator).
     """
-    times = np.linspace(0.0, T, n_records)
-
     full = evolve_unitary_td(TwoToneGenerator(spec, psi0.space), psi0, times, keep_states=True)
     H_sim = build_hamiltonian(spec.simulated(), psi0.space)
     sim = evolve_unitary(H_sim, psi0, times, keep_states=True)
 
-    aligned = np.exp(-1j * np.outer(times, np.real(np.diag(H_sim.mat)))) * full.states
+    aligned = np.exp(-1j * np.outer(full.times, np.real(np.diag(H_sim.mat)))) * full.states
     overlap = np.einsum("ij,ij->i", aligned.conj(), sim.states)
     return RwaReport(
         max_deviation=max(0.0, float(np.max(1.0 - np.abs(overlap) ** 2))),

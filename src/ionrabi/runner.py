@@ -145,12 +145,18 @@ def auto_n_max(scenario: Scenario) -> int:
     return max(candidates)
 
 
+def time_grid(g: float, t_end: float, n_points: int) -> np.ndarray:
+    """n_points evenly spaced times from 0 to t_end cycles of 2*pi/g, in the
+    evolvers' unit of 1/H.  The only conversion from cycles to 1/H:
+    simulate_scenario and validate's cross-check take their grids from here."""
+    return np.linspace(0.0, t_end * (2.0 * math.pi / g), n_points)
+
+
 def simulate_scenario(scenario: Scenario, n_max: int | None = None):
     """Run the scenario at the given (or auto) truncation; returns (Trajectory, n_max).
 
-    The evolvers take the grid in units of 1/H; the trajectory comes back with
-    its times in cycles of 2*pi/g, the scenario's unit.  This is the only
-    conversion between the two.
+    The evolvers take the grid in units of 1/H (time_grid); the trajectory
+    comes back with its times in cycles of 2*pi/g, the scenario's unit.
     """
     if n_max is None:
         n_max = auto_n_max(scenario)
@@ -158,8 +164,7 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
     space = HilbertSpace(n_max)
     state0 = _initial_state(scenario, space)
     g = spec.g
-    cycle = 2.0 * math.pi / g
-    times = np.linspace(0.0, scenario.times["t_end"] * cycle, scenario.times["n_points"])
+    times = time_grid(g, scenario.times["t_end"], scenario.times["n_points"])
 
     if scenario.lindblad is not None:
         H = build_hamiltonian(spec, space)
@@ -282,8 +287,8 @@ def _set_key_path(doc: dict, path: str, value):
     keys = path.split(".")
     node = doc
     for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise KeyError(f"axis key path {path!r} not found in scenario")
+        if not isinstance(node.get(key), dict):
+            raise SchemaError(f"axis key path {path!r} names no field of the scenario")
         node = node[key]
     node[keys[-1]] = value
 
@@ -298,13 +303,17 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
 
     Each value is set as given, so an integer field such as initial.n needs
     integer values.  Writes each point into its own directory plus an
-    index.json mapping grid points to result paths; failed points are
-    preserved in the index with their error.  Returns the index entries; no
-    trajectory is kept.  Two points whose directory names (values to 6
-    significant digits) coincide raise SchemaError before anything is written.
+    index.json mapping grid points to result paths; failed points, such as
+    one whose value or leaf key the schema rejects, are preserved in the
+    index with their error.  Returns the index entries; no trajectory is
+    kept.  A key path whose keys before the last name no mapping of the
+    template, and two points whose directory names (values to 6 significant
+    digits) coincide, raise SchemaError before anything is written.
     """
-    grid = [{}]
+    grid, doc = [{}], template.to_dict()
     for path, values in axes:
+        # on a copy: every point sets the same paths in this order
+        _set_key_path(doc, path, None)
         grid = [dict(point, **{path: v}) for point in grid for v in values]
     tags = {}
     for point in grid:

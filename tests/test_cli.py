@@ -13,6 +13,8 @@ from ionrabi.fock import barrier_eta, f1_diagonal
 from ionrabi.models import ValidityWarning
 from ionrabi.runner import OUTDIR_ENV
 
+from f1_oracle import f1_series
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
@@ -85,6 +87,11 @@ def bad_files(tmp_path):
     ["sweep", "--template", FIG4, "--axis", "model.eta=[1], 2"],
     ["sweep", "--template", FIG4, "--axis", "model.eta=[1]\n--- 2"],
     ["sweep", "--template", FIG4, "--axis", "model.eta=[]"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=0:1"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=a:1:2"],
+    ["sweep", "--template", FIG4, "--axis", "model.eta=0:1:0"],
+    ["sweep", "--template", FIG4, "--axis", "model.g.x=[1]"],
+    ["f1", "--eta", "abc", "--n", "3"],
     ["f1"],
     ["f1", "--eta", "0.5"],
     ["landscape", "--n-max", "10"],
@@ -98,7 +105,9 @@ def bad_files(tmp_path):
         "fockprep-duration-0", "fockprep-points-1", "fockprep-nbar-negative",
         "fockprep-eta-negative", "fockprep-g-0", "fockprep-gamma-ratio-negative",
         "axis-no-equals", "axis-mapping", "axis-trailing-text", "axis-list-and-scalar",
-        "axis-two-documents", "axis-empty-list", "f1-no-eta", "f1-no-n",
+        "axis-two-documents", "axis-empty-list", "axis-range-two-parts",
+        "axis-range-not-a-number", "axis-range-count-0",
+        "axis-path-through-a-value", "f1-eta-not-a-number", "f1-no-eta", "f1-no-n",
         "landscape-missing-flags"])
 def test_bad_values_exit_2(argv, bad_files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # anything written by mistake lands in ./runs here
@@ -139,6 +148,13 @@ def test_f1_table_to_stdout_and_file(tmp_path, capsys):
                       "--out-file", str(path)]) == 0
     assert capsys.readouterr().out == f"wrote {path}\n"
     assert _f1_rows(path.read_text()) == want
+
+
+def test_f1_single_value_matches_series(capsys):
+    assert exit_code(["f1", "--eta", "0.5", "--n", "3"]) == 0
+    label, value = capsys.readouterr().out.strip().split(" = ")
+    assert label == "f1(3, 0.5)"
+    assert float(value) == pytest.approx(f1_series(3, 0.5), abs=1e-15)
 
 
 def test_landscape_flags_write_table(tmp_path):
@@ -403,6 +419,24 @@ def test_sweep_clashing_directories_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0.6789801" in err and "0.6789802" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_unknown_path_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert exit_code(["sweep", "--template", str(SCENARIOS / "fig5.scenario"),
+                      "--axis", "foo.bar=[1,2]", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: axis key path 'foo.bar'")
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_unknown_leaf_is_a_failed_point(tmp_path):
+    # the path reaches a mapping of the template; the schema rejects its leaf
+    assert exit_code(["sweep", "--template", FIG4, "--axis", "model.foo=[1]",
+                      "--out", str(tmp_path)]) == 3
+    index = json.loads((tmp_path / "fig4-nqrm-barrier-fock" / "index.json").read_text())
+    assert index[0]["status"] == "failed"
+    assert index[0]["error"].startswith("SchemaError:")
 
 
 def test_sweep_failed_point_is_kept_in_index(tmp_path):

@@ -164,6 +164,10 @@ class TestCoherentState:
 
 
 class TestThermalState:
+    def test_rejects_negative_nbar(self, space):
+        with pytest.raises(ValueError, match="nbar must be >= 0"):
+            thermal_state(space, -0.1)
+
     def test_nbar_zero(self, space):
         rho = thermal_state(space, 0.0, "down")
         assert rho.data[0, 0] == 1.0
@@ -293,8 +297,9 @@ class TestEvolveUnitary:
         assert traj.meta == {"method": "eigh", "n_times": len(times)}
 
     def test_long_phases_match_direct_exp(self):
-        # fig2b's H and grid: |w t| reaches 192 rad, and the phases of each of
-        # its 38 blocks are the block before's times the jumps of _BLOCK times
+        # fig2b's H and grid: |w t| reaches 192 rad; its first block's phases
+        # are direct exps, and each of its 37 later blocks' the block before's
+        # times the jumps of _BLOCK times
         sp = HilbertSpace(120)
         H = _build(sp, "NonlinearJC", g=45.24, eta=0.5)
         psi = coherent_state(sp, math.sqrt(30), "down")
@@ -520,7 +525,7 @@ def _fig6_max_deviation(monkeypatch, steps_per_trap_period):
     monkeypatch.setattr(dynamics, "TwoToneGenerator", Stepped)
     spec = _fig6_nqrm().two_tone()
     return rwa_crosscheck(spec, fock_state(HilbertSpace(40), 0, "down"),
-                          T=2 * math.pi / spec.g).max_deviation
+                          np.linspace(0.0, 2 * math.pi / spec.g, 61)).max_deviation
 
 
 class _Widths:
@@ -1089,13 +1094,21 @@ class TestObservables:
         psi = fock_state(HilbertSpace(5), 0)
         with pytest.raises(SpaceMismatch):
             expectation(op, psi)
+        with pytest.raises(SpaceMismatch):
+            overlap_fidelity(fock_state(HilbertSpace(4), 0), psi)
 
-    def test_density_fidelity(self, space):
+    def test_density_fidelity(self, space, rng):
         psi = fock_state(space, 2, "down")
         rho = thermal_state(space, 0.0, "down")
         # <psi|rho|psi> with rho = |0><0|
         assert overlap_fidelity(fock_state(space, 0, "down"), rho) == pytest.approx(1.0)
         assert overlap_fidelity(psi, rho) == pytest.approx(0.0, abs=1e-14)
+        # a thermal reference against a random pure state
+        rho = thermal_state(space, 0.2, "up")
+        psi = rng.normal(size=space.dim_total) + 1j * rng.normal(size=space.dim_total)
+        psi = QuantumState(space, psi / np.linalg.norm(psi))
+        want = np.vdot(psi.data, rho.data @ psi.data).real
+        assert abs(overlap_fidelity(rho, psi) - want) <= 1e-14
 
     def test_phonon_distribution_sums_sectors(self, space):
         psi_dn = fock_state(space, 1, "down").data
@@ -1130,8 +1143,8 @@ class TestRwaCrosscheck:
         # model's free evolution exactly, validating the sign convention
         spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=0.0, nu=80.0,
                          delta_r=0.25, delta_b=-0.25)
-        report = rwa_crosscheck(spec, fock_state(HilbertSpace(12), 0, "down"), T=2.0,
-                                n_records=9)
+        report = rwa_crosscheck(spec, fock_state(HilbertSpace(12), 0, "down"),
+                                np.linspace(0.0, 2.0, 9))
         assert report.max_deviation < 1e-12
 
     def test_deviation_over_several_blocks(self):
@@ -1139,7 +1152,7 @@ class TestRwaCrosscheck:
         # three blocks, the last one partial; the value is the per-time route's
         spec = _fig6_nqrm().two_tone()
         report = rwa_crosscheck(spec, fock_state(HilbertSpace(20), 0, "down"),
-                                T=2 * math.pi / spec.g, n_records=150)
+                                np.linspace(0.0, 2 * math.pi / spec.g, 150))
         assert report.max_deviation == pytest.approx(0.000609518190894387, abs=1e-12)
 
     @pytest.mark.parametrize("g_over_omega_R, deviation", [
@@ -1156,7 +1169,7 @@ class TestRwaCrosscheck:
         nqrm = _fig6_nqrm()
         spec = _fig6_nqrm(omega_R=nqrm.g / g_over_omega_R).two_tone()
         psi0 = coherent_state(HilbertSpace(40), 1.0, "down")
-        report = rwa_crosscheck(spec, psi0, T=3.0 * 2.0 * math.pi / spec.g)
+        report = rwa_crosscheck(spec, psi0, np.linspace(0.0, 3.0 * 2.0 * math.pi / spec.g, 61))
         assert report.max_deviation < 0.01
         assert report.max_deviation == pytest.approx(deviation, abs=1e-10)
         assert report.top_population < 1e-26
@@ -1164,4 +1177,4 @@ class TestRwaCrosscheck:
     def test_requires_two_tone(self):
         with pytest.raises(ValueError):
             rwa_crosscheck(ModelSpec(kind="QRM", g=1.0, omega_R=0.5, omega0_R=0.0),
-                           fock_state(HilbertSpace(12), 0, "down"), T=1.0)
+                           fock_state(HilbertSpace(12), 0, "down"), np.linspace(0.0, 1.0, 61))

@@ -130,6 +130,10 @@ class TestQubitOps:
 
 
 class TestOperatorWrapper:
+    def test_rejects_wrong_shape(self, space):
+        with pytest.raises(ValueError, match="does not match dim_total"):
+            Operator(space, np.eye(space.dim_total + 1))
+
     def test_rejects_nonfinite(self, space):
         mat = np.zeros((space.dim_total, space.dim_total), dtype=complex)
         mat[0, 0] = np.nan
