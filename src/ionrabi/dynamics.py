@@ -12,15 +12,15 @@ Evolution strategies:
   - time-dependent H: a drive that repeats with period T' in a rotating
     frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
     Pass 1 steps the identity over one period with fixed-step RK4 to get
-    the one-period propagator M; the state at t0 + k T' + s is
-    e^{iKkT'} U(t0 + s) M^k psi0, so pass 2 steps the seeds M^k psi0 (or
-    the identity, if there are more seeds than D) over the same grid in
-    [t0, t0 + T'), and each record takes one more vector step to its
-    offset s.  This pays off when the span holds many drive periods, and pass
-    1 runs even if it holds none.  The drive writes H(t) X into an array it
-    is handed, so the RK4 stages reuse a few arrays allocated once per call.
-    Nothing is renormalized; the summed norm drift and every record's norm
-    are checked;
+    the one-period propagator M and snapshots of U in _SEGMENTS segments of
+    it; the state at t0 + k T' + s is e^{iKkT'} U(t0 + s) M^k psi0, so pass
+    2 steps each segment's snapshot times its seeds M^k psi0 (or the
+    snapshot alone, if they are more than D) to its records, and the
+    records' partial steps to their offsets s are block steps.  This pays
+    off when the span holds many drive periods, and pass 1 runs even if it
+    holds none.  The drive writes H(t) X into an array it is handed, so the
+    RK4 stages reuse a few arrays allocated once per call.  Nothing is
+    renormalized; the summed norm drift and every record's norm are checked;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
     can reach from rho0.  The set is the closure of rho0's support under the
     exact nonzero patterns of H rho, rho H, C rho C^dag, C^dag C rho and
@@ -78,6 +78,8 @@ _BLOCK = 64
 # blocks per chain of phases in evolve_unitary: a chain's first block takes
 # direct exps, so no phase is more than _CHAIN - 1 rounded products from one
 _CHAIN = 64
+# segments of the period in evolve_unitary_td, a D x D snapshot each (< 1 MB at D = 82)
+_SEGMENTS = 8
 # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 step, is the product of 1 + a z + b z^2
 # over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
 _RK4_FACTORS = ((0.08525331300540473, 0.15755219957394268),
@@ -397,38 +399,43 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     """psi(t) for i d psi/dt = H(t) psi, with H(t) periodic in a rotating frame.
 
     `drive` supplies apply(t, X, out), which writes H(t) @ X into `out` and
-    returns it, for X of shape (D,) or (D, m) and `out` a C-contiguous array
-    of X's shape that does not overlap X; the RK4 step bound dt_max; and a
-    diagonal `frame` K and `period` T' such that
-    e^{-iKt} H(t) e^{iKt} + K repeats with period T' (TwoToneGenerator; a
-    constant H has K = 0 and any T').  With t0 = times[0], U(t) the
-    propagator from t0 and M = e^{-iKT'} U(t0 + T'), every record time
-    t = t0 + k T' + s with 0 <= s < T' has
+    returns it, for X of shape (D,) or (D, m), t a float or m times (column
+    i at t[i]) and `out` a C-contiguous array of X's shape that does not
+    overlap X; the RK4 step bound dt_max; and a diagonal `frame` K and
+    `period` T' such that e^{-iKt} H(t) e^{iKt} + K repeats with period T'
+    (TwoToneGenerator; a constant H has K = 0 and any T').  With t0 =
+    times[0], U(t) the propagator from t0 and M = e^{-iKT'} U(t0 + T'),
+    every record time t = t0 + k T' + s with 0 <= s < T' has
 
         psi(t) = e^{iKkT'} U(t0 + s) M^k psi0.
 
     Both passes step the grid t0 + j dt, dt = T' / ceil(T' / dt_max), with
-    classical RK4.  Pass 1 steps the D x D identity over one period to get
-    M; the M^k psi0 are matvecs, one seed per period that holds a record.
-    Pass 2 steps the block of seeds over the grid, dropping each seed after
-    its last record, or the identity when there are more seeds than D, so
-    it is never wider than D; each record is read off at the grid point
-    below its offset and takes one more vector step of at most dt.  The
-    steps write into four arrays allocated once: the state and the next
-    state, taken in turn, the slope K and the stage argument T, as
-    C-contiguous views at the block's width; the record vector steps have
-    four D-long arrays of their own.  States are bit-identical to a step
-    that allocates its stages (np.multiply(K, c, out=T); T += X gives
-    X + c*K).
+    classical RK4; a record's cell is the j with j dt <= s < (j+1) dt.  Pass
+    1 steps the D x D identity over one period to get M, keeping U at the
+    first record's cell of each of _SEGMENTS equal segments (a snapshot).
+    The seeds M^k psi0, one per period that holds a record, take one matvec
+    a period: powers of M by repeated squaring would save most of them, but
+    round about g times as much as g matvecs (over fig6's 20 cycles, 4,760
+    periods, 1.3e-13 from long-double products of the same M; the matvecs
+    1.0e-14).  Pass 2 steps each segment's block from its snapshot's cell to
+    its last record's: the snapshot times the seeds of its periods, or the
+    snapshot itself if they are more than D (a record then reads off as
+    X @ seed), so no block is wider than D.  Then the records past their
+    grid points take their partial steps s - j dt, D at a time, as block
+    steps with one time per column.  The steps write into four arrays
+    allocated once: the state and the next state, taken in turn, the slope
+    K and the stage argument T, as C-contiguous views at the block's width;
+    each snapshot but cell 0's (the identity) is a D x D copy.  States are
+    bit-identical to a step that allocates its stages
+    (np.multiply(K, c, out=T); T += X gives X + c*K).
 
-    Cost: each pass is ceil(T'/dt_max) steps of a block at most D wide, plus
-    one vector step per record, where stepping the span directly takes
-    ceil(T'/dt_max) vector steps for every period in it.  So the route pays
-    off when the span holds many more drive periods than a D-wide step costs
-    vector steps: about 4 at D = 82 and 15 at D = 152 for TwoToneGenerator
-    at one BLAS thread on a 2-vCPU Xeon (fig6's drive has 238 periods per
-    cycle).  A span of a few periods runs slower than stepping it directly;
-    one shorter than a period still pays a period of D-wide steps.
+    Cost: pass 1 is ceil(T'/dt_max) D-wide steps, pass 2 fewer at most D
+    wide, plus one step per D records.  With fig6's drive (D = 82, 201 cells
+    a period, 238 periods a cycle; one BLAS thread, 2-vCPU Xeon) validate's
+    one-cycle cross-check takes 368 steps and 65-73 ms (457 and 85-101 ms
+    when pass 2 stepped every seed from t0), and 2,401 records over a cycle
+    424 steps (2,801).  Stepping the span directly takes ceil(T'/dt_max)
+    vector steps a period, so a span of a few periods runs slower than that.
 
     Nothing is renormalized: the per-step change of the largest column norm
     is summed, pass 1's once for every period used, and a sum > 1e-6 raises
@@ -447,20 +454,22 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     s = np.maximum(times - t0 - k * period, 0.0)
     n_grid = math.ceil(period / drive.dt_max)
     dt = period / n_grid
+    grid = t0 + np.arange(n_grid + 1) * dt
     cell = np.minimum((s / dt).astype(int), n_grid - 1)
     n_steps = 0
     drift = 0.0
 
-    def step(X, Y, K, T, t, h, weight=1.0, norm=None):
-        """Y <- the RK4 step of X from t to t + h, with K and T (the stage
-        argument) of X's shape; returns Y's column norms, given X's as `norm`
-        when the step continues from the last one."""
+    def step(X, Y, K, T, t, h, end, weight=1.0, norm=None):
+        """Y <- the RK4 step of X from t to end = t + h, with K and T (the
+        stage argument) of X's shape; returns Y's column norms, given X's as
+        `norm` when the step continues from the last one.  On the grid, `end`
+        is the next step's t, so the drive's phases kept for it are reused."""
         nonlocal n_steps, drift
         drive.apply(t, X, K)
         np.multiply(K, -1j * h / 6.0, out=Y)
         Y += X
         for a, b, tk in ((-0.5j * h, -1j * h / 3.0, t + h / 2),
-                         (-0.5j * h, -1j * h / 3.0, t + h / 2), (-1j * h, -1j * h / 6.0, t + h)):
+                         (-0.5j * h, -1j * h / 3.0, t + h / 2), (-1j * h, -1j * h / 6.0, end)):
             np.multiply(K, a, out=T)
             T += X
             drive.apply(tk, T, K)
@@ -472,64 +481,69 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
         n_steps += 1
         if not (drift <= 1e-6):
             raise StepTooLarge(
-                f"accumulated norm drift {drift:.3e} > 1e-6 at t={t + h} "
-                f"(dt={h:.3e}); reduce dt_max"
+                f"accumulated norm drift {drift:.3e} > 1e-6 at t={np.max(end)} "
+                f"(dt={np.max(h):.3e}); reduce dt_max"
             )
         return norm_y
 
     D = psi0.data.shape[0]
-    order = np.argsort(s, kind="stable")
-    # one seed M^k psi0 per period k that holds a record, in columns ordered by
-    # the sweep position of the seed's last record, latest first, so the seeds
-    # pass 2 still needs are always the leading `needed[r]` columns.  Only
-    # stable sorts: numpy's default sort pages in about 0.5 MB of SIMD code.
-    new_period = np.diff(k, prepend=-1) > 0    # times, so k, are sorted
+    # one seed M^k psi0 per period k that holds a record (times, so k, are
+    # sorted), and each record's seed column; each segment's and each cell's
+    # records are runs of the records in order of cell (a stable sort: numpy's
+    # default sort pages in about 0.5 MB of SIMD code)
+    new_period = np.diff(k, prepend=-1) > 0
     periods = k[new_period]
     col = np.cumsum(new_period) - 1
-    final = np.zeros(len(periods), dtype=int)
-    np.maximum.at(final, col[order], np.arange(len(times)))
-    by_final = np.argsort(-final, kind="stable")
-    slot = np.argsort(by_final, kind="stable")
-    col = slot[col]
-    needed = np.searchsorted(-final[by_final], -np.arange(len(times)), side="right")
-    wide = len(periods) > D
-    # rows for X, Y, K and T at pass 1's width D, viewed at the width in use;
-    # the record vector steps take vec's rows, so they never write into the block
+    by_cell = np.argsort(cell, kind="stable")
+    first = np.searchsorted(cell[by_cell], np.arange(n_grid + 1))
+    edges = first[np.arange(_SEGMENTS + 1) * n_grid // _SEGMENTS]
+    segments = [by_cell[a:b] for a, b in zip(edges, edges[1:]) if a < b]
+    starts = {int(cell[r[0]]) for r in segments} - {0}    # U at cell 0 is the identity
+    # rows for X, Y, K and T at pass 1's width D, viewed at the width in use
     block = np.empty((4, D * D), dtype=complex)
-    vec = np.empty((4, D), dtype=complex)
     X, Y, K, T = (b.reshape(D, D) for b in block)
     X[...] = np.eye(D)
-    norm = None
+    snaps, norm = {}, None
     for j in range(n_grid):
-        norm = step(X, Y, K, T, t0 + j * dt, dt, periods[-1], norm)
+        if j in starts:
+            snaps[j] = X.copy()
+        norm = step(X, Y, K, T, grid[j], dt, grid[j + 1], periods[-1], norm)
         X, Y = Y, X
-    M = np.exp(-1j * drive.frame * period)[:, None] * X
+    M = np.multiply(np.exp(-1j * drive.frame * period)[:, None], X, out=X)   # X is free now
     seeds = np.empty((D, len(periods)), dtype=complex)
     phi, done = psi0.data, 0
     for c, p in enumerate(periods):
         for _ in range(p - done):
             phi = M @ phi
-        seeds[:, slot[c]], done = phi, p
+        seeds[:, c], done = phi, p
 
-    m = D if wide else len(periods)
-    X, Y, K, T = (b[:D * m].reshape(D, m) for b in block)
-    X[...] = np.eye(D) if wide else seeds
-    norm, j = None, 0
     psi = np.empty((D, len(times)), dtype=complex)
-    for r, i in enumerate(order):
-        if not wide and m > needed[r]:   # seeds drop: copy the rest to Y's row
-            old, m, norm = X, needed[r], None
-            X, Y, K, T = (a.ravel()[:D * m].reshape(D, m) for a in (Y, X, K, T))
-            X[...] = old[:, :m]
-        while j < cell[i]:
-            norm = step(X, Y, K, T, t0 + j * dt, dt, norm=norm)
-            X, Y = Y, X
-            j += 1
-        psi[:, i] = X @ seeds[:, col[i]] if wide else X[:, col[i]]
-        if s[i] > j * dt:
-            vec[0] = psi[:, i]
-            step(*vec, t0 + j * dt, s[i] - j * dt)
-            psi[:, i] = vec[1]
+    for recs in segments:
+        lo, hi = cell[recs[0]], cell[recs[-1]]
+        used = np.bincount(col[recs], minlength=len(periods)) > 0
+        width = np.count_nonzero(used)
+        X, Y, K, T = (b[:D * min(width, D)].reshape(D, -1) for b in block)
+        snap = snaps.pop(lo) if lo else np.eye(D)
+        if width > D:
+            X[...] = snap
+        else:
+            np.matmul(snap, seeds[:, used], out=X)
+            local = np.cumsum(used) - 1
+        norm = None
+        for j in range(lo, hi + 1):
+            if j > lo:
+                norm = step(X, Y, K, T, grid[j - 1], dt, grid[j], norm=norm)
+                X, Y = Y, X
+            at = by_cell[first[j]:first[j + 1]]
+            psi[:, at] = X @ seeds[:, col[at]] if width > D else X[:, local[col[at]]]
+    # the partial steps from the cells' grid points, D records at a time
+    part = np.flatnonzero(s > cell * dt)
+    for i in range(0, len(part), D):
+        at = part[i:i + D]
+        X, Y, K, T = (b[:D * len(at)].reshape(D, -1) for b in block)
+        X[...] = psi[:, at]
+        step(X, Y, K, T, grid[cell[at]], s[at] - cell[at] * dt, t0 + s[at])
+        psi[:, at] = Y
     rec = _Recorder(psi0, times, PHONON_SUM_TOL, keep_states)
     rec.record(0, np.exp(1j * np.outer(drive.frame, k * period)) * psi)
     return rec.trajectory({"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,

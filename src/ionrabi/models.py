@@ -234,11 +234,12 @@ class TwoToneGenerator:
     takes each half of H(t) @ X as a phase multiply by q(t)^* = (P(t) S)^*
     into one scratch array, one real matmul with R or R^T on the interleaved
     real and imaginary parts into the caller's `out`, and a phase multiply
-    by q(t) times the tone coefficient.  The scratch array (grown to the
-    widest X) and the phases of the last t (RK4 calls t + h/2 twice in a
-    row) are kept on the instance, so one generator must not be shared
-    between threads.  matrix(t) builds the dense H(t) on its own, as a
-    reference.
+    by q(t) times the tone coefficient.  t is a float, or one time per
+    column of X.  The scratch array (grown to the widest X) and the phases
+    of the last float t (RK4 calls t + h/2 twice in a row) are kept on the
+    instance, so one generator must not be shared between threads; the
+    phases of a time per column are built for that call alone.  matrix(t)
+    builds the dense H(t) on its own, as a reference.
 
     The drive is periodic in a rotating frame.  With W(t) = diag(e^{i K t}),
     K = nu n on the qubit-down block and nu n - (delta_r - nu) on the
@@ -259,7 +260,7 @@ class TwoToneGenerator:
         self.r = (self.s.conj()[:, None] * self.d0 * self.s[None, :]).real.copy()
         # _phases' arrays, and apply's scratch for one half of X, grown to the widest call
         self._t = None
-        self._q = np.empty(space.dim_boson, dtype=complex)
+        self._q = np.empty((space.dim_boson, 1), dtype=complex)
         self._pre = np.empty((space.dim_boson, 1), dtype=complex)
         self._post = np.empty((2, space.dim_boson, 1), dtype=complex)
         self._z = np.empty(0, dtype=complex)
@@ -288,22 +289,28 @@ class TwoToneGenerator:
         H[:d, d:] = block.conj().T
         return H
 
-    def _phases(self, t: float):
-        """(q(t)^*, [conj(c) q(t), c q(t)]) as broadcastable columns, c = tone_coeff(t),
-        written into arrays kept on the instance."""
-        if t != self._t:
-            q = np.multiply(1j * self.spec.nu * t, self.nb, out=self._q)
-            np.multiply(np.exp(q, out=q), self.s, out=q)
-            c = self.tone_coeff(t)
-            np.conjugate(q, out=self._pre[:, 0])
-            np.multiply(np.conj(c), q, out=self._post[0, :, 0])
-            np.multiply(c, q, out=self._post[1, :, 0])
-            self._t = t
-        return self._pre, self._post
+    def _phases(self, t):
+        """(q(t)^*, [conj(c) q(t), c q(t)]), c = tone_coeff(t), as (d, 1) columns
+        kept on the instance for a float t, or as new (d, m) arrays for m times."""
+        if np.ndim(t):
+            shape = (len(self.nb), len(t))
+            q, pre, post = (np.empty(k + shape, dtype=complex) for k in ((), (), (2,)))
+        elif t != self._t:
+            q, pre, post, self._t = self._q, self._pre, self._post, t
+        else:
+            return self._pre, self._post
+        np.multiply(1j * self.spec.nu * t, self.nb[:, None], out=q)
+        np.multiply(np.exp(q, out=q), self.s[:, None], out=q)
+        c = self.tone_coeff(t)
+        np.conjugate(q, out=pre)
+        np.multiply(np.conj(c), q, out=post[0])
+        np.multiply(c, q, out=post[1])
+        return pre, post
 
-    def apply(self, t: float, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def apply(self, t, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write H(t) @ X into `out` and return it, without materializing H: X of
-        shape (dim,) or (dim, m), `out` C-contiguous of X's shape and apart from X."""
+        shape (dim,) or (dim, m), `out` C-contiguous of X's shape and apart from X,
+        and t a float or, for X of shape (dim, m), m times, H(t[i]) acting on X[:, i]."""
         d = self.space.dim_boson
         pre, post = self._phases(t)
         halves = X.reshape(2, d, -1)    # [down block, up block]

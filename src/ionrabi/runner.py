@@ -306,12 +306,16 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
     index.json mapping grid points to result paths; failed points, such as
     one whose value or leaf key the schema rejects, are preserved in the
     index with their error.  Returns the index entries; no trajectory is
-    kept.  A key path whose keys before the last name no mapping of the
+    kept.  A `name` axis (each point is named after the template and its
+    values), a key path whose keys before the last name no mapping of the
     template, and two points whose directory names (values to 6 significant
-    digits) coincide, raise SchemaError before anything is written.
+    digits) coincide raise SchemaError before anything is written.
     """
     grid, doc = [{}], template.to_dict()
     for path, values in axes:
+        if path == "name":
+            raise SchemaError("axis key path 'name' cannot vary: each point is named "
+                              "after the template and its axis values")
         # on a copy: every point sets the same paths in this order
         _set_key_path(doc, path, None)
         grid = [dict(point, **{path: v}) for point in grid for v in values]

@@ -430,6 +430,17 @@ def test_sweep_unknown_path_exits_2_before_writing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_sweep_name_axis_exits_2_before_writing(tmp_path, capsys):
+    # each point's name is the template's and its axis values, so a name
+    # axis would run the unchanged template once a value
+    out = tmp_path / "out"
+    out.mkdir()
+    assert exit_code(["sweep", "--template", str(SCENARIOS / "fig5.scenario"),
+                      "--axis", "name=[1,2]", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: axis key path 'name'")
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_unknown_leaf_is_a_failed_point(tmp_path):
     # the path reaches a mapping of the template; the schema rejects its leaf
     assert exit_code(["sweep", "--template", FIG4, "--axis", "model.foo=[1]",

@@ -480,7 +480,8 @@ class TestSectors:
 
 class _ConstantDrive:
     """H(t) = H.  With frame K = 0 every period is valid; 1.3 divides no
-    record spacing used here, so both M^k and pass 2 are exercised."""
+    record spacing used here, so both the seeds M^k and pass 2's segments are
+    exercised.  apply ignores t, a float or one time per column."""
 
     def __init__(self, H, dt_max, period=1.3):
         self.H = H
@@ -490,6 +491,48 @@ class _ConstantDrive:
 
     def apply(self, t, X, out):
         return np.matmul(self.H, X, out=out)
+
+
+class _PeriodicDrive:
+    """H(t) = H0 + cos(2 pi t / period) H1 with frame K = 0.  A power-of-two
+    period and step make every grid point and offset exact, so a record on a
+    grid point takes no partial step."""
+
+    def __init__(self, H0, H1, period=1.0, dt_max=1 / 64):
+        self.H0, self.H1 = H0, H1
+        self.period, self.dt_max = period, dt_max
+        self.frame = np.zeros(len(H0))
+
+    def matrix(self, t):
+        return self.H0 + math.cos(2 * math.pi * t / self.period) * self.H1
+
+    def apply(self, t, X, out):
+        np.matmul(self.H0, X, out=out)
+        out += np.cos(2 * math.pi * np.asarray(t) / self.period) * (self.H1 @ X)
+        return out
+
+
+def _grid_chain(drive, psi0, times):
+    """Vector RK4 with drive.matrix(t) through the grid t0 + j dt of
+    evolve_unitary_td (dt = period / ceil(period / dt_max)), with one partial
+    step from the grid point below each record to the record."""
+    dt = drive.period / math.ceil(drive.period / drive.dt_max)
+
+    def rk4(t, h, psi):
+        k1 = drive.matrix(t) @ psi
+        k2 = drive.matrix(t + h / 2) @ (psi - 0.5j * h * k1)
+        k3 = drive.matrix(t + h / 2) @ (psi - 0.5j * h * k2)
+        k4 = drive.matrix(t + h) @ (psi - 1j * h * k3)
+        return psi - 1j * h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    psi, j, out = psi0, 0, []
+    for t in times:
+        while times[0] + (j + 1) * dt <= t:
+            psi = rk4(times[0] + j * dt, dt, psi)
+            j += 1
+        h = t - times[0] - j * dt
+        out.append(rk4(times[0] + j * dt, h, psi) if h > 0 else psi)
+    return np.array(out)
 
 
 def _rk4_reference(apply, psi0, times, dt_max):
@@ -529,19 +572,20 @@ def _fig6_max_deviation(monkeypatch, steps_per_trap_period):
 
 
 class _Widths:
-    """Wraps a drive and keeps the largest block width handed to apply, and
-    every `out` it is handed: a kept array cannot be freed, so its memory is
-    not handed out again, and distinct data pointers are distinct arrays."""
+    """Wraps a drive and keeps every `out` handed to apply, whose widths are
+    the blocks' (1 for a vector): a kept array cannot be freed, so its memory
+    is not handed out again, and distinct data pointers are distinct arrays."""
 
     def __init__(self, drive):
         self.drive = drive
         self.dt_max, self.period, self.frame = drive.dt_max, drive.period, drive.frame
-        self.widest = 1
         self.outs = []
 
+    @property
+    def widths(self):
+        return [out.shape[1] if out.ndim == 2 else 1 for out in self.outs]
+
     def apply(self, t, X, out):
-        if X.ndim == 2:
-            self.widest = max(self.widest, X.shape[1])
         self.outs.append(out)
         return self.drive.apply(t, X, out)
 
@@ -630,36 +674,105 @@ class TestEvolveUnitaryTd:
         assert abs(_fig6_max_deviation(monkeypatch, 200) - want) > 1e-10
 
     def test_seed_block_and_identity_agree(self):
-        # at D = 6, five records in five periods step a block of their five
-        # seeds; thirteen records in thirteen periods step the identity
-        # instead, so no block is wider than D.  Every record's chain of
-        # steps is the same either way.
+        # at D = 6, the nine records of segment 0 (t0 and cells 3, 5, ..., 17)
+        # lie in eight periods, more than D, so its block is its pass-1
+        # snapshot, pass 1's identity at t0, and each record reads off as
+        # X @ seed; the three of segment 4 (cells 105, 110, 115) step their
+        # three seeds.  Dropping the last three periods of segment 0 leaves it
+        # five seeds, a block of five.  Every record's state is the same
+        # either way.
         spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=8.0, nu=80.0,
                          delta_r=0.3, delta_b=-0.1, phi_r=0.3, phi_b=-0.8)
         gen = TwoToneGenerator(spec, HilbertSpace(2))
         psi = QuantumState(gen.space, np.array([0.6, 0.8j, 0, 0, 0, 0]))
-        runs = {}
-        for n in (5, 13):
-            times = np.linspace(0.0, 0.48, n)
-            assert len(np.unique(np.floor(times / gen.period))) == n
+        n_grid = math.ceil(gen.period / gen.dt_max)
+        dt = gen.period / n_grid
+        assert (n_grid, dynamics._SEGMENTS) == (201, 8)    # segment 4: cells 100-124
+        at = sorted([(0, 0.0)] + [(k, 3.5 + 2 * k) for k in range(8)]
+                    + [(k, 100.5 + 5 * k) for k in (1, 2, 3)])
+        times = np.array([k * gen.period + c * dt for k, c in at])
+        runs, widths = {}, {}
+        for drop in (0, 3):
+            keep = [i for i, (k, c) in enumerate(at) if not (c < 25 and k >= 8 - drop)]
             drive = _Widths(gen)
-            runs[n] = evolve_unitary_td(drive, psi, times, keep_states=True).states
-            assert drive.widest == gen.space.dim_total   # pass 1's identity
-        assert np.abs(runs[5] - runs[13][::3]).max() < 1e-13
+            runs[drop] = evolve_unitary_td(drive, psi, times[keep], keep_states=True).states
+            widths[drop] = drive.widths[4 * n_grid:]   # pass 2 and the partial steps
+        # 17 or 11 steps of segment 0, 10 of segment 4, and the partial steps
+        # of all records but t0's, D at a time
+        assert widths[0] == [6] * 4 * 17 + [3] * 4 * 10 + [6] * 4 + [5] * 4
+        assert widths[3] == [5] * 4 * 11 + [3] * 4 * 10 + [6] * 4 + [2] * 4
+        kept = [i for i, (k, c) in enumerate(at) if not (c < 25 and k >= 5)]
+        assert np.abs(runs[0][kept] - runs[3]).max() < 1e-13
+
+    @pytest.mark.parametrize("case", ["segment-starts", "grid-points", "last-cell", "single-t0",
+                                      "wide-segment"])
+    def test_records_match_grid_chain(self, case, rng):
+        # period 1 and dt = 1/64: 64 cells, segments of 8, exact offsets
+        H0, H1 = (_random_hermitian(HilbertSpace(2), rng).mat for _ in range(2))
+        drive = _PeriodicDrive(H0, H1)
+        times = {
+            # one record at the start of each segment, one segment a period
+            "segment-starts": [q + q / 8 for q in range(8)],
+            # on grid points, so no partial step
+            "grid-points": [0.0, 3 / 64, 1 + 17 / 64, 2 + 40 / 64, 2 + 41 / 64],
+            "last-cell": [0.0, 0.99, 1.999, 3 - 2 ** -10],
+            "single-t0": [0.3],
+            # nine periods in segment 0, more than D = 6
+            "wide-segment": [k + (k + 0.37) / 64 for k in range(9)],
+        }[case]
+        psi = QuantumState(HilbertSpace(2), np.array([0.6, 0.8j, 0, 0, 0, 0]))
+        traj = evolve_unitary_td(drive, psi, times, keep_states=True)
+        assert np.abs(traj.states - _grid_chain(drive, psi.data, np.array(times))).max() < 1e-12
+
+    def test_drift_in_partial_step_raises(self, space):
+        # only the records' partial steps, one time per column, see the
+        # anti-hermitian 1e-2j I: a step of 1e-3 gains 1e-5 of norm
+        class Leaky(_ConstantDrive):
+            def apply(self, t, X, out):
+                np.matmul(self.H, X, out=out)
+                if np.ndim(t):
+                    out += 1e-2j * X
+                return out
+
+        drive = Leaky(_build(space, "JC", g=1.0).mat, dt_max=2e-3)
+        psi = fock_state(space, 3, "down")
+        assert evolve_unitary_td(drive, psi, [0.0, 0.5]).meta["norm_drift"] < 1e-6
+        with pytest.raises(StepTooLarge, match=r"accumulated norm drift .* \(dt=1\.000e-03\)"):
+            evolve_unitary_td(drive, psi, [0.0, 0.501])
+
+    def test_fig6_step_counts(self):
+        # fig6's drive at D = 82 (201 cells a period, 238 periods a cycle):
+        # 2,401 records over one cycle take pass 1, fewer steps than it in
+        # pass 2, and their partial steps 82 records at a time; validate's
+        # one-cycle cross-check takes at most 380
+        spec = _fig6_nqrm().two_tone()
+        gen = TwoToneGenerator(spec, HilbertSpace(40))
+        n_grid = math.ceil(gen.period / gen.dt_max)
+        cycle = 2 * math.pi / spec.g
+        dense = evolve_unitary_td(gen, coherent_state(gen.space, 1.0, "down"),
+                                  np.linspace(0.0, cycle, 2401))
+        assert dense.meta["n_steps"] <= 2 * n_grid + math.ceil(2401 / 82)
+        check = evolve_unitary_td(gen, fock_state(gen.space, 0, "down"),
+                                  np.linspace(0.0, cycle, 61))
+        assert check.meta["n_steps"] <= 380
 
     @pytest.mark.parametrize("n", [5, 13], ids=["seed-block", "identity"])
     def test_stage_arrays_allocated_once(self, n):
-        # about 400 steps over both passes, on the seed-block route (5 seeds)
-        # or the identity route (13 seeds > D = 6), and every apply writes
-        # into one of two arrays: the block's K and the record vector steps'
+        # about 400 steps over both passes, with five records in segment 0
+        # (a block of their five seeds) or thirteen (more than D = 6: the
+        # segment's snapshot of pass 1's identity), and every apply writes
+        # into the block's K
         spec = ModelSpec(kind="TwoTone", eta=0.5, Omega=8.0, nu=80.0,
                          delta_r=0.3, delta_b=-0.1, phi_r=0.3, phi_b=-0.8)
         drive = _Widths(TwoToneGenerator(spec, HilbertSpace(2)))
         psi = QuantumState(drive.drive.space, np.array([0.6, 0.8j, 0, 0, 0, 0]))
-        traj = evolve_unitary_td(drive, psi, np.linspace(0.0, 0.48, n))
-        assert traj.meta["n_steps"] >= 100
+        period = drive.period
+        times = np.arange(n) * period * (1 + 1 / 256) + 0.3 * period / 8
+        traj = evolve_unitary_td(drive, psi, times)
+        assert traj.meta["n_steps"] >= 200
+        assert max(drive.widths[4 * 201:]) == min(n, 6)
         assert len(drive.outs) == 4 * traj.meta["n_steps"]
-        assert len({out.__array_interface__["data"][0] for out in drive.outs}) <= 2
+        assert len({out.__array_interface__["data"][0] for out in drive.outs}) == 1
 
 
 class TestEvolveLindblad:

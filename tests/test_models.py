@@ -362,6 +362,21 @@ class TestTwoTone:
             assert gen.apply(t, X, out) is out
             assert np.abs(out - gen.matrix(t) @ X).max() < 1e-12
 
+    def test_generator_apply_one_time_per_column(self, rng):
+        # column i at t[i]; the phases kept for a float time are neither used
+        # for the columns' times nor replaced by them
+        sp = HilbertSpace(15)
+        gen = TwoToneGenerator(_two_tone_spec(eta=0.578, dr=0.3, db=-0.1,
+                                              phi_r=0.7, phi_b=-1.9), sp)
+        X = rng.normal(size=(sp.dim_total, 4)) + 1j * rng.normal(size=(sp.dim_total, 4))
+        ts = np.array([0.013, 0.41, 0.013, 2.3])
+        out = np.empty_like(X)
+        gen.apply(0.41, X, out)
+        assert gen.apply(ts, X, out) is out
+        for i, t in enumerate(ts):
+            assert np.abs(out[:, i] - gen.matrix(t) @ X[:, i]).max() < 1e-12
+        assert np.abs(gen.apply(0.41, X, out) - gen.matrix(0.41) @ X).max() < 1e-12
+
     def test_frame_makes_drive_periodic(self):
         # e^{-iKt} H(t) e^{iKt} repeats with the period; K's own shift is constant
         sp = HilbertSpace(15)
