@@ -7,8 +7,9 @@ eta = 0, where f1 is exactly 1).  ModelSpec.simulated() gives the nonlinear
 QRM that a two-tone drive simulates and ModelSpec.two_tone() the drive that
 simulates a nonlinear QRM.  Evolves pure states and density matrices:
 eigh for a time-independent H; for the two-tone drive (TwoToneGenerator),
-which is periodic in a rotating frame, RK4 over one period and powers of
-that period's propagator, with no renormalization (evolve_unitary_td); and
+which is periodic in a rotating frame, sixth-order Runge-Kutta over one
+period and that period's propagator applied to the start once a period
+(successive matvecs), with no renormalization (evolve_unitary_td); and
 Lindblad RK4.  Drives dissipative Fock-state preparation, enabled by the
 zeros of the nonlinear sideband function f1, and measures the figure claims
 on a Trajectory: the population above a blockade level (population_above)

@@ -11,16 +11,19 @@ Evolution strategies:
     exact up to linear algebra);
   - time-dependent H: a drive that repeats with period T' in a rotating
     frame W(t) = e^{iKt} (the two-tone drive, TwoToneGenerator; Floquet).
-    Pass 1 steps the identity over one period with fixed-step RK4 to get
-    the one-period propagator M and snapshots of U in _SEGMENTS segments of
-    it; the state at t0 + k T' + s is e^{iKkT'} U(t0 + s) M^k psi0, so pass
-    2 steps each segment's snapshot times its seeds M^k psi0 (or the
-    snapshot alone, if they are more than D) to its records, and the
-    records' partial steps to their offsets s are block steps.  This pays
-    off when the span holds many drive periods, and pass 1 runs even if it
-    holds none.  The drive writes H(t) X into an array it is handed, so the
-    RK4 stages reuse a few arrays allocated once per call.  Nothing is
-    renormalized; the summed norm drift and every record's norm are checked;
+    Pass 1 steps the identity over one period with a fixed sixth-order
+    Runge-Kutta step (Butcher's seven stages) to get the one-period
+    propagator M and snapshots of U in _SEGMENTS segments of it; the state
+    at t0 + k T' + s is e^{iKkT'} U(t0 + s) M^k psi0, so pass 2 steps each
+    segment's lane, its snapshot times its seeds M^k psi0 (or the snapshot
+    alone, if they are more than D), to its records, with lanes packed side
+    by side into groups at most D wide that step together, one time per
+    column, and the records' partial steps to their offsets s are block
+    steps.  This pays off when the span holds many drive periods, and pass
+    1 runs even if it holds none.  The drive writes H(t) X into an array it
+    is handed, so the stages reuse eight rows allocated once per call.
+    Nothing is renormalized; the summed norm drift and every record's norm
+    are checked;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
     can reach from rho0.  The set is the closure of rho0's support under the
     exact nonzero patterns of H rho, rho H, C rho C^dag, C^dag C rho and
@@ -80,6 +83,24 @@ _BLOCK = 64
 _CHAIN = 64
 # segments of the period in evolve_unitary_td, a D x D snapshot each (< 1 MB at D = 82)
 _SEGMENTS = 8
+# Butcher's explicit 7-stage sixth-order Runge-Kutta step (J. Austral. Math. Soc. 4, 179
+# (1964)), on a stack [X, k1, ..., k6] of slopes k = -i h H(t + c h) (stage argument):
+# row i of _RK6_STAGE is stage i + 1's argument over the stack's first i + 1 rows, and
+# _RK6_ROW the row each stage's slope goes to.  Stage 7's goes to k2's, since b2 = 0 and
+# stage 7's argument is k2's last use, so _RK6_STEP, the step's weights over k1..k6,
+# holds b7 = 11/120 in k2's place.
+_RK6_C = (0.0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1.0)
+_RK6_STAGE = np.array([
+    [1, 0, 0, 0, 0, 0, 0],
+    [1, 1 / 3, 0, 0, 0, 0, 0],
+    [1, 0, 2 / 3, 0, 0, 0, 0],
+    [1, 1 / 12, 1 / 3, -1 / 12, 0, 0, 0],
+    [1, -1 / 16, 9 / 8, -3 / 16, -3 / 8, 0, 0],
+    [1, 0, 9 / 8, -3 / 8, -3 / 4, 1 / 2, 0],
+    [1, 9 / 44, -9 / 11, 63 / 44, 18 / 11, 0, -16 / 11],
+])
+_RK6_ROW = (1, 2, 3, 4, 5, 6, 2)
+_RK6_STEP = np.array([11 / 120, 11 / 120, 27 / 40, 27 / 40, -4 / 15, -4 / 15])
 # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 step, is the product of 1 + a z + b z^2
 # over these (a, b), one per conjugate root pair (np.roots at import pages in LAPACK)
 _RK4_FACTORS = ((0.08525331300540473, 0.15755219957394268),
@@ -401,8 +422,8 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     `drive` supplies apply(t, X, out), which writes H(t) @ X into `out` and
     returns it, for X of shape (D,) or (D, m), t a float or m times (column
     i at t[i]) and `out` a C-contiguous array of X's shape that does not
-    overlap X; the RK4 step bound dt_max; and a diagonal `frame` K and
-    `period` T' such that e^{-iKt} H(t) e^{iKt} + K repeats with period T'
+    overlap X; the step bound dt_max; and a diagonal `frame` K and `period`
+    T' such that e^{-iKt} H(t) e^{iKt} + K repeats with period T'
     (TwoToneGenerator; a constant H has K = 0 and any T').  With t0 =
     times[0], U(t) the propagator from t0 and M = e^{-iKT'} U(t0 + T'),
     every record time t = t0 + k T' + s with 0 <= s < T' has
@@ -410,39 +431,44 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
         psi(t) = e^{iKkT'} U(t0 + s) M^k psi0.
 
     Both passes step the grid t0 + j dt, dt = T' / ceil(T' / dt_max), with
-    classical RK4; a record's cell is the j with j dt <= s < (j+1) dt.  Pass
-    1 steps the D x D identity over one period to get M, keeping U at the
+    Butcher's explicit sixth-order Runge-Kutta step (seven applies a step,
+    _RK6_STAGE); a record's cell is the j with j dt <= s < (j+1) dt.  Pass 1
+    steps the D x D identity over one period to get M, keeping U at the
     first record's cell of each of _SEGMENTS equal segments (a snapshot).
     The seeds M^k psi0, one per period that holds a record, take one matvec
     a period: powers of M by repeated squaring would save most of them, but
     round about g times as much as g matvecs (over fig6's 20 cycles, 4,760
     periods, 1.3e-13 from long-double products of the same M; the matvecs
-    1.0e-14).  Pass 2 steps each segment's block from its snapshot's cell to
+    1.0e-14).  Pass 2 gives each segment a lane from its snapshot's cell to
     its last record's: the snapshot times the seeds of its periods, or the
     snapshot itself if they are more than D (a record then reads off as
-    X @ seed), so no block is wider than D.  Then the records past their
-    grid points take their partial steps s - j dt, D at a time, as block
-    steps with one time per column.  The steps write into four arrays
-    allocated once: the state and the next state, taken in turn, the slope
-    K and the stage argument T, as C-contiguous views at the block's width;
-    each snapshot but cell 0's (the identity) is a D x D copy.  States are
-    bit-identical to a step that allocates its stages
-    (np.multiply(K, c, out=T); T += X gives X + c*K).
+    X @ seed).  The lanes, in order, are packed side by side into groups at
+    most D wide, and each group steps its lanes together, one time per
+    column, for as many steps as its longest lane spans; a shorter lane
+    steps on past its last record unread.  A group of one lane steps at
+    float times, whose phases the drive keeps from one step's end to the
+    next's start.  Then the records past their grid points take their
+    partial steps s - j dt, D at a time, as block steps with one time and
+    one step per column.  Every step writes into eight rows allocated once
+    per call, viewed C-contiguous at the block's width: the state, six
+    slopes and the stage argument; each snapshot but cell 0's (the
+    identity) is a D x D copy.
 
-    Cost: pass 1 is ceil(T'/dt_max) D-wide steps, pass 2 fewer at most D
-    wide, plus one step per D records.  With fig6's drive (D = 82, 201 cells
-    a period, 238 periods a cycle; one BLAS thread, 2-vCPU Xeon) validate's
-    one-cycle cross-check takes 368 steps and 65-73 ms (457 and 85-101 ms
-    when pass 2 stepped every seed from t0), and 2,401 records over a cycle
-    424 steps (2,801).  Stepping the span directly takes ceil(T'/dt_max)
+    Cost: pass 1 is ceil(T'/dt_max) D-wide steps, pass 2 one step per cell
+    of each group's longest lane, plus one step per D records.  With fig6's
+    drive (D = 82, 51 cells a period, 238 periods a cycle; one BLAS thread,
+    2-vCPU Xeon) validate's one-cycle cross-check takes 58 steps and about
+    24 ms, of which pass 1 is 18, and 2,401 records over a cycle 124 steps
+    and about 74 ms.  Stepping the span directly takes ceil(T'/dt_max)
     vector steps a period, so a span of a few periods runs slower than that.
 
     Nothing is renormalized: the per-step change of the largest column norm
-    is summed, pass 1's once for every period used, and a sum > 1e-6 raises
-    StepTooLarge, as does a record whose ||psi||^2 is more than 1e-6 from 1
-    (the recorder's check, on all records in time order, so it names the
-    earliest).  psi0 must be pure (ValueError) and span len(drive.frame)
-    amplitudes (SpaceMismatch).
+    is summed, pass 1's k + 1 times for the last period k that holds a
+    record (its seed takes M k times, its snapshot once more), and a sum
+    > 1e-6 raises StepTooLarge, as does a record whose ||psi||^2 is more
+    than 1e-6 from 1 (the recorder's check, on all records in time order,
+    so it names the earliest).  psi0 must be pure (ValueError) and span
+    len(drive.frame) amplitudes (SpaceMismatch).
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary_td requires a pure initial state")
@@ -454,30 +480,36 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     s = np.maximum(times - t0 - k * period, 0.0)
     n_grid = math.ceil(period / drive.dt_max)
     dt = period / n_grid
-    grid = t0 + np.arange(n_grid + 1) * dt
     cell = np.minimum((s / dt).astype(int), n_grid - 1)
     n_steps = 0
     drift = 0.0
+    D = psi0.data.shape[0]
+    # the state, the slopes and the stage argument (_RK6_STAGE's stack and a
+    # last row) at width D, viewed at the width in use
+    block = np.empty((8, D * D), dtype=complex)
 
-    def step(X, Y, K, T, t, h, end, weight=1.0, norm=None):
-        """Y <- the RK4 step of X from t to end = t + h, with K and T (the
-        stage argument) of X's shape; returns Y's column norms, given X's as
-        `norm` when the step continues from the last one.  On the grid, `end`
-        is the next step's t, so the drive's phases kept for it are reused."""
+    def rows(width):
+        return block[:, :D * width].reshape(8, D, width)
+
+    def step(S, t, h, end, weight=1.0, norm=None):
+        """S[0] <- the RK6 step of S[0] from t to end = t + h, with S[1:7] the
+        slopes and S[7] the stage argument; h a float or one step per column.
+        Returns S[0]'s column norms, given its old ones as `norm` when the
+        step continues from the last one.  On the grid, `end` is the next
+        step's t, so the drive's phases kept for it are reused."""
         nonlocal n_steps, drift
-        drive.apply(t, X, K)
-        np.multiply(K, -1j * h / 6.0, out=Y)
-        Y += X
-        for a, b, tk in ((-0.5j * h, -1j * h / 3.0, t + h / 2),
-                         (-0.5j * h, -1j * h / 3.0, t + h / 2), (-1j * h, -1j * h / 6.0, end)):
-            np.multiply(K, a, out=T)
-            T += X
-            drive.apply(tk, T, K)
-            np.multiply(K, b, out=T)
-            Y += T
-        norm_y = _column_norms(Y)
-        grown = norm_y - (_column_norms(X) if norm is None else norm)
-        drift += weight * float(np.max(np.abs(grown)))
+        flat = S.reshape(8, -1).view(float)
+        X, T = S[0], S[7]
+        norm_x = _column_norms(X) if norm is None else norm
+        for i, (c, row) in enumerate(zip(_RK6_C, _RK6_ROW)):
+            if i:
+                np.matmul(_RK6_STAGE[i, :i + 1], flat[:i + 1], out=flat[7])
+            drive.apply(end if c == 1.0 else t + c * h, T if i else X, S[row])
+            S[row] *= -1j * h
+        np.matmul(_RK6_STEP, flat[1:7], out=flat[7])
+        X += T
+        norm_y = _column_norms(X)
+        drift += weight * float(np.max(np.abs(norm_y - norm_x)))
         n_steps += 1
         if not (drift <= 1e-6):
             raise StepTooLarge(
@@ -486,7 +518,6 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
             )
         return norm_y
 
-    D = psi0.data.shape[0]
     # one seed M^k psi0 per period k that holds a record (times, so k, are
     # sorted), and each record's seed column; each segment's and each cell's
     # records are runs of the records in order of cell (a stable sort: numpy's
@@ -499,17 +530,14 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     edges = first[np.arange(_SEGMENTS + 1) * n_grid // _SEGMENTS]
     segments = [by_cell[a:b] for a, b in zip(edges, edges[1:]) if a < b]
     starts = {int(cell[r[0]]) for r in segments} - {0}    # U at cell 0 is the identity
-    # rows for X, Y, K and T at pass 1's width D, viewed at the width in use
-    block = np.empty((4, D * D), dtype=complex)
-    X, Y, K, T = (b.reshape(D, D) for b in block)
-    X[...] = np.eye(D)
+    S = rows(D)
+    S[0] = np.eye(D)
     snaps, norm = {}, None
     for j in range(n_grid):
         if j in starts:
-            snaps[j] = X.copy()
-        norm = step(X, Y, K, T, grid[j], dt, grid[j + 1], periods[-1], norm)
-        X, Y = Y, X
-    M = np.multiply(np.exp(-1j * drive.frame * period)[:, None], X, out=X)   # X is free now
+            snaps[j] = S[0].copy()
+        norm = step(S, t0 + j * dt, dt, t0 + (j + 1) * dt, periods[-1] + 1, norm)
+    M = np.multiply(np.exp(-1j * drive.frame * period)[:, None], S[0], out=S[0])
     seeds = np.empty((D, len(periods)), dtype=complex)
     phi, done = psi0.data, 0
     for c, p in enumerate(periods):
@@ -517,36 +545,49 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
             phi = M @ phi
         seeds[:, c], done = phi, p
 
-    psi = np.empty((D, len(times)), dtype=complex)
+    # each segment's lane: its snapshot's cell, its span in cells, its seed
+    # columns and its width; the lanes, in order, packed into groups at most
+    # D wide
+    groups, width = [], D
     for recs in segments:
-        lo, hi = cell[recs[0]], cell[recs[-1]]
-        used = np.bincount(col[recs], minlength=len(periods)) > 0
-        width = np.count_nonzero(used)
-        X, Y, K, T = (b[:D * min(width, D)].reshape(D, -1) for b in block)
-        snap = snaps.pop(lo) if lo else np.eye(D)
-        if width > D:
-            X[...] = snap
-        else:
-            np.matmul(snap, seeds[:, used], out=X)
-            local = np.cumsum(used) - 1
+        lo = int(cell[recs[0]])
+        used = np.flatnonzero(np.bincount(col[recs], minlength=len(periods)))
+        lane = (lo, int(cell[recs[-1]]) - lo, used, min(len(used), D))
+        if width + lane[3] > D:
+            groups.append([])
+            width = 0
+        groups[-1].append(lane)
+        width += lane[3]
+    psi = np.empty((D, len(times)), dtype=complex)
+    for group in groups:
+        los, spans, useds, widths = zip(*group)
+        edges = np.cumsum((0,) + widths)
+        S = rows(edges[-1])
+        for lo, used, a, b in zip(los, useds, edges, edges[1:]):
+            snap = snaps.pop(lo) if lo else np.eye(D)
+            S[0][:, a:b] = snap if len(used) > D else snap @ seeds[:, used]
+        # each column's cell at the group's first step; one lane's is one float
+        base = los[0] if len(group) == 1 else np.repeat(los, widths)
         norm = None
-        for j in range(lo, hi + 1):
-            if j > lo:
-                norm = step(X, Y, K, T, grid[j - 1], dt, grid[j], norm=norm)
-                X, Y = Y, X
-            at = by_cell[first[j]:first[j + 1]]
-            psi[:, at] = X @ seeds[:, col[at]] if width > D else X[:, local[col[at]]]
+        for n in range(max(spans) + 1):
+            if n:
+                norm = step(S, t0 + (base + n - 1) * dt, dt, t0 + (base + n) * dt, norm=norm)
+            for lo, span, used, a, b in zip(los, spans, useds, edges, edges[1:]):
+                if n <= span:
+                    at = by_cell[first[lo + n]:first[lo + n + 1]]
+                    psi[:, at] = (S[0][:, a:b] @ seeds[:, col[at]] if len(used) > D
+                                  else S[0][:, a + np.searchsorted(used, col[at])])
     # the partial steps from the cells' grid points, D records at a time
     part = np.flatnonzero(s > cell * dt)
     for i in range(0, len(part), D):
         at = part[i:i + D]
-        X, Y, K, T = (b[:D * len(at)].reshape(D, -1) for b in block)
-        X[...] = psi[:, at]
-        step(X, Y, K, T, grid[cell[at]], s[at] - cell[at] * dt, t0 + s[at])
-        psi[:, at] = Y
+        S = rows(len(at))
+        S[0] = psi[:, at]
+        step(S, t0 + cell[at] * dt, s[at] - cell[at] * dt, t0 + s[at])
+        psi[:, at] = S[0]
     rec = _Recorder(psi0, times, PHONON_SUM_TOL, keep_states)
     rec.record(0, np.exp(1j * np.outer(drive.frame, k * period)) * psi)
-    return rec.trajectory({"method": "rk4_floquet", "dt_max": drive.dt_max, "period": period,
+    return rec.trajectory({"method": "rk6_floquet", "dt_max": drive.dt_max, "period": period,
                            "n_steps": n_steps, "norm_drift": drift})
 
 

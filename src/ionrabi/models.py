@@ -5,7 +5,7 @@ nonlinear quantum Rabi model.
 build_hamiltonian builds every time-independent kind.  A linear kind is its
 nonlinear form at eta = 0, where f1 is exactly 1, so JC/AntiJC/QRM take no
 eta.  The two-tone drive is time-dependent: TwoToneGenerator supplies
-apply(t, X, out), the RK4 step bound dt_max, and the rotating frame and
+apply(t, X, out), the step bound dt_max, and the rotating frame and
 period in which the drive repeats, for evolve_unitary_td.
 
 The two-tone drive simulates the nonlinear QRM of the same eta and g with
@@ -236,8 +236,9 @@ class TwoToneGenerator:
     real and imaginary parts into the caller's `out`, and a phase multiply
     by q(t) times the tone coefficient.  t is a float, or one time per
     column of X.  The scratch array (grown to the widest X) and the phases
-    of the last float t (RK4 calls t + h/2 twice in a row) are kept on the
-    instance, so one generator must not be shared between threads; the
+    of the last float t are kept on the instance (a sixth-order step calls
+    t + h/2 twice in a row, and its last stage's t is the next step's
+    first), so one generator must not be shared between threads; the
     phases of a time per column are built for that call alone.  matrix(t)
     builds the dense H(t) on its own, as a reference.
 
@@ -268,10 +269,11 @@ class TwoToneGenerator:
         self._full_b = spec.delta_b + spec.nu
         self.frame = np.concatenate([spec.nu * self.nb, spec.nu * self.nb - self._full_r])
         self.period = 2.0 * math.pi / abs(self._full_b - self._full_r)
-        # RK4 step bound: 400 steps per trap period keep validate's one-cycle
-        # fig6 max_deviation within 1e-10 of perfbench/refs/twotone.json, made
-        # by stepping the whole span at 200; 200 here miss it by 3.1e-10.
-        self.dt_max = 2.0 * math.pi / (400.0 * spec.nu)
+        # step bound of evolve_unitary_td's sixth-order step: 100 steps per
+        # trap period keep validate's one-cycle fig6 max_deviation within
+        # 1e-11 of perfbench/refs/twotone.json (3.8e-12), made by RK4 over the
+        # whole span at 200; 80 miss it by 2.0e-11.
+        self.dt_max = 2.0 * math.pi / (100.0 * spec.nu)
 
     def tone_coeff(self, t: float) -> complex:
         s = self.spec
