@@ -280,7 +280,7 @@ def _cmd_validate(args) -> int:
             "valid": rwa_ok,
         }
         print(f"rwa cross-check over {args.t_cycles} cycles: max deviation "
-              f"{rep.max_deviation:.4f} (tolerance {args.tolerance}) -> {crosscheck_state}; "
+              f"{rep.max_deviation:.3e} (tolerance {args.tolerance}) -> {crosscheck_state}; "
               f"top-level population {rep.top_population:.3e} at n_max {n_max}")
 
     write_json(os.path.join(output_dir(args.out, scenario.name), "validation.json"), report)

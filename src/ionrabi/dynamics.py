@@ -20,10 +20,11 @@ Evolution strategies:
     by side into groups at most D wide that step together, one time per
     column, and the records' partial steps to their offsets s are block
     steps.  This pays off when the span holds many drive periods, and pass
-    1 runs even if it holds none.  The drive writes H(t) X into an array it
+    1 runs even if it holds none.  The drive builds H(t)'s phases, once for
+    each distinct stage time of a step, and writes H(t) X into an array it
     is handed, so the stages reuse eight rows allocated once per call.
     Nothing is renormalized; the summed norm drift and every record's norm
-    are checked;
+    are checked on one scale, ||psi||^2;
   - Lindblad: fixed-step classical RK4 on the elements of rho the generator
     can reach from rho0.  The set is the closure of rho0's support under the
     exact nonzero patterns of H rho, rho H, C rho C^dag, C^dag C rho and
@@ -419,10 +420,11 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times,
 def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = False) -> Trajectory:
     """psi(t) for i d psi/dt = H(t) psi, with H(t) periodic in a rotating frame.
 
-    `drive` supplies apply(t, X, out), which writes H(t) @ X into `out` and
-    returns it, for X of shape (D,) or (D, m), t a float or m times (column
-    i at t[i]) and `out` a C-contiguous array of X's shape that does not
-    overlap X; the step bound dt_max; and a diagonal `frame` K and `period`
+    `drive` supplies phases(t), what apply needs of H(t) for t a float or
+    m times (column i at t[i]); apply(phases(t), X, out), which writes
+    H(t) @ X into `out` and returns it, for X of shape (D,) or (D, m) and
+    `out` a C-contiguous array of X's shape that does not overlap X; the
+    step bound dt_max; and a diagonal `frame` K and `period`
     T' such that e^{-iKt} H(t) e^{iKt} + K repeats with period T'
     (TwoToneGenerator; a constant H has K = 0 and any T').  With t0 =
     times[0], U(t) the propagator from t0 and M = e^{-iKT'} U(t0 + T'),
@@ -432,7 +434,10 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
 
     Both passes step the grid t0 + j dt, dt = T' / ceil(T' / dt_max), with
     Butcher's explicit sixth-order Runge-Kutta step (seven applies a step,
-    _RK6_STAGE); a record's cell is the j with j dt <= s < (j+1) dt.  Pass 1
+    _RK6_STAGE), which takes the drive's phases once for each of its five
+    distinct stage times t + c h, c in _RK6_C, and a step that continues
+    the grid takes its c = 0 phases from the c = 1 of the step before (four
+    builds); a record's cell is the j with j dt <= s < (j+1) dt.  Pass 1
     steps the D x D identity over one period to get M, keeping U at the
     first record's cell of each of _SEGMENTS equal segments (a snapshot).
     The seeds M^k psi0, one per period that holds a record, take one matvec
@@ -446,8 +451,7 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     most D wide, and each group steps its lanes together, one time per
     column, for as many steps as its longest lane spans; a shorter lane
     steps on past its last record unread.  A group of one lane steps at
-    float times, whose phases the drive keeps from one step's end to the
-    next's start.  Then the records past their grid points take their
+    float times.  Then the records past their grid points take their
     partial steps s - j dt, D at a time, as block steps with one time and
     one step per column.  Every step writes into eight rows allocated once
     per call, viewed C-contiguous at the block's width: the state, six
@@ -456,19 +460,22 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
 
     Cost: pass 1 is ceil(T'/dt_max) D-wide steps, pass 2 one step per cell
     of each group's longest lane, plus one step per D records.  With fig6's
-    drive (D = 82, 51 cells a period, 238 periods a cycle; one BLAS thread,
-    2-vCPU Xeon) validate's one-cycle cross-check takes 58 steps and about
-    24 ms, of which pass 1 is 18, and 2,401 records over a cycle 124 steps
-    and about 74 ms.  Stepping the span directly takes ceil(T'/dt_max)
-    vector steps a period, so a span of a few periods runs slower than that.
+    drive (D = 82, 51 cells a period, 238 periods a cycle) validate's
+    one-cycle cross-check takes 58 steps and 235 phase builds: pass 1's 51
+    steps 205 at float times, one group's six steps and one partial step 30
+    at a time per column.  2,401 records over a cycle take 124 steps and
+    535 builds (150 per column).  Stepping the span directly takes
+    ceil(T'/dt_max) vector steps a period, so a span of a few periods takes
+    more steps than that.
 
     Nothing is renormalized: the per-step change of the largest column norm
     is summed, pass 1's k + 1 times for the last period k that holds a
-    record (its seed takes M k times, its snapshot once more), and a sum
-    > 1e-6 raises StepTooLarge, as does a record whose ||psi||^2 is more
-    than 1e-6 from 1 (the recorder's check, on all records in time order,
-    so it names the earliest).  psi0 must be pure (ValueError) and span
-    len(drive.frame) amplitudes (SpaceMismatch).
+    record (its seed takes M k times, its snapshot once more); a sum drift
+    whose bound on ||psi||^2 - 1, drift (2 + drift), passes 1e-6 raises
+    StepTooLarge, as does a record whose ||psi||^2 is more than 1e-6 from 1
+    (the recorder's check, on all records in time order, so it names the
+    earliest).  psi0 must be pure (ValueError) and span len(drive.frame)
+    amplitudes (SpaceMismatch).
     """
     if not psi0.is_pure:
         raise ValueError("evolve_unitary_td requires a pure initial state")
@@ -491,32 +498,35 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     def rows(width):
         return block[:, :D * width].reshape(8, D, width)
 
-    def step(S, t, h, end, weight=1.0, norm=None):
-        """S[0] <- the RK6 step of S[0] from t to end = t + h, with S[1:7] the
-        slopes and S[7] the stage argument; h a float or one step per column.
-        Returns S[0]'s column norms, given its old ones as `norm` when the
-        step continues from the last one.  On the grid, `end` is the next
-        step's t, so the drive's phases kept for it are reused."""
+    def step(S, t, h, weight=1.0, carry=None):
+        """S[0] <- the RK6 step of S[0] from t to t + h, with S[1:7] the slopes
+        and S[7] the stage argument; h a float or one step per column.  Each
+        distinct stage time's phases are built once.  Returns S[0]'s column
+        norms and the phases at t + h, which the next grid step, continuing
+        from this one, takes as `carry` for its norms and its phases at t."""
         nonlocal n_steps, drift
         flat = S.reshape(8, -1).view(float)
         X, T = S[0], S[7]
-        norm_x = _column_norms(X) if norm is None else norm
+        norm_x, ph = (_column_norms(X), {}) if carry is None else (carry[0], {0.0: carry[1]})
         for i, (c, row) in enumerate(zip(_RK6_C, _RK6_ROW)):
             if i:
                 np.matmul(_RK6_STAGE[i, :i + 1], flat[:i + 1], out=flat[7])
-            drive.apply(end if c == 1.0 else t + c * h, T if i else X, S[row])
+            if c not in ph:
+                ph[c] = drive.phases(t + c * h)
+            drive.apply(ph[c], T if i else X, S[row])
             S[row] *= -1j * h
         np.matmul(_RK6_STEP, flat[1:7], out=flat[7])
         X += T
         norm_y = _column_norms(X)
         drift += weight * float(np.max(np.abs(norm_y - norm_x)))
         n_steps += 1
-        if not (drift <= 1e-6):
+        bound = drift * (2 + drift)    # on ||psi||^2 - 1, the recorder's scale
+        if not (bound <= PHONON_SUM_TOL):
             raise StepTooLarge(
-                f"accumulated norm drift {drift:.3e} > 1e-6 at t={np.max(end)} "
-                f"(dt={np.max(h):.3e}); reduce dt_max"
+                f"accumulated norm drift {drift:.3e} bounds ||psi||^2 - 1 by {bound:.3e} "
+                f"> {PHONON_SUM_TOL:g} at t={np.max(t + h)} (dt={np.max(h):.3e}); reduce dt_max"
             )
-        return norm_y
+        return norm_y, ph[1.0]
 
     # one seed M^k psi0 per period k that holds a record (times, so k, are
     # sorted), and each record's seed column; each segment's and each cell's
@@ -532,11 +542,11 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
     starts = {int(cell[r[0]]) for r in segments} - {0}    # U at cell 0 is the identity
     S = rows(D)
     S[0] = np.eye(D)
-    snaps, norm = {}, None
+    snaps, carry = {}, None
     for j in range(n_grid):
         if j in starts:
             snaps[j] = S[0].copy()
-        norm = step(S, t0 + j * dt, dt, t0 + (j + 1) * dt, periods[-1] + 1, norm)
+        carry = step(S, t0 + j * dt, dt, periods[-1] + 1, carry)
     M = np.multiply(np.exp(-1j * drive.frame * period)[:, None], S[0], out=S[0])
     seeds = np.empty((D, len(periods)), dtype=complex)
     phi, done = psi0.data, 0
@@ -568,10 +578,10 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
             S[0][:, a:b] = snap if len(used) > D else snap @ seeds[:, used]
         # each column's cell at the group's first step; one lane's is one float
         base = los[0] if len(group) == 1 else np.repeat(los, widths)
-        norm = None
+        carry = None
         for n in range(max(spans) + 1):
             if n:
-                norm = step(S, t0 + (base + n - 1) * dt, dt, t0 + (base + n) * dt, norm=norm)
+                carry = step(S, t0 + (base + n - 1) * dt, dt, carry=carry)
             for lo, span, used, a, b in zip(los, spans, useds, edges, edges[1:]):
                 if n <= span:
                     at = by_cell[first[lo + n]:first[lo + n + 1]]
@@ -583,7 +593,7 @@ def evolve_unitary_td(drive, psi0: QuantumState, times, keep_states: bool = Fals
         at = part[i:i + D]
         S = rows(len(at))
         S[0] = psi[:, at]
-        step(S, t0 + cell[at] * dt, s[at] - cell[at] * dt, t0 + s[at])
+        step(S, t0 + cell[at] * dt, s[at] - cell[at] * dt)
         psi[:, at] = S[0]
     rec = _Recorder(psi0, times, PHONON_SUM_TOL, keep_states)
     rec.record(0, np.exp(1j * np.outer(drive.frame, k * period)) * psi)

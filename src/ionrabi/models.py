@@ -5,8 +5,8 @@ nonlinear quantum Rabi model.
 build_hamiltonian builds every time-independent kind.  A linear kind is its
 nonlinear form at eta = 0, where f1 is exactly 1, so JC/AntiJC/QRM take no
 eta.  The two-tone drive is time-dependent: TwoToneGenerator supplies
-apply(t, X, out), the step bound dt_max, and the rotating frame and
-period in which the drive repeats, for evolve_unitary_td.
+phases(t) and apply(phases, X, out), the step bound dt_max, and the
+rotating frame and period in which the drive repeats, for evolve_unitary_td.
 
 The two-tone drive simulates the nonlinear QRM of the same eta and g with
 omega0_R = -(delta_r + delta_b)/2 and omega_R = (delta_r - delta_b)/2;
@@ -230,17 +230,16 @@ class TwoToneGenerator:
     The displacement argument i eta e^{i nu t} has constant modulus, so
     D(t) = P(t) D(i eta) P(t)^dag with P(t) = diag(e^{i nu n t}).  Every
     element <m|D(i eta)|n> is i^(m-n) times a real number, so
-    D(i eta) = S R S^dag with S = diag(i^n) and R real: apply(t, X, out)
-    takes each half of H(t) @ X as a phase multiply by q(t)^* = (P(t) S)^*
-    into one scratch array, one real matmul with R or R^T on the interleaved
-    real and imaginary parts into the caller's `out`, and a phase multiply
-    by q(t) times the tone coefficient.  t is a float, or one time per
-    column of X.  The scratch array (grown to the widest X) and the phases
-    of the last float t are kept on the instance (a sixth-order step calls
-    t + h/2 twice in a row, and its last stage's t is the next step's
-    first), so one generator must not be shared between threads; the
-    phases of a time per column are built for that call alone.  matrix(t)
-    builds the dense H(t) on its own, as a reference.
+    D(i eta) = S R S^dag with S = diag(i^n) and R real: phases(t) builds
+    q(t)^* = (P(t) S)^* and q(t) times the tone coefficients, for a float t
+    or one time per column of X, and apply(phases(t), X, out) takes each
+    half of H(t) @ X as a phase multiply by q(t)^* into one scratch array,
+    one real matmul with R or R^T on the interleaved real and imaginary
+    parts into the caller's `out`, and a phase multiply by q(t) times the
+    tone coefficient or its conjugate.  The scratch array, grown to the
+    widest X, is kept on the instance, so one generator must not be shared
+    between threads.  matrix(t) builds the dense H(t) on its own, as a
+    reference.
 
     The drive is periodic in a rotating frame.  With W(t) = diag(e^{i K t}),
     K = nu n on the qubit-down block and nu n - (delta_r - nu) on the
@@ -259,11 +258,7 @@ class TwoToneGenerator:
         # S = diag(i^n), exact: S^dag D(i eta) S has imaginary part 0
         self.s = np.array([1, 1j, -1, -1j])[self.nb % 4]
         self.r = (self.s.conj()[:, None] * self.d0 * self.s[None, :]).real.copy()
-        # _phases' arrays, and apply's scratch for one half of X, grown to the widest call
-        self._t = None
-        self._q = np.empty((space.dim_boson, 1), dtype=complex)
-        self._pre = np.empty((space.dim_boson, 1), dtype=complex)
-        self._post = np.empty((2, space.dim_boson, 1), dtype=complex)
+        # apply's scratch for one half of X, grown to the widest call
         self._z = np.empty(0, dtype=complex)
         self._full_r = spec.delta_r - spec.nu
         self._full_b = spec.delta_b + spec.nu
@@ -291,30 +286,21 @@ class TwoToneGenerator:
         H[:d, d:] = block.conj().T
         return H
 
-    def _phases(self, t):
-        """(q(t)^*, [conj(c) q(t), c q(t)]), c = tone_coeff(t), as (d, 1) columns
-        kept on the instance for a float t, or as new (d, m) arrays for m times."""
-        if np.ndim(t):
-            shape = (len(self.nb), len(t))
-            q, pre, post = (np.empty(k + shape, dtype=complex) for k in ((), (), (2,)))
-        elif t != self._t:
-            q, pre, post, self._t = self._q, self._pre, self._post, t
-        else:
-            return self._pre, self._post
-        np.multiply(1j * self.spec.nu * t, self.nb[:, None], out=q)
-        np.multiply(np.exp(q, out=q), self.s[:, None], out=q)
+    def phases(self, t):
+        """H(t)'s phases for apply: (q(t)^*, [conj(c) q(t), c q(t)]), c =
+        tone_coeff(t), as (d, 1) columns for a float t or (d, m) arrays for m times."""
+        q = np.exp(self.nb[:, None] * (1j * self.spec.nu * t))
+        q *= self.s[:, None]
         c = self.tone_coeff(t)
-        np.conjugate(q, out=pre)
-        np.multiply(np.conj(c), q, out=post[0])
-        np.multiply(c, q, out=post[1])
-        return pre, post
+        return q.conj(), np.array([np.conj(c) * q, c * q])
 
-    def apply(self, t, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write H(t) @ X into `out` and return it, without materializing H: X of
-        shape (dim,) or (dim, m), `out` C-contiguous of X's shape and apart from X,
-        and t a float or, for X of shape (dim, m), m times, H(t[i]) acting on X[:, i]."""
+    def apply(self, ph, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write H(t) @ X into `out` and return it, without materializing H: ph =
+        phases(t), X of shape (dim,) or (dim, m), `out` C-contiguous of X's shape
+        and apart from X, and t a float or, for X of shape (dim, m), m times,
+        H(t[i]) acting on X[:, i]."""
         d = self.space.dim_boson
-        pre, post = self._phases(t)
+        pre, post = ph
         halves = X.reshape(2, d, -1)    # [down block, up block]
         m = halves.shape[2]
         if self._z.size < d * m:

@@ -372,9 +372,11 @@ def test_unconverged_truncation_exits_4(tmp_path):
 
 
 def test_validate_exit_codes(tmp_path, capsys):
-    # over 0.1 cycles fig6's drive deviates by 7e-4 from its nonlinear QRM
+    # over 0.1 cycles fig6's drive deviates by 6.5e-4 from its nonlinear QRM,
+    # printed to four significant figures
     assert exit_code(["validate", "--scenario", str(SCENARIOS / "fig6.scenario"),
                       "--t-cycles", "0.1", "--tolerance", "1e-9", "--out", str(tmp_path)]) == 3
+    assert "max deviation 6.506e-04 (tolerance 1e-09) -> fail" in capsys.readouterr().out
     # fig5's displaced state needs more than 20 levels (the rerun moves by 8.2),
     # and its linear QRM has no two-tone drive to cross-check
     doc = yaml.safe_load((SCENARIOS / "fig5.scenario").read_text())

@@ -481,7 +481,8 @@ class TestSectors:
 class _ConstantDrive:
     """H(t) = H.  With frame K = 0 every period is valid; 1.3 divides no
     record spacing used here, so both the seeds M^k and pass 2's segments are
-    exercised.  apply ignores t, a float or one time per column."""
+    exercised.  Its phases are t itself, a float or one time per column, and
+    apply ignores them."""
 
     def __init__(self, H, dt_max, period=1.3):
         self.H = H
@@ -489,8 +490,26 @@ class _ConstantDrive:
         self.period = period
         self.frame = np.zeros(H.shape[0])
 
-    def apply(self, t, X, out):
+    def phases(self, t):
+        return t
+
+    def apply(self, ph, X, out):
         return np.matmul(self.H, X, out=out)
+
+
+class _PassOneLeak(_ConstantDrive):
+    """_ConstantDrive at dt_max 0.02 plus the anti-hermitian i leak X on
+    D-wide applies only, pass 1's."""
+
+    def __init__(self, H, leak):
+        super().__init__(H, dt_max=0.02)
+        self.leak = leak
+
+    def apply(self, ph, X, out):
+        np.matmul(self.H, X, out=out)
+        if X.shape == self.H.shape:
+            out += 1j * self.leak * X
+        return out
 
 
 class _PeriodicDrive:
@@ -506,9 +525,12 @@ class _PeriodicDrive:
     def matrix(self, t):
         return self.H0 + math.cos(2 * math.pi * t / self.period) * self.H1
 
-    def apply(self, t, X, out):
+    def phases(self, t):
+        return np.cos(2 * math.pi * np.asarray(t) / self.period)
+
+    def apply(self, ph, X, out):
         np.matmul(self.H0, X, out=out)
-        out += np.cos(2 * math.pi * np.asarray(t) / self.period) * (self.H1 @ X)
+        out += ph * (self.H1 @ X)
         return out
 
 
@@ -583,9 +605,9 @@ def _fig6_max_deviation(monkeypatch, steps_per_trap_period):
 
 class _Widths:
     """Wraps a drive and keeps every `out` handed to apply, whose widths are
-    the blocks' (1 for a vector), and every t: a kept array cannot be freed,
-    so its memory is not handed out again, and distinct data pointers are
-    distinct arrays or rows."""
+    the blocks' (1 for a vector), and every t handed to phases: a kept array
+    cannot be freed, so its memory is not handed out again, and distinct data
+    pointers are distinct arrays or rows."""
 
     def __init__(self, drive):
         self.drive = drive
@@ -596,10 +618,13 @@ class _Widths:
     def widths(self):
         return [out.shape[1] if out.ndim == 2 else 1 for out in self.outs]
 
-    def apply(self, t, X, out):
-        self.outs.append(out)
+    def phases(self, t):
         self.times.append(t)
-        return self.drive.apply(t, X, out)
+        return self.drive.phases(t)
+
+    def apply(self, ph, X, out):
+        self.outs.append(out)
+        return self.drive.apply(ph, X, out)
 
 
 class TestEvolveUnitaryTd:
@@ -631,7 +656,10 @@ class TestEvolveUnitaryTd:
             period = 1.3
             frame = np.zeros(space.dim_total)
 
-            def apply(self, t, X, out):
+            def phases(self, t):
+                return t
+
+            def apply(self, ph, X, out):
                 out[...] = X
                 return out
 
@@ -639,13 +667,14 @@ class TestEvolveUnitaryTd:
             evolve_unitary_td(NoStep(), fock_state(space, 0), np.linspace(0, 1, 3))
 
     def test_names_earliest_bad_record(self):
-        # a slow norm gain from the anti-hermitian 1.5e-7j I first passes the
-        # 1e-6 bound at t = 0.5; the record at 3.9 sits nearest its period's
-        # start, so a check in pass 2's sweep order would name it first
+        # a slow norm gain from the anti-hermitian 0.5e-7j I first passes the
+        # 1e-6 bound at t = 0.5, while the summed drift bounds ||psi||^2 by
+        # about 5.2e-7; the record at 3.9 sits nearest its period's start, so
+        # a check in pass 2's sweep order would name it first
         sp = HilbertSpace(4)
-        H = _build(sp, "JC", g=1.0).mat + 1.5e-7j * np.eye(sp.dim_total)
+        H = _build(sp, "JC", g=1.0).mat + 0.5e-7j * np.eye(sp.dim_total)
         psi = fock_state(sp, 2, "down")
-        psi.data *= math.sqrt(1 + 0.9e-6)   # past the constructor's norm check
+        psi.data *= math.sqrt(1 + 0.97e-6)   # past the constructor's norm check
         with pytest.raises(StepTooLarge, match=r"at t=0\.5$"):
             evolve_unitary_td(_ConstantDrive(H, dt_max=2e-3), psi, [0.0, 0.5, 1.0, 2.0, 3.9])
 
@@ -665,19 +694,21 @@ class TestEvolveUnitaryTd:
         # record's norm grows by about 1e-7 t: k periods through its seed and
         # one partial period through its snapshot.  Pass 1's drift, about
         # 1.3e-7 a period, counts k + 1 times (at 1.2, k = 0)
-        class Leaky(_ConstantDrive):
-            def apply(self, t, X, out):
-                np.matmul(self.H, X, out=out)
-                if X.shape == self.H.shape:
-                    out += 1e-7j * X
-                return out
-
         sp = HilbertSpace(3)
-        drive = Leaky(_build(sp, "JC", g=1.0).mat, dt_max=0.02)
+        drive = _PassOneLeak(_build(sp, "JC", g=1.0).mat, 1e-7)
         traj = evolve_unitary_td(drive, fock_state(sp, 3, "down"), [0.0, t], keep_states=True)
         grown = np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max()
         assert grown > 0.9e-7 * t
         assert traj.meta["norm_drift"] >= grown
+
+    def test_drift_guard_on_norm_squared(self):
+        # twice the leak grows the record at t = 2.5 by about 5e-7 in ||psi||,
+        # 1e-6 in ||psi||^2: the summed drift, stated on ||psi||^2 as the
+        # recorder's check is, raises first
+        sp = HilbertSpace(3)
+        drive = _PassOneLeak(_build(sp, "JC", g=1.0).mat, 2e-7)
+        with pytest.raises(StepTooLarge, match="accumulated norm drift"):
+            evolve_unitary_td(drive, fock_state(sp, 3, "down"), [0.0, 2.5])
 
     def test_sixth_order(self):
         # halving the step cuts the one-period propagator's error 2^6 = 64
@@ -778,11 +809,27 @@ class TestEvolveUnitaryTd:
         groups = [(4, 7, 1), (6, 2, 1), (5, 6, 2), (2, 1, 1)]
         pass2 = [(w, lanes) for w, span, lanes in groups for _ in range(7 * span)]
         assert drive.widths[7 * 64:] == [w for w, _ in pass2] + [6] * 14 + [4] * 7
-        # a group of one lane steps at float times, whose phases a drive can
-        # keep; a group of two at one time per column, and so do partial steps
-        for (w, lanes), t in zip(pass2, drive.times[7 * 64:]):
-            assert np.ndim(t) == (lanes > 1)
-        assert all(np.ndim(t) == 1 for t in drive.times[7 * 64 + len(pass2):])
+        # a group of one lane takes phases at float times, a group of two at
+        # one time per column, and so do partial steps: five builds a step,
+        # four on a step that continues the grid
+        builds = [lanes for _, span, lanes in groups for _ in range(5 + 4 * (span - 1))]
+        times = drive.times[5 + 4 * 63:]
+        assert [np.ndim(t) for t in times] == [lanes > 1 for lanes in builds] + [1] * 5 * 3
+
+    def test_phases_once_per_stage_time(self, rng):
+        # period 1, dt = 1/64 and one record in cell 2 past its grid point:
+        # pass 1's 64 steps, pass 2's two and the partial step.  A step takes
+        # phases at its five distinct stage times t + c h (c = 0, 1/3, 2/3,
+        # 1/2, 1), and a step continuing the grid takes its c = 0 phases
+        # from the step before
+        H0, H1 = (_random_hermitian(HilbertSpace(2), rng).mat for _ in range(2))
+        drive = _Widths(_PeriodicDrive(H0, H1))
+        psi = QuantumState(HilbertSpace(2), np.array([0.6, 0.8j, 0, 0, 0, 0]))
+        traj = evolve_unitary_td(drive, psi, [0.0, 2.5 / 64])
+        assert traj.meta["n_steps"] == 64 + 2 + 1
+        assert len(drive.times) == 5 * 3 + 4 * (64 - 1 + 2 - 1)
+        want = [0.0] + [(j + c) / 64 for j in range(64) for c in (1 / 3, 2 / 3, 1 / 2, 1)]
+        assert np.abs(np.array(drive.times[:5 + 4 * 63]) - want).max() < 1e-15
 
     @pytest.mark.parametrize("case", ["segment-starts", "grid-points", "last-cell", "single-t0",
                                       "wide-segment"])
@@ -808,9 +855,9 @@ class TestEvolveUnitaryTd:
         # only the records' partial steps, one time per column, see the
         # anti-hermitian 1e-2j I: a step of 1e-3 gains 1e-5 of norm
         class Leaky(_ConstantDrive):
-            def apply(self, t, X, out):
+            def apply(self, ph, X, out):
                 np.matmul(self.H, X, out=out)
-                if np.ndim(t):
+                if np.ndim(ph):
                     out += 1e-2j * X
                 return out
 

@@ -329,14 +329,16 @@ class TestTwoTone:
         psi = rng.normal(size=sp.dim_total) + 1j * rng.normal(size=sp.dim_total)
         psi /= np.linalg.norm(psi)
         for t in (0.0, 0.41, 2.3):
-            assert np.abs(gen.apply(t, psi, np.empty_like(psi)) - gen.matrix(t) @ psi).max() < 1e-12
+            got = gen.apply(gen.phases(t), psi, np.empty_like(psi))
+            assert np.abs(got - gen.matrix(t) @ psi).max() < 1e-12
 
     def test_generator_apply_block(self, rng):
         sp = HilbertSpace(15)
         gen = TwoToneGenerator(_two_tone_spec(), sp)
         X = rng.normal(size=(sp.dim_total, 3)) + 1j * rng.normal(size=(sp.dim_total, 3))
         for t in (0.0, 0.41):
-            assert np.abs(gen.apply(t, X, np.empty_like(X)) - gen.matrix(t) @ X).max() < 1e-12
+            got = gen.apply(gen.phases(t), X, np.empty_like(X))
+            assert np.abs(got - gen.matrix(t) @ X).max() < 1e-12
 
     @pytest.mark.parametrize("n_max", [2, 15, 40, 60])
     @pytest.mark.parametrize("eta", [0.1, 0.45, 0.578, 1.2])
@@ -348,9 +350,8 @@ class TestTwoTone:
 
     @pytest.mark.parametrize("shape", ["vector", "block", "column-slice", "column"])
     def test_generator_apply_across_times(self, rng, shape):
-        # t1, t1, t2, t1: the phases kept from the last time are reused only
-        # for that time, and one `out` takes every result.  X may be strided:
-        # a leading column slice of a block, or one column of it.
+        # one `out` takes every result.  X may be strided: a leading column
+        # slice of a block, or one column of it.
         sp = HilbertSpace(40)
         gen = TwoToneGenerator(_two_tone_spec(eta=0.578, dr=0.3, db=-0.1,
                                               phi_r=0.7, phi_b=-1.9), sp)
@@ -358,24 +359,21 @@ class TestTwoTone:
         X = {"vector": big[:, 0].copy(), "block": big, "column-slice": big[:, :4],
              "column": big[:, 3]}[shape]
         out = np.empty(X.shape, dtype=complex)
-        for t in (0.013, 0.013, 0.41, 0.013):
-            assert gen.apply(t, X, out) is out
+        for t in (0.013, 0.41):
+            assert gen.apply(gen.phases(t), X, out) is out
             assert np.abs(out - gen.matrix(t) @ X).max() < 1e-12
 
     def test_generator_apply_one_time_per_column(self, rng):
-        # column i at t[i]; the phases kept for a float time are neither used
-        # for the columns' times nor replaced by them
+        # column i at t[i]
         sp = HilbertSpace(15)
         gen = TwoToneGenerator(_two_tone_spec(eta=0.578, dr=0.3, db=-0.1,
                                               phi_r=0.7, phi_b=-1.9), sp)
         X = rng.normal(size=(sp.dim_total, 4)) + 1j * rng.normal(size=(sp.dim_total, 4))
         ts = np.array([0.013, 0.41, 0.013, 2.3])
         out = np.empty_like(X)
-        gen.apply(0.41, X, out)
-        assert gen.apply(ts, X, out) is out
+        assert gen.apply(gen.phases(ts), X, out) is out
         for i, t in enumerate(ts):
             assert np.abs(out[:, i] - gen.matrix(t) @ X[:, i]).max() < 1e-12
-        assert np.abs(gen.apply(0.41, X, out) - gen.matrix(0.41) @ X).max() < 1e-12
 
     def test_frame_makes_drive_periodic(self):
         # e^{-iKt} H(t) e^{iKt} repeats with the period; K's own shift is constant
