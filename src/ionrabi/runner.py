@@ -4,6 +4,10 @@ Determinism contract: fixed steps, no RNG.  A rerun reproduces the
 committed goldens within 1e-12, and fig3's, whose 41,400 RK4 steps build up
 rounding drift, within 1e-10; not byte for byte: values are written with
 18 significant digits (%.17e), and the last of them can differ between runs.
+The text of a value is byte for byte that of '%.17e' % value: the CSV
+writer builds it for a chunk of rows at a time with the array kernel
+_e17.format_e17, which formats non-finite values and values within its
+error bound of a rounding tie with '%' itself.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _e17
 from .dynamics import (
     Trajectory,
     coherent_required_n_max,
@@ -51,11 +55,12 @@ OUTDIR_ENV = "IONRABI_OUTDIR"
 CONVERGENCE_BUMP = 20
 CONVERGENCE_TOL = 1e-6
 BARRIER_SCAN = 200  # the highest level _barrier_index scans for a sign change of f1
-_FMT = "%.17e"
 # values per chunk in _write_csv (whole rows, at least one): each chunk is one
-# np.column_stack and one % of row_fmt repeated over its rows; 5 rows of a
-# 201 x 400 landscape, 1,024 of a 2-column trajectory
-_CSV_VALUES = 2048
+# _e17.csv_rows, its memory bounded; 4,096 wrote the 201 x 400 landscape fastest
+# (9 ms in process, best of 15, one core of a shared 2-vCPU machine, against
+# 10.5 ms at 2,048 and 12.5 ms at 8,192, whose temporaries leave the cache):
+# 10 rows of it, 2,048 of a 2-column trajectory
+_CSV_VALUES = 4096
 
 
 def output_dir(explicit, name) -> str:
@@ -182,19 +187,19 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, row_fmt, columns):
+def _write_csv(path, header, columns):
     """The header, then one row per index of the (n,) and (n, m) arrays in
-    `columns`, side by side, formatted with row_fmt a chunk of rows at a
-    time; CRLF line ends, as csv.writer writes them."""
-    n = len(columns[0])
-    rows = max(1, _CSV_VALUES // sum(1 if np.ndim(col) == 1 else np.shape(col)[1]
-                                     for col in columns))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        row_fmt += "\r\n"
-        for a in range(0, n, rows):
-            block = np.column_stack([col[a:a + rows] for col in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    `columns`, side by side; CRLF line ends, as csv.writer writes them.
+    Integer columns are written with '%d', all others as float64 with
+    '%.17e', byte for byte: _e17.csv_rows builds the text of a chunk of rows at
+    a time in array arithmetic, and formats only non-finite values and
+    values within its error bound of a rounding tie with '%'."""
+    columns = [np.asarray(col) for col in columns]
+    rows = max(1, _CSV_VALUES // sum(col.shape[1] if col.ndim == 2 else 1 for col in columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for a in range(0, len(columns[0]), rows):
+            fh.write(_e17.csv_rows([col[a:a + rows] for col in columns]))
 
 
 def write_trajectory_csv(path, traj, observables):
@@ -208,7 +213,7 @@ def write_trajectory_csv(path, traj, observables):
         else:
             header.append(obs)
             columns.append(getattr(traj, obs))
-    _write_csv(path, header, ",".join([_FMT] * len(header)), columns)
+    _write_csv(path, header, columns)
 
 
 def write_metadata(path, scenario: Scenario, n_max: int, traj):
@@ -353,5 +358,4 @@ def sweep(template: Scenario, axes: list, out_dir=None) -> list:
 
 def write_landscape_csv(path, n_values, eta_values, matrix):
     """Rows n, columns eta: header 'n,<eta1>,<eta2>,...' then one row per n."""
-    _write_csv(path, ["n"] + ["%.17g" % e for e in eta_values],
-               ",".join(["%d"] + [_FMT] * len(eta_values)), [n_values, matrix])
+    _write_csv(path, ["n"] + ["%.17g" % e for e in eta_values], [n_values, matrix])

@@ -8,7 +8,8 @@ so the comparison carries a tolerance.  fig3 integrates 41,400 fixed RK4
 steps, so its rounding drift can build up: it is held to RK4_ATOL.  Taking
 each step as the two quadratic factors of the RK4 polynomial, not as four
 right-hand sides, moved its values by at most 1.23e-11 (n_mean; fidelity
-5.9e-16, sigma_z 7.2e-13).
+5.9e-16, sigma_z 7.2e-13).  The writer itself is held to bytes: each golden
+CSV, written again from its own header and values, equals its file.
 """
 import csv
 import json
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ionrabi import runner
 from ionrabi.cli import main
 from ionrabi.dynamics import Trajectory
 from ionrabi.protocols import population_above, revival_ratio
@@ -74,6 +76,20 @@ def test_fig1_landscape(tmp_path):
                  "--out", str(tmp_path)]) == 0
     name = "fig1-f1-landscape"
     assert_csv_close(tmp_path / name / "landscape.csv", GOLDEN / name / "landscape.csv")
+
+
+@pytest.mark.parametrize("csv_path", sorted(GOLDEN.glob("*/*.csv")),
+                         ids=lambda p: p.parent.name)
+def test_golden_bytes_rewritten(tmp_path, csv_path):
+    # '%.17e' text parses back to the double it was written from, so the
+    # writer, handed a golden's header and values, must give back its bytes
+    header, rows = _read_csv(csv_path)
+    values = np.array(rows)
+    columns = [values]
+    if header[0] == "n":  # the landscape: an integer n column, then f1 by eta
+        columns = [values[:, 0].astype(int), values[:, 1:]]
+    runner._write_csv(tmp_path / csv_path.name, header, columns)
+    assert (tmp_path / csv_path.name).read_bytes() == csv_path.read_bytes()
 
 
 @pytest.fixture(scope="module")

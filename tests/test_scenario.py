@@ -290,7 +290,7 @@ class TestWriteCsv:
         assert n % (runner._CSV_VALUES // (m + 1)) != 0
         header = ["c%d" % i for i in range(m + 1)]
         path = tmp_path / "table.csv"
-        runner._write_csv(path, header, row_fmt, columns)
+        runner._write_csv(path, header, columns)
         rows = np.column_stack(columns).tolist()
         want = ",".join(header) + "\r\n" + "".join((row_fmt + "\r\n") % tuple(r) for r in rows)
         assert path.read_bytes() == want.encode()
