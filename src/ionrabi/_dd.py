@@ -2,7 +2,7 @@
 
 The nonlinear coupling f1 comes from the Laguerre recurrence
 (fock.f1_diagonal), and the tests hold it to the alternating series (the
-oracle in tests/f1_oracle.py) within 1e-12 *relative* even where f1 itself is
+oracle in tests/oracles.py) within 1e-12 *relative* even where f1 itself is
 ~1e-5 near a blockade zero.  Plain double arithmetic leaves ~1e-15 absolute
 noise in both routes, which is not enough headroom, so both are carried in
 unevaluated double-double (hi, lo) pairs.  Error-free

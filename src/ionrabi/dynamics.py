@@ -63,8 +63,7 @@ from .models import ModelSpec, TwoToneGenerator, build_hamiltonian
 __all__ = [
     "QuantumState", "Trajectory", "fock_state", "coherent_state", "thermal_state",
     "coherent_required_n_max", "thermal_required_n_max", "evolve_unitary", "evolve_unitary_td",
-    "evolve_lindblad", "expectation", "overlap_fidelity", "phonon_distribution",
-    "rwa_crosscheck", "RwaReport",
+    "evolve_lindblad", "rwa_crosscheck", "RwaReport",
 ]
 
 _QUBIT_INDEX = {"down": 0, "up": 1}
@@ -295,7 +294,8 @@ class _Recorder:
             fid = _abs2(self._ref_conj @ states)
         else:
             prob = np.real(np.diag(states))[:, None]
-            fid = _trace_product(self.ref.data, states).real
+            # Tr(ref rho), the sum of ref^T * rho elementwise
+            fid = np.vdot(self.ref.data.conj().T, states).real
         pg, pe = prob[:d], prob[d:]
         pn = pg + pe
         total = pn.sum(axis=0)
@@ -325,11 +325,6 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     out = np.square(v[..., 0::2])
     out += np.square(v[..., 1::2])
     return out
-
-
-def _trace_product(A: np.ndarray, B: np.ndarray) -> complex:
-    """Tr(A B) of two D x D matrices: the sum of A^T * B, elementwise."""
-    return complex(np.vdot(A.conj().T, B))
 
 
 def _check_times(times) -> np.ndarray:
@@ -833,36 +828,6 @@ def evolve_lindblad(H: Operator, channels, rho0: QuantumState, times,
         rec.record(i, rho)
     return rec.trajectory({"method": "rk4_lindblad", "dt": dt, "n_steps": n_steps,
                            "trace_drift": rec.drift})
-
-
-# ---------------------------------------------------------------------------
-# observables
-# ---------------------------------------------------------------------------
-
-def expectation(op: Operator, state: QuantumState) -> float:
-    """<O> = Tr(O rho) for a hermitian operator; rejects a residual imaginary
-    part > 1e-10."""
-    if op.space.n_max != state.space.n_max:
-        raise SpaceMismatch("operator and state live on different spaces")
-    val = _trace_product(op.mat, state.to_density().data)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not hermitian?")
-    return val.real
-
-
-def overlap_fidelity(ref: QuantumState, state: QuantumState) -> float:
-    """The overlap Tr(rho_ref rho) (not Uhlmann): |<psi0|psi>|^2 for pure
-    states, <psi0|rho|psi0> when one of them is pure."""
-    if ref.space.n_max != state.space.n_max:
-        raise SpaceMismatch("states live on different spaces")
-    return _trace_product(ref.to_density().data, state.to_density().data).real
-
-
-def phonon_distribution(state: QuantumState) -> np.ndarray:
-    """P_n summed over the two qubit sectors: rho's diagonal."""
-    d = state.space.dim_boson
-    diag = np.real(np.diag(state.to_density().data))
-    return diag[:d] + diag[d:]
 
 
 # ---------------------------------------------------------------------------

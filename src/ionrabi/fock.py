@@ -1,9 +1,9 @@
-"""Composite qubit+oscillator Hilbert space, ladder/Pauli operators, and the
+"""Composite qubit+oscillator Hilbert space, Pauli operators, and the
 nonlinear sideband coupling f1.
 
 Basis convention (shared by every operator in the package):
     index = qubit * (n_max + 1) + n
-with qubit 0 = |down> = |g> and qubit 1 = |up> = |e|.  The first
+with qubit 0 = |down> = |g> and qubit 1 = |up> = |e>.  The first
 (n_max + 1) amplitudes are the |g> phonon ladder, the rest the |e> ladder.
 
 f1 is the diagonal operator
@@ -26,11 +26,7 @@ from .errors import NoSignChange
 __all__ = [
     "HilbertSpace",
     "Operator",
-    "annihilation_op",
-    "creation_op",
-    "number_op",
     "qubit_ops",
-    "parity_op",
     "f1_scalar",
     "f1_diagonal",
     "barrier_eta",
@@ -40,6 +36,13 @@ __all__ = [
 # default eta bracket of barrier_eta and `ionrabi f1 --find-zero`; it holds the
 # first zero of every n >= 1 (sqrt(2) for n = 1)
 BARRIER_BRACKET = (1e-3, 1.5)
+# f1_diagonal runs an eta past this as this: x = eta^2 = 2^990 still splits
+# in two_prod, and f1 rounds to 0 there on every row below n = 10^290
+_ETA_CAP = 2.0 ** 495
+# ln 2 = _LN2_HI + _LN2_LO, _LN2_HI in 32 bits (fdlibm's split)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_TINY = np.finfo(float).tiny   # the least normal double
 
 
 @dataclass(frozen=True)
@@ -137,20 +140,6 @@ def _boson_a(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1).astype(complex)
 
 
-def annihilation_op(space: HilbertSpace) -> Operator:
-    """a on the boson factor, identity on the qubit:  <m|a|n> = sqrt(n) d_{m,n-1}."""
-    return Operator(space, np.kron(np.eye(2), _boson_a(space.n_max)))
-
-
-def creation_op(space: HilbertSpace) -> Operator:
-    return Operator(space, np.kron(np.eye(2), _boson_a(space.n_max).conj().T))
-
-
-def number_op(space: HilbertSpace) -> Operator:
-    diag = np.concatenate([np.arange(space.dim_boson)] * 2).astype(complex)
-    return Operator(space, np.diag(diag))
-
-
 def qubit_ops(space: HilbertSpace):
     """(sigma_z, sigma_plus, sigma_minus, sigma_x), identity on the boson factor.
 
@@ -161,13 +150,6 @@ def qubit_ops(space: HilbertSpace):
     sm = np.eye(dim, k=d)
     return (Operator(space, np.diag(np.repeat([-1.0, 1.0], d))), Operator(space, sp),
             Operator(space, sm), Operator(space, sp + sm))
-
-
-def parity_op(space: HilbertSpace) -> Operator:
-    """sigma_z * (-1)^n, the conserved parity of the (nonlinear) Rabi models."""
-    signs = (-1.0) ** np.arange(space.dim_boson)
-    diag = np.concatenate([-signs, signs]).astype(complex)
-    return Operator(space, np.diag(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +178,38 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
     divided through by n + 1,
         (n+2) y_{n+1} = (2n+2-x) y_n - n y_{n-1},   y_0 = 1,
     in double-double, run elementwise over all eta at once: one division a
-    level, and no factorial to overflow up to n ~ 200.
+    level, and no factorial to overflow.
+
+    |y_n| reaches about exp(x/2), past the 2^996 that Dekker's split takes,
+    from eta ~ 37.4 on.  So each level compares y_{k+1} with
+    limit = 2^995 / (x + 3 n_max + 2), below which the next level's
+    (k+2) y_{k+2} stays under 2^995; a y_{k+1} past it is rescaled with y_k,
+    both by 2^-e for y_{k+1} = m 2^e, m in [0.5, 1), and its column's
+    exponent s gains e.  Row n stores y_n 2^-s.  An entry with s > 0, or one
+    whose exp(-x/2) is no normal double (eta > 37.64), is
+    m exp(-x/2 + (s + e) ln 2) for a stored m 2^e, within about
+    1e-16 |ln f1| relative; every other one is y_n exp(-x/2), as it always
+    was, which covers every eta up to 37 (|y_n| < 2^975 there) for n_max
+    below 500,000.  An eta past _ETA_CAP runs as _ETA_CAP.
     """
-    x = np.asarray(eta, dtype=float)
+    x = np.minimum(np.asarray(eta, dtype=float), _ETA_CAP)
     if x.ndim > 1:
         raise ValueError(f"eta must be a float or a 1-d array, got shape {x.shape}")
     _validate_f1_args(n_max, x.min() if x.size else 0.0)
+    # one rescaling test a level: a python comparison for a float eta
+    test = np.any
     if x.ndim == 0:
         x = float(x)  # python floats run the scalar recurrence faster than 0-d arrays
+        test = bool
     xh, xl = two_prod(x, x)
     # math.exp, not np.exp: the two differ in the last bit for some eta
     pref = np.array([math.exp(v) for v in np.ravel(-0.5 * x * x)]).reshape(np.shape(x))
+    limit = 2.0 ** 995 / (xh + (3 * n_max + 2))
     out = np.empty((n_max + 1,) + np.shape(x))
     out[0] = 1.0
     ym_h, ym_l = 0.0, 0.0  # y_{-1}
     yc_h, yc_l = 1.0, 0.0  # y_0
+    s, shift = 0, None     # each column's exponent, and each row's from the first rescale on
     for k in range(n_max):
         # (k+2) y_{k+1} = (2k+2-x) y_k - k y_{k-1}
         ah, al = dd_add(float(2 * k + 2), 0.0, -xh, -xl)
@@ -219,8 +218,31 @@ def f1_diagonal(n_max: int, eta) -> np.ndarray:
         nh, nl = dd_add(ah, al, -bh, -bl)
         nh, nl = dd_div_scalar(nh, nl, float(k + 2))
         ym_h, ym_l, yc_h, yc_l = yc_h, yc_l, nh, nl
-        out[k + 1] = nh
+        if test(abs(nh) > limit):
+            e = np.where(abs(nh) > limit, np.frexp(nh)[1], 0)
+            ym_h, ym_l, yc_h, yc_l = (np.ldexp(v, -e) for v in (ym_h, ym_l, yc_h, yc_l))
+            s = s + e
+            if shift is None:
+                shift = np.zeros(out.shape, dtype=int)
+        out[k + 1] = yc_h
+        if shift is not None:
+            shift[k + 1] = s
+    # an entry after a rescale, or under an exp(-x/2) that is no normal
+    # double, takes its exponent into the exp
+    low = pref < _TINY
+    fold = None
+    if shift is not None or test(low):
+        fold = np.broadcast_to(low, out.shape) if shift is None else low | (shift > 0)
+        m, e = np.frexp(out[fold])
+        if shift is not None:
+            e = e + shift[fold]
+        # e ln 2 - x/2 with ln 2 and x in two parts: e ln2_hi is exact, and
+        # the sum is off by about 1e-16 |ln f1|, not 1e-16 x
+        xh_f, xl_f = (np.broadcast_to(v, out.shape)[fold] for v in (xh, xl))
+        folded = m * np.exp((e * _LN2_HI - 0.5 * xh_f) + (e * _LN2_LO - 0.5 * xl_f))
     out *= pref
+    if fold is not None:
+        out[fold] = folded
     return out
 
 
@@ -261,8 +283,7 @@ def barrier_eta(n: int, bracket: tuple[float, float] = BARRIER_BRACKET) -> float
         grid = grid[:np.searchsorted(grid, end) + 1]
         table = f1_diagonal(n, grid)
         f = table[n]
-        # strict: f is exactly 0 where exp(-eta^2/2) underflows (eta > 38.6),
-        # which is no zero of f1
+        # strict: f is exactly 0 where f1 underflows, which is no zero of f1
         hit = np.nonzero(f[:-1] * f[1:] < 0)[0]
         if hit.size:
             break

@@ -238,8 +238,8 @@ class TwoToneGenerator:
     parts into the caller's `out`, and a phase multiply by q(t) times the
     tone coefficient or its conjugate.  The scratch array, grown to the
     widest X, is kept on the instance, so one generator must not be shared
-    between threads.  matrix(t) builds the dense H(t) on its own, as a
-    reference.
+    between threads.  The tests build the dense H(t) on its own, as a
+    reference, with tests/oracles.two_tone_matrix.
 
     The drive is periodic in a rotating frame.  With W(t) = diag(e^{i K t}),
     K = nu n on the qubit-down block and nu n - (delta_r - nu) on the
@@ -253,11 +253,11 @@ class TwoToneGenerator:
             raise ValueError(f"TwoToneGenerator requires a TwoTone spec, got {spec.kind}")
         self.spec = spec
         self.space = space
-        self.d0 = displacement_boson(space.n_max, 1j * spec.eta)
+        d0 = displacement_boson(space.n_max, 1j * spec.eta)
         self.nb = np.arange(space.dim_boson)
         # S = diag(i^n), exact: S^dag D(i eta) S has imaginary part 0
         self.s = np.array([1, 1j, -1, -1j])[self.nb % 4]
-        self.r = (self.s.conj()[:, None] * self.d0 * self.s[None, :]).real.copy()
+        self.r = (self.s.conj()[:, None] * d0 * self.s[None, :]).real.copy()
         # apply's scratch for one half of X, grown to the widest call
         self._z = np.empty(0, dtype=complex)
         self._full_r = spec.delta_r - spec.nu
@@ -276,15 +276,6 @@ class TwoToneGenerator:
             np.exp(-1j * (self._full_r * t - s.phi_r))
             + np.exp(-1j * (self._full_b * t - s.phi_b))
         )
-
-    def matrix(self, t: float) -> np.ndarray:
-        d = self.space.dim_boson
-        ph = np.exp(1j * self.spec.nu * t * self.nb)
-        block = self.tone_coeff(t) * (ph[:, None] * self.d0 * ph.conj()[None, :])
-        H = np.zeros((2 * d, 2 * d), dtype=complex)
-        H[d:, :d] = block
-        H[:d, d:] = block.conj().T
-        return H
 
     def phases(self, t):
         """H(t)'s phases for apply: (q(t)^*, [conj(c) q(t), c q(t)]), c =

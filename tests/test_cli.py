@@ -13,7 +13,7 @@ from ionrabi.fock import barrier_eta, f1_diagonal
 from ionrabi.models import ValidityWarning
 from ionrabi.runner import OUTDIR_ENV
 
-from f1_oracle import f1_series
+from oracles import f1_series
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -155,6 +155,22 @@ def test_f1_single_value_matches_series(capsys):
     label, value = capsys.readouterr().out.strip().split(" = ")
     assert label == "f1(3, 0.5)"
     assert float(value) == pytest.approx(f1_series(3, 0.5), abs=1e-15)
+
+
+def test_evolve_at_large_eta_writes_finite_values(tmp_path):
+    # f1 at eta = 1000 rounds to 0 on every row up to 200: H is zero, and the
+    # state stays put
+    doc = {"schema_version": 1, "name": "eta1000",
+           "model": {"kind": "NonlinearJC", "g": 10.0, "eta": 1000.0},
+           "initial": {"kind": "coherent", "alpha": 2.0, "qubit": "down"},
+           "times": {"t_end": 1.0, "n_points": 11}, "truncation": 200}
+    path = _write(tmp_path / "eta1000.scenario", doc)
+    assert exit_code(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 0
+    rows = list(csv.reader((tmp_path / "eta1000" / "trajectory.csv").read_text().splitlines()))
+    values = [[float(v) for v in row[1:]] for row in rows[1:]]
+    assert len(values) == 11 and all(math.isfinite(v) for row in values for v in row)
+    for row in values[1:]:
+        assert row == pytest.approx(values[0], abs=1e-14)
 
 
 def test_landscape_flags_write_table(tmp_path):

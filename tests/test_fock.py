@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,19 +9,16 @@ from scipy.special import eval_genlaguerre
 from ionrabi import (
     HilbertSpace,
     Operator,
-    annihilation_op,
     barrier_eta,
-    creation_op,
     f1_diagonal,
     f1_scalar,
-    number_op,
     qubit_ops,
 )
 from ionrabi import fock
 from ionrabi.errors import NoSignChange
 from ionrabi.fock import displacement_boson, hermiticity_defect
 
-from f1_oracle import f1_series
+from oracles import annihilation_op, creation_op, f1_series, number_op
 
 # 25-digit reference values computed with mpmath (dps=40) from the closed
 # form exp(-eta^2/2) L_n^(1)(eta^2) / (n+1)
@@ -30,6 +28,17 @@ F1_REFERENCE = {
     (10, 0.57838): 6.3071663522980382726e-6,
     (48, 0.5): -0.0014661618495014922543,
     (200, 1.0): 0.0067920805773359714214,
+}
+# 20-digit values the same way (dps 40 and 80 agree) at the exact doubles eta,
+# past eta = 37.64, where exp(-eta^2/2) is no normal double: rows the
+# recurrence reaches only rescaled (the unscaled one gives NaN there), and two
+# rows before the first rescale
+F1_LARGE_ETA = {
+    (380, 38.0): 3.7549867918443326409e-5,
+    (400, 38.8): 1.7867034207405649887e-5,
+    (1000, 50.0): 1.3228664607832104652e-6,
+    (304, 38.0): 1.5981145110278663322e-18,
+    (286, 38.8): 6.2816522834734947131e-32,
 }
 
 
@@ -159,8 +168,8 @@ class TestF1:
     def test_against_high_precision_reference(self, key):
         n, eta = key
         ref = F1_REFERENCE[key]
-        assert f1_scalar(n, eta) == pytest.approx(ref, rel=5e-15)
-        assert f1_series(n, eta) == pytest.approx(ref, rel=5e-15)
+        assert f1_scalar(n, eta) == pytest.approx(ref, rel=5e-15, abs=0)
+        assert f1_series(n, eta) == pytest.approx(ref, rel=5e-15, abs=0)
 
     def test_sign_changes_along_n_at_half(self):
         # f1(n, 0.5) crosses zero between 13/14 and between 48/49; n=14 and
@@ -201,11 +210,15 @@ class TestF1:
             assert vals[n] == f1_scalar(n, 0.4518)
 
     def test_diagonal_over_eta_array_matches_per_eta(self):
-        etas = np.array([0.0, 0.1, 0.4518, barrier_eta(7), 1.0])
-        table = f1_diagonal(60, etas)
-        assert table.shape == (61, etas.size)
+        # past eta ~ 37.4 each column is rescaled on its own; f1 at eta = 1e10
+        # and past _ETA_CAP (inf too) rounds to 0 on every row
+        etas = np.array([0.0, 0.1, 0.4518, barrier_eta(7), 1.0, 37.0, 38.0, 60.0, 1e10,
+                         1e200, np.inf])
+        table = f1_diagonal(400, etas)
+        assert table.shape == (401, etas.size)
         for j, eta in enumerate(etas):
-            assert np.array_equal(table[:, j], f1_diagonal(60, float(eta)))
+            assert np.array_equal(table[:, j], f1_diagonal(400, float(eta)))
+        assert np.all(table[:, -3:] == 0.0)
         with pytest.raises(ValueError):
             f1_diagonal(5, np.array([0.2, -0.1]))
         with pytest.raises(ValueError):
@@ -227,6 +240,18 @@ class TestF1Operator:
     def test_bounded_by_one(self):
         for eta in (0.01, 0.1, 0.4518, 0.5, 0.57838, 0.67898, 1.0):
             assert np.all(np.abs(f1_diagonal(200, eta)) <= 1.0 + 1e-15)
+        # past eta ~ 37.4 the unscaled recurrence overflows Dekker's split
+        for eta in (38.0, 38.8, 60.0, 100.0, 1e10):
+            assert np.all(np.abs(f1_diagonal(400, eta)) <= 1.0 + 1e-15)
+
+    @pytest.mark.parametrize("key", sorted(F1_LARGE_ETA))
+    def test_large_eta_against_high_precision_reference(self, key):
+        # the exponent's two parts keep these within 1e-16 |ln f1|
+        n, eta = key
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = f1_diagonal(n, eta)[n]
+        assert value == pytest.approx(F1_LARGE_ETA[key], rel=1e-14, abs=0)
 
     def test_commutes_with_number(self, space):
         f1 = np.diag(np.tile(f1_diagonal(space.n_max, 0.5), 2))

@@ -11,16 +11,14 @@ from ionrabi import (
     ModelSpec,
     QuantumState,
     TwoToneGenerator,
-    annihilation_op,
     build_hamiltonian,
     evolve_lindblad,
     f1_scalar,
-    parity_op,
     qubit_ops,
 )
 from ionrabi.fock import hermiticity_defect
 
-from f1_oracle import f1_series
+from oracles import annihilation_op, f1_series, parity_op, two_tone_matrix
 
 SPACE = HilbertSpace(12)
 FEW = settings(max_examples=30, deadline=None)
@@ -63,7 +61,7 @@ def test_two_tone_is_hermitian(eta, Omega, delta_r, delta_b, t):
     # |delta|/nu <= 0.05 and Omega/nu <= 0.1 keep the drive inside its validity range
     spec = ModelSpec(kind="TwoTone", eta=eta, Omega=Omega, nu=1000.0,
                      delta_r=delta_r, delta_b=delta_b)
-    assert hermiticity_defect(TwoToneGenerator(spec, SPACE).matrix(t)) < 1e-12
+    assert hermiticity_defect(two_tone_matrix(TwoToneGenerator(spec, SPACE), t)) < 1e-12
 
 
 @FEW
