@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
 import numpy as np
 
+from ._e17 import csv_rows
 from .dynamics import fock_state, rwa_crosscheck
 from .errors import (
     ConvergenceFailure,
@@ -27,29 +27,14 @@ from .fock import BARRIER_BRACKET, HilbertSpace, barrier_eta, f1_diagonal, f1_sc
 from .protocols import f1_landscape, run_fock_prep
 from .runner import (CONVERGENCE_BUMP, check_truncation_convergence, output_dir, run, sweep,
                      time_grid, write_json, write_landscape_csv)
-from .scenario import (SCHEMA_VERSION, YamlLoader, landscape_from_dict, parse_landscape,
-                       parse_scenario, scenario_from_dict)
+from .scenario import (SCHEMA_VERSION, YamlLoader, _need_int, _need_min, _need_number,
+                       landscape_from_dict, parse_landscape, parse_scenario,
+                       scenario_from_dict)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
 EXIT_CONVERGENCE = 4
-
-
-def _at_least(kind, minimum, strict=False):
-    """argparse type: a finite `kind` value >= minimum (> minimum when strict)."""
-    def parse(text):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__}, got {text}")
-        if not (value > minimum if strict else value >= minimum):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {minimum}, got {text}")
-        return value
-    return parse
 
 
 _THREADS_HELP = "accepted for existing command lines; has no effect"
@@ -64,12 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("f1", help="evaluate the nonlinear coupling f1, table it, or find zeros")
-    p.add_argument("--eta", type=_at_least(float, 0), help="Lamb-Dicke parameter")
-    p.add_argument("--n", type=_at_least(int, 0), help="single Fock index to evaluate")
+    p.add_argument("--eta", type=float, help="Lamb-Dicke parameter")
+    p.add_argument("--n", type=int, help="single Fock index to evaluate")
     p.add_argument("--table", action="store_true", help="emit CSV table (columns n,f1)")
-    p.add_argument("--n-max", type=_at_least(int, 0), default=60,
-                   help="table extent (default 60)")
-    p.add_argument("--find-zero", type=_at_least(int, 1), metavar="N",
+    p.add_argument("--n-max", type=int, default=60, help="table extent (default 60)")
+    p.add_argument("--find-zero", type=int, metavar="N",
                    help="find the smallest eta with f1(N, eta)=0")
     p.add_argument("--bracket", type=float, nargs=2, default=BARRIER_BRACKET,
                    help="eta search bracket for --find-zero (default %s %s)" % BARRIER_BRACKET)
@@ -84,8 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fockprep", help="dissipative Fock-state preparation; writes "
                        "trajectory.csv, metadata.json and report.json")
-    # barrier_eta reads --target before a scenario exists; the schema checks the rest
-    p.add_argument("--target", type=_at_least(int, 1), required=True, metavar="N")
+    p.add_argument("--target", type=int, required=True, metavar="N")
     p.add_argument("--eta", type=float, help="override the blockade eta "
                    "barrier_eta(N); the truncation is the larger of 40, the thermal "
                    "start's bound and twice this eta's blockade level, and must reach N")
@@ -116,14 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="truncation convergence + vibrational-RWA cross-check")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--t-cycles", type=_at_least(float, 0, strict=True), default=3.0,
+    p.add_argument("--t-cycles", type=float, default=3.0,
                    help="cross-check span in cycles of 2*pi/g (default 3)")
-    p.add_argument("--tolerance", type=_at_least(float, 0, strict=True), default=0.01)
+    p.add_argument("--tolerance", type=float, default=0.01)
     p.add_argument("--out")
     return parser
 
 
 def _cmd_f1(args) -> int:
+    # the schema's number check, so that a bad value is a schema error naming the flag
+    for flag, value, minimum, need in (
+            ("--eta", args.eta, 0, _need_number), ("--n", args.n, 0, _need_int),
+            ("--n-max", args.n_max, 0, _need_int), ("--find-zero", args.find_zero, 1, _need_int)):
+        if value is not None:
+            _need_min(value, minimum, flag, need)
     if args.find_zero is not None:
         lo, hi = args.bracket
         if not 0 < lo < hi:
@@ -135,15 +124,14 @@ def _cmd_f1(args) -> int:
     if args.eta is None:
         raise SchemaError("f1: --eta is required unless --find-zero is used")
     if args.table:
-        values = f1_diagonal(args.n_max, args.eta)
-        lines = ["n,f1"] + [f"{n},{v:.17e}" for n, v in enumerate(values)]
-        text = "\n".join(lines) + "\n"
+        text = b"n,f1\r\n" + csv_rows([np.arange(args.n_max + 1),
+                                       f1_diagonal(args.n_max, args.eta)])
         if args.out_file:
-            with open(args.out_file, "w") as fh:
+            with open(args.out_file, "wb") as fh:
                 fh.write(text)
             print(f"wrote {args.out_file}")
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(text.decode("ascii"))
         return EXIT_OK
     if args.n is None:
         raise SchemaError("f1: provide --n or --table or --find-zero")
@@ -160,30 +148,39 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-# the flag that sets each field of fockprep's scenario, so that a schema error
-# names the flag; the model's own check (a "fockprep.model" error) names g or eta
-_FOCKPREP_FLAGS = {"model.g": "--g-khz", "model.eta": "--eta", "initial.nbar": "--nbar",
-                   "times.t_end": "--duration", "times.n_points": "--points",
-                   "lindblad.gamma_ratio": "--gamma-ratio"}
+# the flag that sets each field of the scenario fockprep builds and of
+# landscape's grid, so that a schema error names the flag; the model's own
+# check (a "fockprep.model" error) names g or eta
+_FLAGS = {"model.g": "--g-khz", "model.eta": "--eta", "initial.nbar": "--nbar",
+          "times.t_end": "--duration", "times.n_points": "--points",
+          "lindblad.gamma_ratio": "--gamma-ratio", "n_min": "--n-min", "n_max": "--n-max",
+          "eta_min": "--eta-min", "eta_max": "--eta-max", "eta_points": "--grid"}
+
+
+def _from_flags(build, doc, source):
+    """build(doc, source), its SchemaError naming the flag that set the field."""
+    try:
+        return build(doc, source)
+    except SchemaError as exc:
+        path, _, message = str(exc).partition(": ")
+        field = path.removeprefix(f"{source}.")
+        if field == "model":
+            field += ".eta" if message.startswith("eta ") else ".g"
+        raise SchemaError(f"{_FLAGS.get(field, path)}: {message}") from exc
 
 
 def _cmd_fockprep(args) -> int:
+    # barrier_eta reads --target before a scenario exists; it raises ValueError below 1
+    _need_min(args.target, 1, "--target", _need_int)
     eta = args.eta if args.eta is not None else barrier_eta(args.target)
-    try:
-        scenario = scenario_from_dict({
-            "schema_version": SCHEMA_VERSION,
-            "name": f"fockprep-n{args.target}",
-            "model": {"kind": "NonlinearAntiJC", "g": args.g_khz, "eta": eta},
-            "initial": {"kind": "thermal", "nbar": args.nbar, "qubit": "down"},
-            "times": {"t_end": args.duration, "n_points": args.points},
-            "lindblad": {"gamma_ratio": args.gamma_ratio},
-        }, source="fockprep")
-    except SchemaError as exc:
-        path, _, message = str(exc).partition(": ")
-        field = path.removeprefix("fockprep.")
-        if field == "model":
-            field += ".eta" if message.startswith("eta ") else ".g"
-        raise SchemaError(f"{_FOCKPREP_FLAGS.get(field, path)}: {message}") from exc
+    scenario = _from_flags(scenario_from_dict, {
+        "schema_version": SCHEMA_VERSION,
+        "name": f"fockprep-n{args.target}",
+        "model": {"kind": "NonlinearAntiJC", "g": args.g_khz, "eta": eta},
+        "initial": {"kind": "thermal", "nbar": args.nbar, "qubit": "down"},
+        "times": {"t_end": args.duration, "n_points": args.points},
+        "lindblad": {"gamma_ratio": args.gamma_ratio},
+    }, "fockprep")
     report = run_fock_prep(scenario, args.target, out_dir=args.out)
     csv_path = os.path.join(output_dir(args.out, scenario.name), "trajectory.csv")
     print(f"fockprep target {args.target}: eta={eta:.6f} "
@@ -198,9 +195,9 @@ def _cmd_landscape(args) -> int:
         if args.n_max is None or args.eta_min is None or args.eta_max is None or args.grid is None:
             raise SchemaError("landscape: need --n-max --eta-min --eta-max --grid (or --config)")
         name = "landscape"
-        grid = landscape_from_dict({"n_min": args.n_min, "n_max": args.n_max,
-                                    "eta_min": args.eta_min, "eta_max": args.eta_max,
-                                    "eta_points": args.grid}, "landscape flags")
+        grid = _from_flags(landscape_from_dict, {
+            "n_min": args.n_min, "n_max": args.n_max, "eta_min": args.eta_min,
+            "eta_max": args.eta_max, "eta_points": args.grid}, "landscape flags")
     out_path = os.path.join(output_dir(args.out, name), "landscape.csv")
     n_values = np.arange(grid["n_min"], grid["n_max"] + 1)
     eta_values = np.linspace(grid["eta_min"], grid["eta_max"], grid["eta_points"])
@@ -226,8 +223,7 @@ def _parse_axis(text: str):
         if not values:
             raise SchemaError(f"axis {text!r}: expected a non-empty list")
         for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise SchemaError(f"axis {text!r}: expected finite numbers, got {v!r}")
+            _need_number(v, f"axis {text!r}")
         return path.strip(), values
     parts = spec.split(":")
     if len(parts) != 3:
@@ -236,10 +232,9 @@ def _parse_axis(text: str):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise SchemaError(f"axis {text!r}: {exc}") from exc
-    if count < 1:
-        raise SchemaError(f"axis {text!r}: count must be >= 1")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise SchemaError(f"axis {text!r}: start and stop must be finite")
+    _need_number(start, f"axis {text!r}")
+    _need_number(stop, f"axis {text!r}")
+    _need_min(count, 1, f"axis {text!r}", _need_int)
     return path.strip(), [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -253,6 +248,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    _need_min(args.t_cycles, 0, "--t-cycles", strict=True)
+    _need_min(args.tolerance, 0, "--tolerance", strict=True)
     scenario = parse_scenario(args.scenario)
     spec = scenario.model_spec()
     report = {"scenario": scenario.name}

@@ -1,4 +1,4 @@
-"""Composite qubit+oscillator Hilbert space, Pauli operators, and the
+"""Composite qubit+oscillator Hilbert space, operators on it, and the
 nonlinear sideband coupling f1.
 
 Basis convention (shared by every operator in the package):
@@ -26,7 +26,6 @@ from .errors import NoSignChange
 __all__ = [
     "HilbertSpace",
     "Operator",
-    "qubit_ops",
     "f1_scalar",
     "f1_diagonal",
     "barrier_eta",
@@ -133,23 +132,11 @@ def _sectors(mat: np.ndarray, live: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# ladder and Pauli operators
+# the ladder operator
 # ---------------------------------------------------------------------------
 
 def _boson_a(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1).astype(complex)
-
-
-def qubit_ops(space: HilbertSpace):
-    """(sigma_z, sigma_plus, sigma_minus, sigma_x), identity on the boson factor.
-
-    sigma_z|up> = +|up>, sigma_z|down> = -|down>, sigma_plus = |up><down|.
-    """
-    d, dim = space.dim_boson, space.dim_total
-    sp = np.eye(dim, k=-d)    # |up, n><down, n|
-    sm = np.eye(dim, k=d)
-    return (Operator(space, np.diag(np.repeat([-1.0, 1.0], d))), Operator(space, sp),
-            Operator(space, sm), Operator(space, sp + sm))
 
 
 # ---------------------------------------------------------------------------

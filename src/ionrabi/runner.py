@@ -32,7 +32,7 @@ from .dynamics import (
     thermal_state,
 )
 from .errors import ConvergenceFailure, SchemaError
-from .fock import HilbertSpace, f1_diagonal, qubit_ops
+from .fock import HilbertSpace, Operator, f1_diagonal
 from .models import TwoToneGenerator, build_hamiltonian
 from .scenario import Scenario, scenario_from_dict
 
@@ -173,7 +173,7 @@ def simulate_scenario(scenario: Scenario, n_max: int | None = None):
 
     if scenario.lindblad is not None:
         H = build_hamiltonian(spec, space)
-        _, _, sm, _ = qubit_ops(space)
+        sm = Operator(space, np.eye(space.dim_total, k=space.dim_boson))  # |down, n><up, n|
         traj = evolve_lindblad(H, [(scenario.lindblad["gamma_ratio"] * g, sm)], state0, times)
     elif spec.kind == "TwoTone":
         traj = evolve_unitary_td(TwoToneGenerator(spec, space), state0, times)

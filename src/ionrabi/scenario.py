@@ -7,7 +7,8 @@ Conventions (matching the trapped-ion literature):
     omega0_R) is given in units of 2*pi*kHz, i.e. the file value 11.31 means
     an angular frequency 2*pi * 11.31 kHz;
   - phases are radians, eta and alpha are dimensionless;
-  - times.t_end and outputs.snapshot_times are in cycles of 2*pi/g;
+  - times.t_end and outputs.snapshot_times are in cycles of 2*pi/g, so the
+    coupling g (eta*Omega/2 for TwoTone) must be > 0;
     snapshot_times is validated and echoed in the metadata only, since no
     output writes a state snapshot;
   - `name` is the output directory below --out: a relative path with no
@@ -86,11 +87,11 @@ def _need_int(value, path: str) -> int:
     return value
 
 
-def _need_min(value, minimum, path: str, need=_need_number):
-    """`need(value)`, required to be >= minimum."""
+def _need_min(value, minimum, path: str, need=_need_number, strict=False):
+    """`need(value)`, required to be >= minimum (> minimum when strict)."""
     value = need(value, path)
-    if not value >= minimum:
-        _fail(path, f"must be >= {minimum}")
+    if not (value > minimum if strict else value >= minimum):
+        _fail(path, f"must be {'>' if strict else '>='} {minimum}")
     return value
 
 
@@ -188,9 +189,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
     times = _need_mapping(doc["times"], f"{source}.times")
     _check_keys(times, {"t_end", "n_points"}, {"t_end", "n_points"}, f"{source}.times")
-    t_end = _need_number(times["t_end"], f"{source}.times.t_end")
-    if t_end <= 0:
-        _fail(f"{source}.times.t_end", "must be > 0")
+    t_end = _need_min(times["t_end"], 0, f"{source}.times.t_end", strict=True)
     n_points = _need_min(times["n_points"], 2, f"{source}.times.n_points", _need_int)
     clean_times = {"t_end": t_end, "n_points": n_points}
 
@@ -240,9 +239,12 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         schema_version=version,
     )
     try:  # surface model-level validation errors at parse time
-        scenario.model_spec()
+        spec = scenario.model_spec()
     except ValueError as exc:
         _fail(f"{source}.model", str(exc))
+    if not spec.g > 0:  # a QRM may take g = 0, a TwoTone Omega <= 0
+        _fail(f"{source}.model", f"the coupling g must be > 0, as times are in cycles "
+              f"of 2*pi/g; got g = {spec.g / KHZ:.6g} (2*pi*kHz)")
     return scenario
 
 

@@ -4,7 +4,8 @@ its own routes, and the operators the tests build states and checks from.
 No command of the package calls these:
   - f1_series, f1 from the alternating finite sum, an independent route to
     the Laguerre recurrence that fock.f1_diagonal runs;
-  - the ladder, number and parity operators on a HilbertSpace;
+  - the ladder, number, parity and Pauli operators on a HilbertSpace (the
+    runner builds the one sigma_minus it evolves with in place);
   - expectation, overlap_fidelity and phonon_distribution of one state, which
     dynamics._Recorder computes for every record of a trajectory;
   - two_tone_matrix, the dense two-tone H(t) that TwoToneGenerator.apply
@@ -45,7 +46,7 @@ def f1_series(n: int, eta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ladder, number and parity operators
+# ladder, number, parity and Pauli operators
 # ---------------------------------------------------------------------------
 
 def annihilation_op(space: HilbertSpace) -> Operator:
@@ -67,6 +68,18 @@ def parity_op(space: HilbertSpace) -> Operator:
     signs = (-1.0) ** np.arange(space.dim_boson)
     diag = np.concatenate([-signs, signs]).astype(complex)
     return Operator(space, np.diag(diag))
+
+
+def qubit_ops(space: HilbertSpace):
+    """(sigma_z, sigma_plus, sigma_minus, sigma_x), identity on the boson factor.
+
+    sigma_z|up> = +|up>, sigma_z|down> = -|down>, sigma_plus = |up><down|.
+    """
+    d, dim = space.dim_boson, space.dim_total
+    sp = np.eye(dim, k=-d)    # |up, n><down, n|
+    sm = np.eye(dim, k=d)
+    return (Operator(space, np.diag(np.repeat([-1.0, 1.0], d))), Operator(space, sp),
+            Operator(space, sm), Operator(space, sp + sm))
 
 
 # ---------------------------------------------------------------------------

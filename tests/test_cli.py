@@ -132,6 +132,91 @@ def test_fockprep_range_error_names_flag(flag, value, message, tmp_path, capsys)
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag, message", [
+    (["f1", "--eta", "-0.1", "--n", "3"], "--eta", "must be >= 0"),
+    (["f1", "--eta", "nan", "--n", "3"], "--eta", "expected a finite number, got nan"),
+    (["f1", "--eta", "0.5", "--n", "-2"], "--n", "must be >= 0"),
+    (["f1", "--eta", "0.5", "--table", "--n-max", "-1"], "--n-max", "must be >= 0"),
+    (["f1", "--find-zero", "0"], "--find-zero", "must be >= 1"),
+    (["f1", "--find-zero", "3", "--eta", "-1"], "--eta", "must be >= 0"),
+    (["validate", "--scenario", FIG4, "--t-cycles", "0"], "--t-cycles", "must be > 0"),
+    (["validate", "--scenario", FIG4, "--tolerance", "-1"], "--tolerance", "must be > 0"),
+    (["validate", "--scenario", FIG4, "--tolerance", "inf"], "--tolerance",
+     "expected a finite number, got inf"),
+    (["fockprep", "--target", "0"], "--target", "must be >= 1"),
+    (["fockprep", "--target", "-3"], "--target", "must be >= 1"),
+    (["landscape", "--n-max", "10", "--eta-min", "-0.1", "--eta-max", "1", "--grid", "5"],
+     "--eta-min", "must be >= 0"),
+    (["landscape", "--n-max", "10", "--eta-min", "0.1", "--eta-max", "inf", "--grid", "5"],
+     "--eta-max", "expected a finite number, got inf"),
+    (["landscape", "--n-max", "10", "--eta-min", "0.1", "--eta-max", "1", "--grid", "0"],
+     "--grid", "must be >= 1"),
+    (["landscape", "--n-min", "-1", "--n-max", "10", "--eta-min", "0.1", "--eta-max", "1",
+      "--grid", "5"], "--n-min", "must be >= 0"),
+    (["landscape", "--n-min", "12", "--n-max", "10", "--eta-min", "0.1", "--eta-max", "1",
+      "--grid", "5"], "--n-max", "must be >= 12"),
+], ids=["f1-eta-negative", "f1-eta-nan", "f1-n-negative", "f1-n-max-negative",
+        "find-zero-0", "find-zero-with-bad-eta", "validate-t-cycles-0",
+        "validate-tolerance-negative", "validate-tolerance-inf", "fockprep-target-0",
+        "fockprep-target-negative", "landscape-eta-min-negative", "landscape-eta-max-inf",
+        "landscape-grid-0", "landscape-n-min-negative", "landscape-n-max-below-n-min"])
+def test_bad_flag_error_names_flag(argv, flag, message, tmp_path, monkeypatch, capsys):
+    # the schema's number check tests each flag, so the error names the flag
+    # as fockprep's scenario flags do
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == f"schema error: {flag}: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+_TWO_TONE = {"kind": "TwoTone", "eta": 0.57838, "nu": 5000.0, "delta_r": 11.31,
+             "delta_b": -11.31}
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "QRM", "g": 0, "omega_R": 11.31, "omega0_R": 0.0},
+    {"kind": "NonlinearQRM", "g": 0.0, "eta": 0.67898, "omega_R": 11.31, "omega0_R": 0.0},
+    dict(_TWO_TONE, Omega=0),
+    dict(_TWO_TONE, Omega=-10),
+], ids=["qrm-g-0", "nonlinear-qrm-g-0", "twotone-omega-0", "twotone-omega-negative"])
+@pytest.mark.parametrize("command", ["evolve", "validate"])
+def test_coupling_not_positive_exits_2(command, model, tmp_path, capsys):
+    # times are in cycles of 2*pi/g: g = 0 divided by zero in the time grid,
+    # and g < 0 ran the grid backwards
+    doc = dict(yaml.safe_load(Path(FIG4).read_text()), model=model)
+    path = _write(tmp_path / "uncoupled.scenario", doc)
+    out = tmp_path / "out"
+    assert exit_code([command, "--scenario", path, "--out", str(out)]) == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("schema error: ") and "uncoupled.scenario.model: " in last
+    assert "the coupling g must be > 0" in last
+    assert not out.exists()
+
+
+def test_sweep_point_without_coupling_fails(tmp_path):
+    assert exit_code(["sweep", "--template", FIG4, "--axis", "model.g=[0]",
+                      "--out", str(tmp_path)]) == 3
+    base = tmp_path / "fig4-nqrm-barrier-fock"
+    index = json.loads((base / "index.json").read_text())
+    assert [entry["status"] for entry in index] == ["failed"]
+    assert index[0]["error"].startswith(
+        "SchemaError: sweep:model_g=0.model: the coupling g must be > 0")
+    assert [p.name for p in base.iterdir()] == ["index.json"]
+
+
+def test_f1_table_bytes(tmp_path, capsys):
+    # CRLF line ends, as every CSV of the package; eta = 0.45 takes f1 through
+    # its zeros, so the values have either sign
+    want = "n,f1\r\n" + "".join("%d,%.17e\r\n" % (n, v)
+                                 for n, v in enumerate(f1_diagonal(60, 0.45).tolist()))
+    assert exit_code(["f1", "--eta", "0.45", "--table"]) == 0
+    assert capsys.readouterr().out == want
+    path = tmp_path / "f1.csv"
+    assert exit_code(["f1", "--eta", "0.45", "--table", "--out-file", str(path)]) == 0
+    assert path.read_bytes() == want.encode()
+
+
 def _f1_rows(text):
     header, *rows = text.splitlines()
     assert header == "n,f1"

@@ -22,7 +22,6 @@ from ionrabi import (
     evolve_unitary_td,
     fock_state,
     parse_scenario,
-    qubit_ops,
     rwa_crosscheck,
     scenario_from_dict,
     thermal_state,
@@ -51,6 +50,7 @@ from oracles import (
     number_op,
     overlap_fidelity,
     phonon_distribution,
+    qubit_ops,
     two_tone_matrix,
 )
 

@@ -13,12 +13,12 @@ from ionrabi import (
     build_hamiltonian,
     f1_scalar,
     fock_state,
-    qubit_ops,
 )
 from ionrabi.fock import displacement_boson, hermiticity_defect
 from ionrabi.models import DEFAULT_NU
 
-from oracles import annihilation_op, creation_op, number_op, parity_op, two_tone_matrix
+from oracles import (annihilation_op, creation_op, number_op, parity_op, qubit_ops,
+                     two_tone_matrix)
 
 KHZ = 2 * math.pi * 1e3
 

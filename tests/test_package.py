@@ -15,7 +15,7 @@ MODULES = ["errors", "fock", "models", "dynamics", "protocols", "scenario", "run
 LISTED = """
 ConvergenceFailure IonRabiError NoSignChange PositivityLoss SchemaError SpaceMismatch
 StepTooLarge TruncationTooSmall HilbertSpace Operator barrier_eta f1_diagonal f1_scalar
-qubit_ops ModelSpec TwoToneGenerator ValidityWarning build_hamiltonian QuantumState
+ModelSpec TwoToneGenerator ValidityWarning build_hamiltonian QuantumState
 RwaReport Trajectory coherent_state evolve_lindblad evolve_unitary evolve_unitary_td
 fock_state rwa_crosscheck thermal_state f1_landscape population_above revival_ratio
 run_fock_prep Scenario parse_scenario scenario_from_dict RunResult
@@ -25,7 +25,7 @@ check_truncation_convergence run sweep
 # the names only the tests called, now in tests/oracles.py
 MOVED = """
 annihilation_op creation_op number_op parity_op expectation overlap_fidelity
-phonon_distribution
+phonon_distribution qubit_ops
 """.split()
 
 

@@ -14,11 +14,10 @@ from ionrabi import (
     build_hamiltonian,
     evolve_lindblad,
     f1_scalar,
-    qubit_ops,
 )
 from ionrabi.fock import hermiticity_defect
 
-from oracles import annihilation_op, f1_series, parity_op, two_tone_matrix
+from oracles import annihilation_op, f1_series, parity_op, qubit_ops, two_tone_matrix
 
 SPACE = HilbertSpace(12)
 FEW = settings(max_examples=30, deadline=None)

@@ -192,7 +192,7 @@ class TestCollapseRevival:
         sz[(t > 1.5) & (t < 2.5)] = -0.5
         sz[np.isclose(t, 1.0)] = -0.2
         sz[np.isclose(t, 2.0)] = 0.8
-        assert revival_ratio(_trajectory(t, sz), 2.0) == pytest.approx(4.0, rel=1e-15)
+        assert revival_ratio(_trajectory(t, sz), 2.0) == pytest.approx(4.0, rel=1e-15, abs=0)
 
     def test_window_without_records(self):
         with pytest.raises(ValueError, match="no record"):

@@ -211,6 +211,19 @@ class TestValidation:
         with pytest.raises(SchemaError, match=r"^<dict>\.model: .*inconsistent coupling"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "QRM", "g": 0, "omega_R": 11.31, "omega0_R": 0.0},
+        {"kind": "TwoTone", "eta": 0.4, "Omega": 0, "nu": 5000.0, "delta_r": 11.31,
+         "delta_b": -11.31},
+        {"kind": "TwoTone", "eta": 0.4, "Omega": -10.0, "nu": 5000.0, "delta_r": 11.31,
+         "delta_b": -11.31},
+    ], ids=["qrm-g-0", "twotone-omega-0", "twotone-omega-negative"])
+    def test_coupling_must_be_positive(self, model):
+        # ModelSpec takes these (a free QRM, an undriven TwoTone); a scenario's
+        # times are in cycles of 2*pi/g
+        with pytest.raises(SchemaError, match=r"^<dict>\.model: the coupling g must be > 0"):
+            scenario_from_dict(_minimal(model=model))
+
     def test_negative_truncation(self):
         with pytest.raises(SchemaError, match="truncation"):
             scenario_from_dict(_minimal(truncation=0))
